@@ -1,7 +1,7 @@
 """Golden-fingerprint corpus: pinned traces replayed on every backend.
 
 ``tests/data/golden_fingerprints.json`` commits the reference-backend
-trace fingerprint and bit totals of ~20 canonical cells spanning every
+trace fingerprint and bit totals of ~25 canonical cells spanning every
 protocol × adversary family.  Relative differential tests (reference vs
 batch) catch the two engines drifting *apart*; this corpus catches them
 drifting *together* — any change to coin folding, encoding, delivery

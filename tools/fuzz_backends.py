@@ -17,7 +17,7 @@ Usage::
 
 The same machinery backs ``tests/sim/test_backend_fuzz.py`` (Hypothesis
 drives the cells there) and the committed golden-fingerprint corpus
-(``tests/data/golden_fingerprints.json``): ~20 canonical cells spanning
+(``tests/data/golden_fingerprints.json``): ~25 canonical cells spanning
 every protocol × adversary family whose reference fingerprints are
 pinned, so drift in *either* engine fails loudly instead of only
 relative equality.
@@ -51,7 +51,9 @@ from repro.network.adversaries import (
 from repro.network.generators import line_edges, star_edges
 from repro.obs.export import _round_line
 from repro.protocols.cflood import cflood_factory
+from repro.protocols.doubling import CFloodDoublingNode
 from repro.protocols.flooding import GossipMaxNode, TokenFloodNode
+from repro.protocols.leader_election import LeaderElectNode
 from repro.sim import RunConfig, run_protocol
 from repro.sim.batch import build_engine, run_batch_replicas
 from repro.sim.coins import CoinSource
@@ -72,7 +74,14 @@ __all__ = [
     "main",
 ]
 
-PROTOCOLS = ("token-flood", "gossip", "cflood-conservative", "cflood-known-d")
+PROTOCOLS = (
+    "token-flood",
+    "gossip",
+    "cflood-conservative",
+    "cflood-known-d",
+    "leader-elect",
+    "cflood-doubling",
+)
 OBLIVIOUS_ADVERSARIES = (
     "static-line",
     "schedule",
@@ -192,6 +201,10 @@ def make_node_factory(protocol: str, ids: Sequence[int]):
     if protocol == "cflood-known-d":
         factory = cflood_factory(src, d_param=max(2, n // 2))
         return lambda: {u: factory(u) for u in ids}
+    if protocol == "leader-elect":
+        return lambda: {u: LeaderElectNode(u, n_estimate=n) for u in ids}
+    if protocol == "cflood-doubling":
+        return lambda: {u: CFloodDoublingNode(u, source=src, num_nodes=n) for u in ids}
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
@@ -406,7 +419,7 @@ def fuzz(
 
 # -- the golden corpus ------------------------------------------------------
 
-#: ~20 canonical cells spanning every protocol × adversary family; their
+#: ~25 canonical cells spanning every protocol × adversary family; their
 #: reference fingerprints are committed to
 #: ``tests/data/golden_fingerprints.json`` and replayed on every backend
 #: by ``tests/sim/test_golden_fingerprints.py``.
@@ -436,6 +449,10 @@ GOLDEN_CELLS: Tuple[Cell, ...] = tuple(
         ("cfloodD/random/n10", "cflood-known-d", "random", 10, 29, (1, 2), 50),
         ("cfloodD/overlap-stars/n7", "cflood-known-d", "overlap-stars", 7, 0, (6,), 35),
         ("cfloodD/schedule/n9", "cflood-known-d", "schedule", 9, 0, (3,), 30),
+        # long enough to cross into phase 3: pins both stage schedules
+        ("elect/overlap-stars/n6", "leader-elect", "overlap-stars", 6, 0, (1, 2), 2600),
+        ("elect/static-line/n5", "leader-elect", "static-line", 5, 0, (1,), 2400),
+        ("doubling/rotating-star/n7", "cflood-doubling", "rotating-star", 7, 0, (1,), 1500),
     ]
 )
 
