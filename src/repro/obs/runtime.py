@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -151,6 +152,9 @@ class ObservationSession:
         #: min seconds between checkpoints (events still stream per line)
         self.checkpoint_interval = 1.0
         self._last_checkpoint = 0.0
+        #: serializes checkpoints: the resource sampler's thread and the
+        #: main thread both write the one ``checkpoint.json.tmp``
+        self._checkpoint_lock = threading.Lock()
         self.streaming = (
             not collect and self.trace_dir is not None and resolve_stream(stream)
         )
@@ -211,6 +215,11 @@ class ObservationSession:
         """
         if self.stream is None or self.trace_dir is None:
             return
+        with self._checkpoint_lock:
+            self._write_checkpoint()
+
+    def _write_checkpoint(self) -> None:
+        """Snapshot and write; the caller holds ``_checkpoint_lock``."""
         write_checkpoint(
             self.trace_dir,
             {
@@ -228,10 +237,11 @@ class ObservationSession:
 
     def _maybe_checkpoint(self) -> None:
         """Checkpoint, rate-limited to :attr:`checkpoint_interval`."""
-        if self.stream is None:
+        if self.stream is None or self.trace_dir is None:
             return
-        if time.perf_counter() - self._last_checkpoint >= self.checkpoint_interval:
-            self.checkpoint()
+        with self._checkpoint_lock:
+            if time.perf_counter() - self._last_checkpoint >= self.checkpoint_interval:
+                self._write_checkpoint()
 
     def record_progress(self, phase: str, label: str, depth: int, **extra: Any) -> None:
         """Stream one progress event (begin/advance/finish); see

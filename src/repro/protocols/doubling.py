@@ -32,6 +32,7 @@ from .counting import (
     estimate_count,
     merge_min,
 )
+from .schedule import PhasedSchedule
 
 __all__ = ["CFloodDoublingNode", "DoublingSchedule"]
 
@@ -39,14 +40,17 @@ CONFIRMED = ("cflood", "confirmed")
 OBSERVER = ("cflood", "observer")
 
 
-class DoublingSchedule:
+class DoublingSchedule(PhasedSchedule):
     """Phase k = flood stage (2^k rounds) + count stage (R * flood-ish).
 
     A pure function of (N, constants): identical on every node.
     """
 
+    stages = ("flood", "count")
+
     def __init__(self, num_nodes: int, alpha: float = 2.0, components: Optional[int] = None):
         require(num_nodes >= 2, "need at least 2 nodes")
+        super().__init__()
         self.num_nodes = num_nodes
         self.alpha = alpha
         self.components = components or default_components(num_nodes)
@@ -59,21 +63,8 @@ class DoublingSchedule:
         per_component = max(4, int(math.ceil(self.alpha * (2 ** phase) * self._log)))
         return self.components * per_component
 
-    def phase_length(self, phase: int) -> int:
-        return self.flood_budget(phase) + self.count_budget(phase)
-
-    def locate(self, round_: int) -> Tuple[int, str, int, int]:
-        """(phase, "flood"|"count", 1-based offset, stage length)."""
-        require(round_ >= 1, "rounds are 1-based")
-        r = round_
-        k = 1
-        while r > self.phase_length(k):
-            r -= self.phase_length(k)
-            k += 1
-        f = self.flood_budget(k)
-        if r <= f:
-            return k, "flood", r, f
-        return k, "count", r - f, self.count_budget(k)
+    def _stage_lengths(self, phase: int) -> Tuple[int, int]:
+        return self.flood_budget(phase), self.count_budget(phase)
 
 
 class CFloodDoublingNode(ProtocolNode):

@@ -54,6 +54,7 @@ from .counting import (
     majority_threshold,
     merge_min,
 )
+from .schedule import PhasedSchedule
 
 __all__ = ["LeaderElectNode", "StageSchedule", "STAGE_NAMES"]
 
@@ -63,19 +64,22 @@ STAGE_NAMES = ("disseminate", "count-seen", "lock", "count-locked")
 _MAX_UNLOCKS = 8
 
 
-class StageSchedule:
+class StageSchedule(PhasedSchedule):
     """Maps a 1-based round number to (phase, stage, offset, stage_len).
 
     Identical on every node: a pure function of N' and the constants.
+    Stages are reported by index 0..3 (see :data:`STAGE_NAMES`).
     """
+
+    stages = (0, 1, 2, 3)
 
     def __init__(self, n_estimate: float, alpha: float = 2.0, components: Optional[int] = None):
         require(n_estimate >= 2, "n_estimate must be >= 2")
+        super().__init__()
         self.n_estimate = float(n_estimate)
         self.alpha = alpha
         self.components = components or default_components(n_estimate)
         self._log = max(1.0, math.log2(self.n_estimate))
-        self._phase_starts: List[int] = [1]  # round at which phase k+1 starts
 
     def flood_budget(self, phase: int) -> int:
         """Stage-1/3 length for phase k: ceil(alpha * 2^k * log2 N')."""
@@ -85,32 +89,9 @@ class StageSchedule:
         """Stage-2/4 length: R components, each gossiped every R rounds."""
         return self.components * self.flood_budget(phase)
 
-    def phase_length(self, phase: int) -> int:
-        return 2 * self.flood_budget(phase) + 2 * self.count_budget(phase)
-
-    def locate(self, round_: int) -> Tuple[int, int, int, int]:
-        """(phase, stage index 0..3, 1-based offset in stage, stage length)."""
-        require(round_ >= 1, "rounds are 1-based")
-        while self._phase_starts[-1] <= round_:
-            k = len(self._phase_starts)
-            self._phase_starts.append(self._phase_starts[-1] + self.phase_length(k))
-        # phase k spans [_phase_starts[k-1], _phase_starts[k])
-        k = next(
-            i for i in range(len(self._phase_starts) - 1, 0, -1)
-            if self._phase_starts[i - 1] <= round_ < self._phase_starts[i]
-        )
-        off = round_ - self._phase_starts[k - 1]
-        lengths = (
-            self.flood_budget(k),
-            self.count_budget(k),
-            self.flood_budget(k),
-            self.count_budget(k),
-        )
-        for stage, length in enumerate(lengths):
-            if off < length:
-                return k, stage, off + 1, length
-            off -= length
-        raise AssertionError("unreachable: offsets cover the phase")  # pragma: no cover
+    def _stage_lengths(self, phase: int) -> Tuple[int, int, int, int]:
+        flood, count = self.flood_budget(phase), self.count_budget(phase)
+        return flood, count, flood, count
 
     def rounds_through_phase(self, phase: int) -> int:
         """Total rounds consumed by phases 1..phase."""

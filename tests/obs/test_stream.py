@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -223,6 +225,49 @@ class TestStreamingSession:
         session = ObservationSession(collect=True)
         assert not session.streaming
         session.close()
+
+    def test_concurrent_checkpoints_never_raise(self, tmp_path):
+        """The resource sampler and the main thread both checkpoint.
+
+        They share ``checkpoint.json.tmp``: unserialized, one writer's
+        ``os.replace`` finds the temp file already moved and raises
+        FileNotFoundError.  Half the threads go through the rate-limited
+        path the sampler uses, half through the direct call.
+        """
+        from repro.obs.runtime import ObservationSession
+
+        d = tmp_path / "racy"
+        session = ObservationSession(trace_dir=d, stream=True, resource_interval=0)
+        session.checkpoint_interval = 0.0
+        threads_n, calls = 4, 200
+        start = threading.Barrier(threads_n)
+        errors = []
+
+        def hammer(call):
+            try:
+                start.wait(timeout=10)
+                for _ in range(calls):
+                    call()
+            except Exception as exc:  # the assertion below reports it
+                errors.append(exc)
+
+        targets = [session.checkpoint, session._maybe_checkpoint] * (threads_n // 2)
+        threads = [threading.Thread(target=hammer, args=(t,), daemon=True)
+                   for t in targets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            session.close()
+        assert not any(t.is_alive() for t in threads), "checkpoint threads hung"
+        assert errors == []
+        assert load_checkpoint(d) is not None
+        assert not (d / (CHECKPOINT_FILENAME + ".tmp")).exists()
 
 
 class TestStreamingEquivalence:
