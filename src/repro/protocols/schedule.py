@@ -38,7 +38,8 @@ class PhasedSchedule:
     stages: Tuple[Any, ...] = ()
 
     def __init__(self) -> None:
-        #: _starts[k - 1] is the first round of phase k (one past the end)
+        #: _starts[k - 1] is the first round of phase k; the last entry
+        #: is one past the last phase computed so far
         self._starts: List[int] = [1]
         #: _lengths[k - 1] is phase k's stage lengths
         self._lengths: List[Sequence[int]] = []
@@ -50,6 +51,7 @@ class PhasedSchedule:
         raise NotImplementedError
 
     def phase_length(self, phase: int) -> int:
+        """Rounds in phase ``phase``: the sum of its stage lengths."""
         return sum(self._stage_lengths(phase))
 
     def locate(self, round_: int) -> Tuple[int, Any, int, int]:
