@@ -453,6 +453,11 @@ GOLDEN_CELLS: Tuple[Cell, ...] = tuple(
         ("elect/overlap-stars/n6", "leader-elect", "overlap-stars", 6, 0, (1, 2), 2600),
         ("elect/static-line/n5", "leader-elect", "static-line", 5, 0, (1,), 2400),
         ("doubling/rotating-star/n7", "cflood-doubling", "rotating-star", 7, 0, (1,), 1500),
+        # above DENSE_NODE_LIMIT: the automatically chosen sparse kinds at
+        # scale (a static line is CSR, a T-interval graph with extras is
+        # bitset; this one floods in 3 rounds)
+        ("flood/static-line/n520", "token-flood", "static-line", 520, 0, (1, 2), 12),
+        ("flood/t-interval/n520", "token-flood", "t-interval", 520, 7, (1,), 12),
     ]
 )
 
