@@ -132,13 +132,27 @@ class AdversaryView:
 
 
 def _normalize_edges(edges, node_ids: FrozenSet[int]) -> FrozenSet[Edge]:
-    """Normalize to u < v tuples and validate endpoints."""
+    """Normalize to u < v tuples and validate endpoints.
+
+    Anything that is not an iterable of pairs of node ids raises
+    :class:`~repro.errors.ModelViolation` naming the offending value.
+    """
+    try:
+        pairs = iter(edges)
+    except TypeError:
+        raise ModelViolation(
+            f"adversary returned {edges!r}, not an iterable of edges"
+        ) from None
     normalized = set()
-    for u, v in edges:
-        if u == v:
-            raise ModelViolation(f"self-loop on node {u}")
-        if u not in node_ids or v not in node_ids:
-            raise ModelViolation(f"edge ({u}, {v}) leaves the node set")
+    for edge in pairs:
+        try:
+            u, v = edge
+            if u == v:
+                raise ModelViolation(f"self-loop on node {u}")
+            if u not in node_ids or v not in node_ids:
+                raise ModelViolation(f"edge ({u}, {v}) leaves the node set")
+        except (TypeError, ValueError):  # not a pair, or an unhashable end
+            raise ModelViolation(f"edge {edge!r} is not a pair of node ids") from None
         normalized.add((u, v) if u < v else (v, u))
     return frozenset(normalized)
 

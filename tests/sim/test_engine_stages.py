@@ -194,16 +194,24 @@ class _ChattyNode(ProtocolNode):
 
 
 def _raise_parity(make_nodes, make_adv, exc_type):
-    """Both engines raise the same error, message, and partial trace."""
+    """Both engines raise the same error, message, and partial trace.
+
+    The batch engine runs at the default dense limit and again at
+    ``dense_node_limit=0``, where every topology takes the sparse array
+    path (and, for input it cannot vouch for, that path's fallback).
+    """
     ref = SynchronousEngine(make_nodes(), make_adv(), CoinSource(5))
-    bat = BatchEngine(make_nodes(), make_adv(), CoinSource(5))
     with pytest.raises(exc_type) as ref_exc:
         ref.run(10)
-    with pytest.raises(exc_type) as bat_exc:
-        bat.run(10)
-    assert str(ref_exc.value) == str(bat_exc.value)
-    assert ref.round == bat.round
-    assert trace_fingerprint(ref.trace) == trace_fingerprint(bat.trace)
+    for limit in (None, 0):
+        bat = BatchEngine(
+            make_nodes(), make_adv(), CoinSource(5), dense_node_limit=limit
+        )
+        with pytest.raises(exc_type) as bat_exc:
+            bat.run(10)
+        assert str(ref_exc.value) == str(bat_exc.value)
+        assert ref.round == bat.round
+        assert trace_fingerprint(ref.trace) == trace_fingerprint(bat.trace)
     return str(ref_exc.value)
 
 
@@ -256,6 +264,41 @@ class TestErrorPathParity:
         make_adv = lambda: FunctionAdversary(list(IDS), edges)
         msg = _raise_parity(_nodes, make_adv, ModelViolation)
         assert "self-loop" in msg
+
+    @pytest.mark.parametrize("oblivious", [False, True], ids=["commit", "replay"])
+    @pytest.mark.parametrize(
+        "bad,named",
+        [
+            ([(0, 1, 2)], "edge (0, 1, 2) "),
+            ([(0,)], "edge (0,) "),
+            ([([0], 1)], "edge ([0], 1) "),
+            (5, "returned 5,"),
+            (None, "returned None,"),
+        ],
+        ids=["triple", "single", "unhashable-end", "int", "none"],
+    )
+    def test_model_violation_malformed_edge_set(self, bad, named, oblivious):
+        """Malformed adversary output is a ModelViolation naming it, on
+        both tape modes, never a bare TypeError/ValueError."""
+
+        def edges(round_, view):
+            return bad if round_ == 2 else line_edges(list(IDS))
+
+        make_adv = lambda: FunctionAdversary(list(IDS), edges, oblivious=oblivious)
+        msg = _raise_parity(_nodes, make_adv, ModelViolation)
+        assert named in msg
+
+    def test_malformed_pair_inside_a_frozenset(self):
+        """A frozenset the array path cannot vouch for falls back to the
+        reference normalization and its exact message."""
+        line = frozenset(line_edges(list(IDS)))
+
+        def edges(round_, view):
+            return line | {(1, 2, 3)} if round_ == 2 else line
+
+        make_adv = lambda: FunctionAdversary(list(IDS), edges, oblivious=True)
+        msg = _raise_parity(_nodes, make_adv, ModelViolation)
+        assert "edge (1, 2, 3) " in msg
 
     def test_bandwidth_exceeded(self):
         def make_nodes():
