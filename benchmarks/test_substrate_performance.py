@@ -8,11 +8,10 @@ large an N the experiment suite can afford.
 EXP-SUB compares engine execution paths on a spread of (protocol ×
 adversary) cells — oblivious families on the replay tape and adaptive
 families on the incremental tape.  Classic cells time reference vs
-batch vs batch+vector_replicas; the large sparse cells (N=1024/2048
-lollipop floods — the paper's dense-body-plus-long-tail shape) time the
-legacy per-edge scan path (what the batch backend did above
-``DENSE_NODE_LIMIT`` before packed-bitset/CSR adjacency) against the
-sparse kernels, since the reference engine is impractical at that
+batch; the large sparse cells (N=1024/2048 lollipop floods — the
+paper's dense-body-plus-long-tail shape) time the dense N x N kernel
+against the sparse kernel the batch backend picks above
+``DENSE_NODE_LIMIT``, since the reference engine is impractical at that
 scale.  Per cell the identical seed set runs on every leg, bit-identity
 is asserted (trace fingerprints), and wall times, the speedup over the
 cell's baseline, and the adjacency representation are recorded into
@@ -160,10 +159,13 @@ def _sparse_cells():
     Lollipop floods: a dense clique body with a long path tail, the
     paper's straggler shape.  The flood crawls the tail one hop per
     round while every clique node sits receiving over a huge neighbor
-    set — exactly where the legacy scan path's per-edge python loses to
-    the packed-bitset delivery submatrix, and far beyond what the
-    reference engine can time comfortably (its leg is skipped; the scan
-    path, bit-identical by the fuzz/golden suites, is the baseline).
+    set, far beyond what the reference engine can time comfortably, so
+    its leg is skipped.  The baseline is the batch engine with the dense
+    limit raised to N: one N x N boolean matrix (1 MiB at N=1024, 4 MiB
+    at N=2048) and a submatrix gather per round.  The timed leg is the
+    packed-bitset kernel the tape picks above ``DENSE_NODE_LIMIT``; the
+    two must produce identical traces, and the bitset must not be
+    slower, which is the claim the limit rests on.
     """
     from repro.network.generators import lollipop_edges
 
@@ -192,11 +194,8 @@ def _best_of(fn):
     return best, out
 
 
-def _time_backend(make_nodes, make_adv, max_rounds, backend, vector=False):
-    cfg = RunConfig(
-        max_rounds=max_rounds, backend=backend, workers=0,
-        vector_replicas=vector if backend == "batch" else None,
-    )
+def _time_backend(make_nodes, make_adv, max_rounds, backend):
+    cfg = RunConfig(max_rounds=max_rounds, backend=backend, workers=0)
     return _best_of(lambda: replicate(make_nodes, make_adv, _SUB_SEEDS, cfg))
 
 
@@ -227,10 +226,10 @@ def _traces_identical(a_runs, b_runs):
 def _run_exp_sub() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="EXP-SUB",
-        title=f"Engine execution paths: reference/scan vs batch vs "
-        f"batch+vector (sequential, best of {_SUB_REPS})",
+        title=f"Engine execution paths: reference/dense vs batch "
+        f"(sequential, best of {_SUB_REPS})",
         headers=["cell", "rounds", "baseline", "base s", "batch s",
-                 "vector s", "speedup", "rep", "bit-identical"],
+                 "speedup", "rep", "bit-identical"],
     )
     speedups = {}
     sparse_speedups = {}
@@ -238,38 +237,31 @@ def _run_exp_sub() -> ExperimentResult:
     for label, make_nodes, make_adv, max_rounds in _sub_cells():
         ref_s, ref = _time_backend(make_nodes, make_adv, max_rounds, "reference")
         bat_s, bat = _time_backend(make_nodes, make_adv, max_rounds, "batch")
-        vec_s, vec = _time_backend(
-            make_nodes, make_adv, max_rounds, "batch", vector=True
-        )
-        wall += ref_s + bat_s + vec_s
-        prints = _fingerprints(ref.runs)
-        identical = prints == _fingerprints(bat.runs) == _fingerprints(vec.runs)
+        wall += ref_s + bat_s
+        identical = _fingerprints(ref.runs) == _fingerprints(bat.runs)
         assert all(r.backend == "batch" for r in bat.runs), label
-        rep = getattr(vec.runs[0], "representation", None) or "dense"
-        speedup = round(ref_s / vec_s, 2) if vec_s else None
+        rep = bat.runs[0].representation or "dense"
+        speedup = round(ref_s / bat_s, 2) if bat_s else None
         speedups[label] = speedup
         result.rows.append([
             label, max_rounds, "reference", round(ref_s, 3), round(bat_s, 3),
-            round(vec_s, 3), speedup, rep, identical,
+            speedup, rep, identical,
         ])
     for label, make_nodes, make_adv, seeds, max_rounds in _sparse_cells():
-        scan_s, scan = _time_replicas(
+        dense_s, dense = _time_replicas(
             make_nodes, make_adv, seeds, max_rounds,
-            dense_node_limit=0, sparse="scan",
+            dense_node_limit=len(make_nodes.uids),
         )
         bat_s, bat = _time_replicas(make_nodes, make_adv, seeds, max_rounds)
-        vec_s, vec = _time_replicas(
-            make_nodes, make_adv, seeds, max_rounds, vector_replicas=True
-        )
-        wall += scan_s + bat_s + vec_s
-        identical = _traces_identical(scan, bat) and _traces_identical(bat, vec)
-        rep = getattr(vec[0], "representation", None)
-        speedup = round(scan_s / vec_s, 2) if vec_s else None
+        wall += dense_s + bat_s
+        assert dense[0].representation == "dense", label
+        identical = _traces_identical(dense, bat)
+        speedup = round(dense_s / bat_s, 2) if bat_s else None
         speedups[label] = speedup
         sparse_speedups[label] = speedup
         result.rows.append([
-            label, max_rounds, "batch-scan", round(scan_s, 3), round(bat_s, 3),
-            round(vec_s, 3), speedup, rep, identical,
+            label, max_rounds, "batch-dense", round(dense_s, 3), round(bat_s, 3),
+            speedup, bat[0].representation, identical,
         ])
     result.summary["max_speedup"] = max(speedups.values())
     result.summary["min_speedup"] = min(speedups.values())
@@ -277,10 +269,10 @@ def _run_exp_sub() -> ExperimentResult:
     result.notes.append(
         "identical trace fingerprints are the asserted contract; speedups "
         "are recorded for bench-diff tracking (they depend on the host). "
-        "Classic cells measure speedup as reference/vector; the lollipop "
-        "cells measure it against the legacy scan path (the pre-sparse "
-        "batch behaviour above DENSE_NODE_LIMIT), where the packed-bitset "
-        "delivery keeps N=2048 flood cells tractable for the first time."
+        "Classic cells measure speedup as reference/batch; the lollipop "
+        "cells measure the packed-bitset kernel the tape picks above "
+        "DENSE_NODE_LIMIT against the dense N x N kernel on the same cell "
+        "(dense_node_limit=N)."
     )
     result.timings.update(wall_seconds=round(wall, 3))
     return result
@@ -290,11 +282,11 @@ def test_backend_comparison_table(benchmark, exp_output):
     """EXP-SUB: every execution path bit-identical, wall times recorded."""
     result = benchmark.pedantic(_run_exp_sub, rounds=1, iterations=1)
     exp_output(result)
-    assert all(row[8] for row in result.rows), "backends diverged"
+    assert all(row[7] for row in result.rows), "backends diverged"
     assert result.summary["max_speedup"] is not None
-    sparse_rows = [row for row in result.rows if row[2] == "batch-scan"]
+    sparse_rows = [row for row in result.rows if row[2] == "batch-dense"]
     assert len(sparse_rows) >= 2
     assert any("N=2048" in row[0] for row in sparse_rows)
-    # the sparse kernels must beat per-edge python decisively; the
-    # committed baseline records ~4.5-5x, assert a noise-proof floor
-    assert result.summary["sparse_min_speedup"] >= 2.0
+    # above DENSE_NODE_LIMIT the sparse kernel must not be slower than
+    # the dense one; measured dense/bitset ratios are 1.1-2.1x
+    assert result.summary["sparse_min_speedup"] >= 1.0

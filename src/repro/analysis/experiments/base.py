@@ -41,16 +41,11 @@ def exp_scope(exp_id: str, total: int, unit: str = "runs", **tags: Any) -> Itera
     :class:`~repro.obs.progress.ProgressReporter`); the driver's
     :class:`~repro.sim.parallel.ParallelExecutor` advances the reporter
     one step per task, inline or pooled.
-
-    Also opens a batch fallback-log scope, so an experiment whose cells
-    cannot batch (``dynamic_nodes``) logs each reason once per driver
-    invocation rather than once per per-seed engine construction.
     """
     from ...obs.progress import current_reporter
     from ...obs.spans import span
-    from ...sim.batch import fallback_log_scope
 
-    with span("sweep", exp_id, **tags), fallback_log_scope():
+    with span("sweep", exp_id, **tags):
         reporter = current_reporter()
         if reporter is not None:
             reporter.begin(total, unit=unit, label=exp_id)

@@ -11,11 +11,8 @@ __all__ = ["cartesian_sweep"]
 def _sweep_cell(fn: Callable[..., Mapping[str, Any]], cell: Dict[str, Any]) -> Dict[str, Any]:
     """One grid cell, shaped for the process pool (module-level, picklable)."""
     from ..obs.spans import span
-    from ..sim.batch import fallback_log_scope
 
-    # One fallback-log scope per cell: a cell that cannot batch says so
-    # once, not once per seed the cell's fn runs internally.
-    with span("cell", _cell_label(cell), **cell), fallback_log_scope():
+    with span("cell", _cell_label(cell), **cell):
         result = fn(**cell)
     row = dict(cell)
     row.update(result)

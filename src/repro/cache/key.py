@@ -11,11 +11,11 @@ Three rules shape the key:
 * **Semantic config fields only.**  Of :class:`~repro.sim.config
   .RunConfig`'s fields, only :data:`SEMANTIC_CONFIG_FIELDS` (seed,
   max_rounds, bandwidth_factor, check_connected) can change a result.
-  ``workers``/``backend``/``vector_replicas``/``dense_node_limit`` are
-  proven bit-identical (golden-fingerprint corpus + differential
-  fuzzer), and ``instrument``/``registry``/``cache``/``cache_dir`` are
-  observability/plumbing — none of them participate, so a result
-  computed on the batch backend answers a reference-backend query.
+  ``workers``/``backend`` are proven bit-identical (golden-fingerprint
+  corpus + differential fuzzer), and ``instrument``/``registry``/
+  ``cache``/``cache_dir`` are observability/plumbing — none of them
+  participate, so a result computed on the batch backend answers a
+  reference-backend query.
 
 * **Structural tokens, not pickles.**  :func:`cache_token` renders a
   value as a JSON-ready tree: primitives stay bare, containers get a
@@ -52,9 +52,8 @@ __all__ = [
 KEY_VERSION = 1
 
 #: The RunConfig fields that can change a run's result.  Everything
-#: else — workers, backend, vector_replicas, dense_node_limit,
-#: instrument, registry, cache, cache_dir — is execution plumbing,
-#: proven or defined not to alter outputs.
+#: else — workers, backend, instrument, registry, cache, cache_dir —
+#: is execution plumbing, proven or defined not to alter outputs.
 SEMANTIC_CONFIG_FIELDS: Tuple[str, ...] = (
     "seed", "max_rounds", "bandwidth_factor", "check_connected",
 )

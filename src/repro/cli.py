@@ -19,8 +19,6 @@ Usage::
     python -m repro cache stats                        # result cache
     python -m repro cache verify --sample 3
     python -m repro cache gc --max-bytes 100000000 --max-age-days 30
-    python -m repro serve --port 8642 --root out/serve # sweep daemon
-    python -m repro submit thm6 --url http://127.0.0.1:8642
     python -m repro all --quick --progress
 
 Each experiment command prints the experiment's rendered table (the
@@ -36,7 +34,7 @@ single :class:`~repro.sim.config.RunConfig` by
 through the vectorized batch backend (bit-identical; see
 ``docs/PERFORMANCE.md``), ``--workers N`` fans seed sweeps over a
 process pool, and ``--cache rw|ro|off`` consults the content-addressed
-result cache (``docs/SERVICE.md``; default: the ``REPRO_CACHE``
+result cache (``docs/CACHE.md``; default: the ``REPRO_CACHE``
 environment variable, else off).  Passing the legacy individual
 keyword arguments to the library entry points was removed in PR 10 —
 it raises :class:`~repro.errors.ConfigurationError` naming the exact
@@ -81,14 +79,10 @@ trends (latest vs median-of-last-K) and exits nonzero on regressions;
 ``repro report --baseline`` accepts either a baseline session directory
 (metric deltas) or a history file (sparkline trend table).
 
-Result cache + service (PR 10): ``repro cache stats`` summarizes the
+Result cache: ``repro cache stats`` summarizes the
 content-addressed result cache, ``repro cache verify`` re-runs a
 sample of cached entries from their stored recipes and asserts
 bit-identity, and ``repro cache gc`` prunes it by size and age.
-``repro serve`` runs the long-lived sweep daemon (stdlib HTTP/JSON;
-every job is a streaming observation session ``repro tail`` can
-attach to) and ``repro submit`` posts an experiment to it, waits, and
-renders the result table exactly as a local run would.
 """
 
 from __future__ import annotations
@@ -219,18 +213,8 @@ EXPERIMENTS: Dict[str, tuple] = {
 # a single RunConfig through config_from_args — no per-command copies.
 # --------------------------------------------------------------------------
 
-def add_execution_options(
-    parser: argparse.ArgumentParser,
-    progress: bool = True,
-    cache_dir: bool = True,
-) -> argparse.ArgumentParser:
-    """Install the shared execution flags on ``parser`` and return it.
-
-    ``progress=False`` omits the interactive ``--progress``/``--stream``
-    pairs (the serve daemon and submit client have no local TTY run to
-    decorate); ``cache_dir=False`` omits ``--cache-dir`` (the submit
-    client's cache lives daemon-side).
-    """
+def add_execution_options(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Install the shared execution flags on ``parser`` and return it."""
     group = parser.add_argument_group("execution options")
     group.add_argument(
         "--workers",
@@ -246,9 +230,9 @@ def add_execution_options(
         choices=list(BACKENDS),
         default=None,
         help="execution backend for engine runs: 'reference' (default) or "
-        "'batch' (vectorized, bit-identical; falls back to reference on "
-        "adaptive adversaries — see docs/PERFORMANCE.md); default: the "
-        "REPRO_BACKEND environment variable, else 'reference'",
+        "'batch' (vectorized, bit-identical on every adversary — see "
+        "docs/PERFORMANCE.md); default: the REPRO_BACKEND environment "
+        "variable, else 'reference'",
     )
     group.add_argument(
         "--cache",
@@ -256,47 +240,45 @@ def add_execution_options(
         default=None,
         help="content-addressed result cache: 'rw' reads and writes, 'ro' "
         "reads only, 'off' disables; default: the REPRO_CACHE environment "
-        "variable, else off — see docs/SERVICE.md",
+        "variable, else off — see docs/CACHE.md",
     )
-    if cache_dir:
-        group.add_argument(
-            "--cache-dir",
-            metavar="DIR",
-            default=None,
-            help="result-cache location (default: the REPRO_CACHE_DIR "
-            "environment variable, else ~/.cache/repro)",
-        )
-    if progress:
-        group.add_argument(
-            "--progress",
-            dest="progress",
-            action="store_true",
-            default=None,
-            help="stream live progress (done/total, rate, ETA, fallback "
-            "events) to stderr; default: on when stderr is a TTY",
-        )
-        group.add_argument(
-            "--no-progress",
-            dest="progress",
-            action="store_false",
-            help="disable progress streaming even on a TTY",
-        )
-        group.add_argument(
-            "--stream",
-            dest="stream",
-            action="store_true",
-            default=None,
-            help="append every run/cell/fault/progress occurrence to the "
-            "session's events.jsonl as it happens (crash-safe telemetry; "
-            "requires --trace-out); default: the REPRO_STREAM environment "
-            "variable",
-        )
-        group.add_argument(
-            "--no-stream",
-            dest="stream",
-            action="store_false",
-            help="disable event streaming even when REPRO_STREAM is set",
-        )
+    group.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        default=None,
+        help="result-cache location (default: the REPRO_CACHE_DIR "
+        "environment variable, else ~/.cache/repro)",
+    )
+    group.add_argument(
+        "--progress",
+        dest="progress",
+        action="store_true",
+        default=None,
+        help="stream live progress (done/total, rate, ETA, retry events) "
+        "to stderr; default: on when stderr is a TTY",
+    )
+    group.add_argument(
+        "--no-progress",
+        dest="progress",
+        action="store_false",
+        help="disable progress streaming even on a TTY",
+    )
+    group.add_argument(
+        "--stream",
+        dest="stream",
+        action="store_true",
+        default=None,
+        help="append every run/cell/fault/progress occurrence to the "
+        "session's events.jsonl as it happens (crash-safe telemetry; "
+        "requires --trace-out); default: the REPRO_STREAM environment "
+        "variable",
+    )
+    group.add_argument(
+        "--no-stream",
+        dest="stream",
+        action="store_false",
+        help="disable event streaming even when REPRO_STREAM is set",
+    )
     return parser
 
 
@@ -602,68 +584,6 @@ def _run_cache_verify(cache, sample: int) -> int:
         f"{counts['skip']} skipped (no replayable recipe)"
     )
     return 1 if counts["mismatch"] else 0
-
-
-def _run_serve(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from .serve.daemon import serve_forever
-
-    return serve_forever(
-        pathlib.Path(args.root),
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        cache=args.cache if args.cache is not None else "rw",
-        cache_dir=args.cache_dir,
-        backend=args.backend,
-        quiet=args.quiet,
-    )
-
-
-def _result_from_dict(data: dict):
-    """Rebuild an ExperimentResult from the daemon's to_dict payload so
-    the submit client renders the identical table a local run prints."""
-    from .analysis.experiments.base import ExperimentResult
-
-    result = ExperimentResult(
-        exp_id=data["exp_id"], title=data["title"], headers=list(data["headers"])
-    )
-    result.rows = [list(row) for row in data.get("rows", [])]
-    result.notes = list(data.get("notes") or [])
-    result.summary = dict(data.get("summary") or {})
-    result.timings = dict(data.get("timings") or {})
-    return result
-
-
-def _run_submit(args: argparse.Namespace) -> int:
-    from .serve.client import ServeError, submit_job, wait_for_job
-
-    base_url = args.url or f"http://{args.host}:{args.port}"
-    try:
-        view = submit_job(
-            base_url,
-            args.experiment,
-            quick=not args.full,
-            workers=args.workers,
-            backend=args.backend,
-            cache=args.cache,
-        )
-        job_id = view["job_id"]
-        print(f"submitted: {job_id} ({args.experiment}) -> {base_url}")
-        print(f"session:   {view['session_dir']} (repro tail attaches live)")
-        if args.no_wait:
-            return 0
-        payload = wait_for_job(base_url, job_id, poll=args.poll, timeout=args.timeout)
-    except ServeError as exc:
-        print(f"repro submit: {exc}", file=sys.stderr)
-        return 1
-    print(_result_from_dict(payload["result"]).render())
-    events = payload.get("cache_events") or {}
-    if events:
-        parts = ", ".join(f"{k}={v}" for k, v in sorted(events.items()) if v)
-        print(f"cache: {parts or 'no events'}")
-    return 0
 
 
 def _write_metrics_out(session, path: str) -> None:
@@ -973,68 +893,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="gc: prune entries older than DAYS days",
     )
     sub.set_defaults(func=lambda parser, args: _run_cache(args.action, args))
-
-    sub = subparsers.add_parser(
-        "serve",
-        parents=[add_execution_options(argparse.ArgumentParser(add_help=False), progress=False)],
-        help="run the long-lived sweep daemon (HTTP/JSON)",
-    )
-    sub.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
-    sub.add_argument(
-        "--port", type=int, default=8642, help="bind port (default 8642; 0 = ephemeral)"
-    )
-    sub.add_argument(
-        "--root",
-        metavar="DIR",
-        default="out/serve",
-        help="daemon state directory; job sessions land under DIR/sessions "
-        "(default out/serve)",
-    )
-    sub.add_argument(
-        "--quiet", action="store_true", help="suppress per-request access logging"
-    )
-    sub.set_defaults(func=lambda parser, args: _run_serve(args))
-
-    sub = subparsers.add_parser(
-        "submit",
-        parents=[
-            add_execution_options(
-                argparse.ArgumentParser(add_help=False), progress=False, cache_dir=False
-            )
-        ],
-        help="post an experiment to a running daemon and render the result",
-    )
-    sub.add_argument(
-        "experiment", choices=sorted(EXPERIMENTS), help="experiment to submit"
-    )
-    sub.add_argument(
-        "--url", default=None, help="daemon base URL (overrides --host/--port)"
-    )
-    sub.add_argument("--host", default="127.0.0.1", help="daemon host (default 127.0.0.1)")
-    sub.add_argument("--port", type=int, default=8642, help="daemon port (default 8642)")
-    sub.add_argument(
-        "--full", action="store_true", help="run the full grid (default: --quick-sized)"
-    )
-    sub.add_argument(
-        "--no-wait",
-        action="store_true",
-        help="return after submission instead of waiting for the result",
-    )
-    sub.add_argument(
-        "--poll",
-        type=float,
-        default=0.2,
-        metavar="SECONDS",
-        help="result poll interval while waiting (default 0.2)",
-    )
-    sub.add_argument(
-        "--timeout",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help="give up waiting after this long (default 300)",
-    )
-    sub.set_defaults(func=lambda parser, args: _run_submit(args))
 
     return parser
 

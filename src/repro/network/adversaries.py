@@ -100,14 +100,6 @@ class Adversary(ABC):
     #: family opts in.
     oblivious: bool = False
 
-    #: True iff the adversary adds or removes nodes mid-run.  The batch
-    #: backend binds one fixed node set per tape (uid index, coin folds,
-    #: adjacency matrices), so dynamic-node families are the one case
-    #: that still falls back to the reference engine
-    #: (:func:`~repro.sim.batch.batch_fallback_reason`).  No current
-    #: family sets this; it is the opt-out hook for churn adversaries.
-    dynamic_nodes: bool = False
-
     def __init__(self, node_ids: Iterable[int]):
         self.node_ids: Tuple[int, ...] = tuple(sorted(set(node_ids)))
 

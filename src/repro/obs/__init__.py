@@ -35,7 +35,7 @@ The layer every quantitative claim runs through:
     next to a session's runs; a no-op without an active session.
 ``repro.obs.progress``
     :class:`ProgressReporter` callback protocol + the stderr ticker
-    behind ``--progress``: cells done/total, rate, ETA, fallback and
+    behind ``--progress``: cells done/total, rate, ETA, and
     degraded-retry events.
 ``repro.obs.profile``
     ``repro profile``: self/total rollups of a session's spans by

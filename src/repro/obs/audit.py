@@ -36,7 +36,7 @@ from ..core.reduction import (
     cut_budget_bits,
 )
 from .export import PersistedRun, read_trace_jsonl
-from .manifest import MANIFEST_FILENAME
+from .manifest import MANIFEST_FILENAME, SessionManifest
 
 __all__ = ["AuditReport", "audit_run", "audit_path", "resolve_run_files"]
 
@@ -56,14 +56,8 @@ def resolve_run_files(path: pathlib.Path) -> List[pathlib.Path]:
     if path.is_dir():
         manifest = path / MANIFEST_FILENAME
         if manifest.is_file():
-            import json
-
-            data = json.loads(manifest.read_text())
-            files = [
-                path / r["trace_file"]
-                for r in data.get("runs", ())
-                if r.get("trace_file")
-            ]
+            runs = SessionManifest.load(manifest).runs
+            files = [path / r.trace_file for r in runs if r.trace_file]
             if files:
                 return files
         return sorted(path.glob("run-*.jsonl"))

@@ -7,7 +7,9 @@ fixture).  Those files carry two different kinds of signal:
 * **measured results** — the table rows and the ``summary`` scalars
   (termination rounds, CONGEST bits, error rates).  The simulator is
   deterministic in its seeds, so *any* change here means the code now
-  computes something different: reported as ``drift``.
+  computes something different: reported as ``drift``.  Cells pair by
+  column name when both files carry headers, so a dropped column is
+  reported once rather than shifting every cell after it.
 * **timings** — the observability sidecar (wall seconds, per-phase
   seconds, parallel ``speedup``).  Wall clock is noisy, so changes only
   count as a ``regression`` when the new time exceeds the old by more
@@ -76,6 +78,21 @@ def parse_tolerances(specs: Optional[List[str]]) -> Dict[str, float]:
     return out
 
 
+#: optional top-level fields of an ``EXP-*.json`` file: (check, expected shape)
+_FIELD_SHAPES: Dict[str, Tuple[Any, str]] = {
+    "rows": (
+        lambda v: isinstance(v, list) and all(isinstance(r, list) for r in v),
+        "a list of lists",
+    ),
+    "headers": (
+        lambda v: isinstance(v, list) and all(isinstance(h, str) for h in v),
+        "a list of strings",
+    ),
+    "summary": (lambda v: isinstance(v, dict), "an object"),
+    "timings": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
 def _load_dir(directory: pathlib.Path) -> Dict[str, dict]:
     directory = pathlib.Path(directory)
     if not directory.is_dir():
@@ -91,6 +108,12 @@ def _load_dir(directory: pathlib.Path) -> Dict[str, dict]:
                 f"{path}: expected a JSON object with exp_id/rows/summary, "
                 f"got {type(data).__name__}"
             )
+        for name, (valid, shape) in _FIELD_SHAPES.items():
+            if data.get(name) is not None and not valid(data[name]):
+                raise ValueError(
+                    f"{path}: field {name!r} must be {shape}, "
+                    f"got {type(data[name]).__name__}"
+                )
         out[str(data.get("exp_id", path.stem))] = data
     return out
 
@@ -117,29 +140,61 @@ def _volatile_metric(name: str) -> bool:
 def _cell_changes(
     old_rows: List[list],
     new_rows: List[list],
-    headers: Optional[List[str]] = None,
-) -> List[str]:
-    """Human-readable row/cell deltas, capped to keep reports short.
+    old_headers: Optional[List[str]] = None,
+    new_headers: Optional[List[str]] = None,
+) -> Tuple[List[str], List[str]]:
+    """``(drift, notes)``: human-readable row/cell deltas, capped to keep
+    reports short.
 
-    Columns whose header names a timing (:func:`_volatile_metric`) are
-    skipped — they are compared with tolerances, not exactly.
+    When both files carry headers, cells pair by column name, so a
+    dropped or inserted column does not shift its neighbours.  A column
+    only one file has is reported once: as drift when it holds results,
+    as a note when its name is a timing.  Without headers on both sides,
+    cells pair by position.  Timing columns (:func:`_volatile_metric`)
+    are never compared exactly — they are compared with tolerances.
     """
-    headers = headers or []
     changes: List[str] = []
+    notes: List[str] = []
+    # (label, old index, new index) of every column compared exactly
+    columns: List[Tuple[str, int, int]] = []
+    # how much wider a new row is than its old row when nothing is wrong
+    width_delta = 0
+    if old_headers and new_headers:
+        for side, mine, other in (
+            ("old", old_headers, new_headers),
+            ("new", new_headers, old_headers),
+        ):
+            for name in mine:
+                if name not in other:
+                    message = f"column {name!r} only in the {side} file"
+                    (notes if _volatile_metric(name) else changes).append(message)
+        for j, name in enumerate(new_headers):
+            if name in old_headers and not _volatile_metric(name):
+                columns.append((f"col {j} ({name!r})", old_headers.index(name), j))
+        width_delta = len(new_headers) - len(old_headers)
+    else:
+        headers = old_headers or new_headers or []
+        width = max((len(row) for row in old_rows + new_rows), default=0)
+        for j in range(width):
+            if not (j < len(headers) and _volatile_metric(headers[j])):
+                columns.append((f"col {j}", j, j))
     if len(old_rows) != len(new_rows):
         changes.append(f"row count {len(old_rows)} -> {len(new_rows)}")
     for i, (old_row, new_row) in enumerate(zip(old_rows, new_rows)):
         if old_row == new_row:
             continue
-        for j, (a, b) in enumerate(zip(old_row, new_row)):
-            if a != b and not (j < len(headers) and _volatile_metric(headers[j])):
-                changes.append(f"row {i} col {j}: {a!r} -> {b!r}")
-        if len(old_row) != len(new_row):
+        for label, a_idx, b_idx in columns:
+            if a_idx >= len(old_row) or b_idx >= len(new_row):
+                continue
+            a, b = old_row[a_idx], new_row[b_idx]
+            if a != b:
+                changes.append(f"row {i} {label}: {a!r} -> {b!r}")
+        if len(new_row) - len(old_row) != width_delta:
             changes.append(f"row {i} width {len(old_row)} -> {len(new_row)}")
         if len(changes) >= 8:
             changes.append("...")
-            return changes
-    return changes
+            break
+    return changes, notes
 
 
 def _summary_changes(old: Dict[str, Any], new: Dict[str, Any]) -> List[str]:
@@ -265,9 +320,11 @@ def diff_dirs(
             diffs.append(BenchDiff(exp_id, "only-new", ["no baseline to compare against"]))
             continue
         o, n = old[exp_id], new[exp_id]
-        headers = o.get("headers") or n.get("headers") or []
-        drift = _cell_changes(o.get("rows", []), n.get("rows", []), headers)
-        drift += _summary_changes(o.get("summary", {}), n.get("summary", {}))
+        drift, column_notes = _cell_changes(
+            o.get("rows") or [], n.get("rows") or [],
+            o.get("headers"), n.get("headers"),
+        )
+        drift += _summary_changes(o.get("summary") or {}, n.get("summary") or {})
         slow, notes = _timing_regressions(
             o.get("timings", {}), n.get("timings", {}), threshold,
             tolerances=tolerances, exp_id=exp_id,
@@ -281,7 +338,7 @@ def diff_dirs(
                 details=slow + drift,
                 old_wall=(o.get("timings") or {}).get("wall_seconds"),
                 new_wall=(n.get("timings") or {}).get("wall_seconds"),
-                notes=notes,
+                notes=column_notes + notes,
             )
         )
     if not diffs:

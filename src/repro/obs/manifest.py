@@ -101,12 +101,10 @@ class RunManifest:
     #: the backends are bit-identical, so this is provenance, not meaning
     backend: str = "reference"
     #: batch backend only: the adjacency representation the schedule tape
-    #: used ("dense"/"bitset"/"csr"/"scan") and the dense cutoff it ran
-    #: under — provenance for the perf model, None on reference runs
+    #: used ("dense"/"bitset"/"csr") and the dense cutoff it ran under —
+    #: provenance for the perf model, None on reference runs
     representation: Optional[str] = None
     dense_node_limit: Optional[int] = None
-    #: whether the run's coin folds rode a lockstep replica coin block
-    vectorized_replicas: bool = False
 
     @classmethod
     def from_engine(cls, engine: Any) -> "RunManifest":
@@ -126,7 +124,6 @@ class RunManifest:
                 if backend == "batch"
                 else None
             ),
-            vectorized_replicas=getattr(engine, "vectorized_replicas", False),
         )
 
     def as_dict(self) -> dict:
@@ -189,12 +186,26 @@ class SessionManifest:
 
     @classmethod
     def load(cls, path: pathlib.Path) -> "SessionManifest":
-        data = json.loads(pathlib.Path(path).read_text())
+        """Read a ``manifest.json``.  Unknown keys are ignored; a file that
+        is not JSON, not an object, or whose ``runs`` is not a list of
+        objects raises :class:`ValueError` naming the file."""
+        path = pathlib.Path(path)
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"{path}: expected a JSON object, got {type(data).__name__}"
+            )
+        runs = data.get("runs", [])
+        if not isinstance(runs, list) or not all(isinstance(r, dict) for r in runs):
+            raise ValueError(f"{path}: field 'runs' must be a list of objects")
         return cls(
             label=data.get("label"),
             package_version=data.get("package_version", "?"),
             wall_seconds=data.get("wall_seconds"),
-            runs=[RunManifest.from_dict(r) for r in data.get("runs", ())],
+            runs=[RunManifest.from_dict(r) for r in runs],
             metrics=data.get("metrics", {}),
             workers=data.get("workers", 0),
             spans_file=data.get("spans_file"),

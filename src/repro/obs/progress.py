@@ -6,11 +6,10 @@ module adds a small callback protocol — :class:`ProgressReporter` — that
 the execution layer (:func:`~repro.sim.runner.replicate`,
 :func:`~repro.analysis.sweep.cartesian_sweep`,
 :class:`~repro.sim.parallel.ParallelExecutor`) notifies as work
-completes, plus a default stderr ticker.  It is the streaming seam a
-future sweep-service daemon (ROADMAP item 1) attaches to: implement the
-four methods, install the reporter with :func:`progress_scope`, and the
-daemon sees cells done/total, throughput, ETA, and per-cell status
-without touching the execution layer again.
+completes, plus a default stderr ticker.  Another consumer implements
+the four methods and installs itself with :func:`progress_scope`; it
+then sees cells done/total, throughput, ETA, and per-cell status
+without touching the execution layer.
 
 Like observation sessions, reporters are ambient (a module-global
 stack, innermost wins) so that progress does not have to be threaded
@@ -19,10 +18,8 @@ notification is a no-op costing one list check.  Pool workers never
 report — the parent consumes results in input order and reports on
 their behalf — so progress output is single-writer by construction.
 
-Events carry the degradations the executor layer already records:
-``batch-fallback`` (a batch-backend request that dropped to the
-reference engine, with the logged reason) and ``degraded-retry`` (a
-worker crash/hang absorbed by a retry, PR 4's degradation trail).
+Events carry the degradation the executor layer already records:
+``degraded-retry`` (a worker crash or hang absorbed by a retry).
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ class ProgressReporter:
         """One work item finished (``status``: ``ok``/``error``)."""
 
     def event(self, kind: str, detail: str) -> None:
-        """An out-of-band occurrence (batch-fallback, degraded-retry)."""
+        """An out-of-band occurrence (e.g. degraded-retry)."""
 
     def finish(self) -> None:
         """The scope that most recently ``begin``-ed is done."""
@@ -192,7 +189,7 @@ def report_event(kind: str, detail: str) -> None:
 #
 # The execution layer calls these instead of poking the reporter
 # directly, so one call site feeds both live consumers: the installed
-# ProgressReporter (stderr ticker today, daemon tomorrow) and the
+# ProgressReporter (the stderr ticker by default) and the
 # active session's event stream (repro.obs.stream), which is what
 # ``repro tail`` follows after the process is no longer ours to watch.
 # Depth is tracked here (outermost scope = 1) because the event stream,

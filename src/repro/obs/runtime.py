@@ -195,7 +195,7 @@ class ObservationSession:
             return
         if sp.kind == "cell":
             type_ = "cell-complete"
-        elif sp.kind == "event" and sp.name in ("degraded-retry", "batch-fallback"):
+        elif sp.kind == "event" and sp.name == "degraded-retry":
             type_ = sp.name
         else:
             type_ = "span-close"

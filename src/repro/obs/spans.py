@@ -17,8 +17,8 @@ Three ways spans come into existence:
 * :func:`span` — a context manager around any scope.  With no active
   session it is a no-op whose entire cost is one list lookup (the same
   bounded-overhead contract as the engine's instrumentation hooks).
-* :func:`span_event` — a zero-duration marker (batch fallback, degraded
-  retry) attached to the current position in the tree.
+* :func:`span_event` — a zero-duration marker (degraded retry, tape
+  stats) attached to the current position in the tree.
 * synthesized run/phase spans — when an engine run ends under a
   session, the session converts the run's instrumentation summary into
   one ``run`` span with five ``phase`` children, so engine time is
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 #: The canonical hierarchy, outermost first.  ``event`` marks
-#: zero-duration occurrences (fallbacks, retries); other kinds are
+#: zero-duration occurrences (retries, tape stats); other kinds are
 #: accepted — the hierarchy is a convention, not a schema.
 SPAN_KINDS = ("sweep", "cell", "replicate", "run", "phase", "event")
 
@@ -212,8 +212,6 @@ class SpanRecorder:
         representation = getattr(manifest, "representation", None)
         if representation is not None:  # batch runs: attribute the kernel
             tags["representation"] = representation
-        if getattr(manifest, "vectorized_replicas", False):
-            tags["vector_replicas"] = True
         wall = 0.0
         phase_seconds: Dict[str, float] = {}
         if instr is not None:
@@ -311,7 +309,7 @@ def span(kind: str, name: str, **tags: Any) -> Iterator[Optional[Span]]:
 
 
 def span_event(name: str, **tags: Any) -> Optional[Span]:
-    """Record a zero-duration ``event`` span (fallbacks, retries)."""
+    """Record a zero-duration ``event`` span (retries, tape stats)."""
     rec = _recorder()
     if rec is None:
         return None

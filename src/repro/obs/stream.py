@@ -24,8 +24,8 @@ loading — understand):
   ``run-complete`` events (see :func:`spans_from_events`);
 * ``fault`` — a fault injection, streamed the moment it is recorded (a
   crash *caused* by an injected fault is itself observable post-mortem);
-* ``degraded-retry`` / ``batch-fallback`` — executor degradations
-  (zero-duration event spans, forwarded with their tags);
+* ``degraded-retry`` — executor degradations (zero-duration event
+  spans, forwarded with their tags);
 * ``progress`` — begin/advance/finish heartbeats from the execution
   layer (:func:`repro.obs.progress.report_begin` and friends), the
   done/total/rate seam ``repro tail`` renders;

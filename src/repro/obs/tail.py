@@ -6,9 +6,7 @@ module is that follower: open ``events.jsonl``, render what has
 happened so far, then poll the file for growth and render each new
 event as one line — progress scopes collapse into an updating
 ``done/total  rate/s  ETA`` status, runs/cells/faults/retries print as
-discrete lines.  It is the terminal-facing twin of the streaming seam
-the ROADMAP's ``repro serve`` daemon will expose over HTTP: same file,
-same events, different renderer.
+discrete lines.
 
 Attach semantics:
 
@@ -125,10 +123,6 @@ class TailRenderer:
             f"retry      {tags.get('kind', '?')} on [{tags.get('label', '?')}]"
             f" attempt {tags.get('attempt', '?')}"
         ]
-
-    def _on_batch_fallback(self, event: dict) -> List[str]:
-        tags = (event.get("span") or {}).get("tags", {})
-        return [f"fallback   batch -> reference: {tags.get('reason', '?')}"]
 
     def _on_progress(self, event: dict) -> List[str]:
         depth = int(event.get("depth", 1))

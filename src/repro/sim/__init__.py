@@ -26,13 +26,7 @@ Both engines execute each round as the same staged protocol
 """
 
 from .actions import Action, Receive, Send
-from .batch import (
-    BatchEngine,
-    ScheduleTape,
-    batch_fallback_reason,
-    build_engine,
-    fallback_log_scope,
-)
+from .batch import BatchEngine, ScheduleTape, build_engine
 from .coins import Coins, CoinSource
 from .config import (
     BACKEND_ENV,
@@ -62,9 +56,7 @@ __all__ = [
     "StageEvent",
     "BatchEngine",
     "ScheduleTape",
-    "batch_fallback_reason",
     "build_engine",
-    "fallback_log_scope",
     "RunConfig",
     "BACKENDS",
     "BACKEND_ENV",

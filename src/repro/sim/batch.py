@@ -59,20 +59,14 @@ fingerprint, bit totals, and outputs of both backends to each other —
 ``tests/sim/test_batch_equivalence.py`` for oblivious families,
 ``tests/sim/test_adaptive_batch_equivalence.py`` for adaptive ones.
 
-The remaining fallback to the reference engine is genuinely unsupported
-structure — adversaries declaring ``dynamic_nodes=True`` (mid-run node
-churn; the tape binds one fixed node set) — reported by
-:func:`batch_fallback_reason` and logged on this module's logger
-(``repro.sim.batch``), deduplicated per replicate/sweep cell via
-:func:`fallback_log_scope`.
+There is no fallback to the reference engine: every adversary runs on
+one fixed node set, which the tape binds at the first engine.
 """
 
 from __future__ import annotations
 
-import contextlib
-import logging
 import sys
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -85,7 +79,7 @@ from ..errors import (
 )
 from .actions import Receive, Send
 from .coins import Coins, CoinSource
-from .encoding import EncodingMemo, immutable_payload as _immutable_payload
+from .encoding import EncodingMemo
 from .engine import (
     ROUND_STAGES,
     AdversaryView,
@@ -101,16 +95,11 @@ from .trace import ExecutionTrace, RoundRecord
 __all__ = [
     "ScheduleTape",
     "BatchEngine",
-    "ReplicaCoinBlock",
     "run_batch_replicas",
     "build_engine",
-    "batch_fallback_reason",
-    "fallback_log_scope",
     "DENSE_NODE_LIMIT",
     "SPARSE_REPRESENTATIONS",
 ]
-
-logger = logging.getLogger("repro.sim.batch")
 
 Edge = Tuple[int, int]
 
@@ -118,15 +107,15 @@ Edge = Tuple[int, int]
 #: matrices (N x N booleans per unique topology) and switches to sparse
 #: rows — packed ``np.uint64`` bitsets for dense edge sets, CSR index
 #: arrays for sparse ones — so delivery stays a vectorized submatrix
-#: gather at N in the thousands.  ``RunConfig(dense_node_limit=...)``
-#: overrides per run; ``0`` forces the sparse path everywhere.
+#: gather at N in the thousands.  ``dense_node_limit=`` on the tape,
+#: the engine or :func:`run_batch_replicas` overrides it; ``0`` forces
+#: the sparse path everywhere.
 DENSE_NODE_LIMIT = 512
 
 #: sparse-representation requests accepted by :class:`ScheduleTape`:
-#: ``auto`` picks per topology by edge density, the rest force one kind
-#: ("scan" is the legacy per-receiver neighbor-list path, kept as a
-#: differential-testing oracle and benchmark baseline).
-SPARSE_REPRESENTATIONS: Tuple[str, ...] = ("auto", "bitset", "csr", "scan")
+#: ``auto`` picks per topology by edge density; the others force one
+#: kind, a hook only tests use.
+SPARSE_REPRESENTATIONS: Tuple[str, ...] = ("auto", "bitset", "csr")
 
 #: packed-bitset rows decode via little-endian ``np.unpackbits``; on a
 #: big-endian host the auto selector simply never picks them
@@ -147,98 +136,6 @@ def _fnv_fold(h: int, part: int) -> int:
         if value == 0:
             break
     return h
-
-
-def batch_fallback_reason(adversary: Any) -> Optional[str]:
-    """Why this adversary cannot run on the batch backend (None = it can).
-
-    Both oblivious and adaptive adversaries batch: oblivious schedules
-    replay from a pre-materialized :class:`ScheduleTape`, adaptive ones
-    commit each round's decision to an incremental tape between the
-    vectorized stages.  The remaining disqualifier is structural —
-    ``dynamic_nodes=True`` declares mid-run node churn (nodes joining or
-    leaving; ROADMAP item 4a), and the batch backend binds one fixed
-    node set per tape: the uid index, the coin-fold vector, and every
-    adjacency matrix are shaped by it.
-    """
-    if getattr(adversary, "dynamic_nodes", False):
-        return (
-            f"{type(adversary).__name__} declares dynamic_nodes=True: the "
-            f"batch backend binds one fixed node set per tape (uid index, "
-            f"coin folds, adjacency matrices) and cannot re-shape mid-run "
-            f"node churn"
-        )
-    return None
-
-
-# -- fallback logging, deduplicated per cell --------------------------------
-
-#: When a scope is active, the set of fallback reasons already logged in
-#: it; ``None`` means unscoped (every fallback logs — the single-run
-#: entry points).  Scopes nest by saving/restoring the previous value.
-_fallback_seen: Optional[Set[str]] = None
-
-
-@contextlib.contextmanager
-def fallback_log_scope() -> Iterator[None]:
-    """Deduplicate batch-fallback logging within one replicate/sweep cell.
-
-    A cell runs the same (protocol, adversary) pair once per seed; when
-    the cell cannot batch, every one of those runs would log the
-    identical fallback reason.  Entering this scope around the cell's
-    runs makes each distinct reason log (and emit its span/progress
-    event) exactly once; :func:`~repro.sim.runner.replicate`,
-    :func:`~repro.analysis.sweep.cartesian_sweep` cells, and the
-    experiment drivers' per-cell seed loops all enter it.  Scopes nest:
-    an inner scope dedups independently and restores the outer one.
-    """
-    global _fallback_seen
-    previous = _fallback_seen
-    _fallback_seen = set()
-    try:
-        yield
-    finally:
-        _fallback_seen = previous
-
-
-def _log_fallback(reason: str) -> None:
-    """Log one fallback (once per :func:`fallback_log_scope`, if active)."""
-    seen = _fallback_seen
-    if seen is not None:
-        if reason in seen:
-            return
-        seen.add(reason)
-    logger.info("batch backend falling back to reference: %s", reason)
-    from ..obs.progress import report_event
-    from ..obs.spans import span_event
-
-    span_event("batch-fallback", reason=reason)
-    report_event("batch-fallback", reason)
-
-
-def _log_representation(kind: str, n: int, dense_node_limit: int) -> None:
-    """Log one tape's chosen adjacency representation (satellite of the
-    fallback log: once per cell via the same scope dedup).  Dense is the
-    overwhelmingly common small-N case and logs at DEBUG; the sparse
-    kinds log at INFO because they change the delivery cost model."""
-    message = (
-        f"batch adjacency representation: {kind} "
-        f"(n={n}, dense_node_limit={dense_node_limit})"
-    )
-    seen = _fallback_seen
-    if seen is not None:
-        if message in seen:
-            return
-        seen.add(message)
-    logger.log(logging.DEBUG if kind == "dense" else logging.INFO, "%s", message)
-    from ..obs.spans import span_event
-
-    span_event(
-        "batch-representation",
-        representation=kind,
-        n=n,
-        dense_node_limit=dense_node_limit,
-    )
 
 
 class _Unvouched(Exception):
@@ -308,10 +205,6 @@ class _Topology:
         delivery is one vectorized gather + lexsort over the receiver
         adjacency lists.  Chosen above the limit for sparse edge sets
         (the constant-degree lower-bound instances).
-    ``scan``
-        ``neighbors`` — uid -> neighbor-uid tuples; the legacy
-        per-receiver python scan, kept as a forced-mode oracle and
-        benchmark baseline (never auto-selected).
 
     ``edges`` is the normalized edge frozenset the round records; for a
     bitset or CSR topology read from an already-normalized frozenset it
@@ -326,7 +219,6 @@ class _Topology:
         "words",
         "indptr",
         "indices",
-        "neighbors",
     )
 
     def __init__(self, edges: FrozenSet[Edge], kind: str):
@@ -337,7 +229,6 @@ class _Topology:
         self.words: Optional[np.ndarray] = None
         self.indptr: Optional[np.ndarray] = None
         self.indices: Optional[np.ndarray] = None
-        self.neighbors: Optional[Dict[int, Tuple[int, ...]]] = None
 
 
 class ScheduleTape:
@@ -384,9 +275,6 @@ class ScheduleTape:
         incremental: bool = False,
         sparse: str = "auto",
     ):
-        reason = batch_fallback_reason(adversary)
-        if reason is not None:
-            raise ConfigurationError(f"cannot tape this adversary: {reason}")
         if sparse not in SPARSE_REPRESENTATIONS:
             raise ConfigurationError(
                 f"unknown sparse representation {sparse!r}; expected one of "
@@ -422,7 +310,6 @@ class ScheduleTape:
         self._by_round: Dict[int, _Topology] = {}
         #: representation kind -> number of unique topologies built as it
         self.representations: Dict[str, int] = {}
-        self._logged_representation = False
         #: materialization counters (tests + docs/PERFORMANCE.md)
         self.stats: Dict[str, int] = {
             "rounds": 0,
@@ -594,46 +481,36 @@ class ScheduleTape:
         kind = self._representation_for(n, len(edges))
         topo = _Topology(edges, kind)
         self.representations[kind] = self.representations.get(kind, 0) + 1
-        if not self._logged_representation:
-            self._logged_representation = True
-            _log_representation(kind, n, self.dense_node_limit)
-        if kind == "scan":
-            neighbors: Dict[int, List[int]] = {uid: [] for uid in self._node_ids}
-            for u, v in edges:
-                neighbors[u].append(v)
-                neighbors[v].append(u)
-            topo.neighbors = {u: tuple(vs) for u, vs in neighbors.items()}
-        else:
-            if flat is None:
-                idx = self._uid_index
-                flat = np.fromiter(
-                    (idx[u] for uv in edges for u in uv),
-                    dtype=np.intp,
-                    count=2 * len(edges),
-                )
-            # Symmetrized endpoint index arrays: row i is adjacent to
-            # col j for every directed copy of every undirected edge.
-            rows = np.concatenate([flat[0::2], flat[1::2]])
-            cols = np.concatenate([flat[1::2], flat[0::2]])
-            if kind == "dense":
-                adj = np.zeros((n, n), dtype=bool)
-                adj[rows, cols] = True
-                topo.adj = adj
-            elif kind == "bitset":
-                words = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
-                np.bitwise_or.at(
-                    words,
-                    (rows, cols >> 6),
-                    np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)),
-                )
-                topo.words = words
-            else:  # csr
-                order = np.lexsort((cols, rows))
-                counts = np.bincount(rows, minlength=n)
-                topo.indptr = np.concatenate(
-                    (np.zeros(1, dtype=np.intp), np.cumsum(counts, dtype=np.intp))
-                )
-                topo.indices = cols[order]
+        if flat is None:
+            idx = self._uid_index
+            flat = np.fromiter(
+                (idx[u] for uv in edges for u in uv),
+                dtype=np.intp,
+                count=2 * len(edges),
+            )
+        # Symmetrized endpoint index arrays: row i is adjacent to col j
+        # for every directed copy of every undirected edge.
+        rows = np.concatenate([flat[0::2], flat[1::2]])
+        cols = np.concatenate([flat[1::2], flat[0::2]])
+        if kind == "dense":
+            adj = np.zeros((n, n), dtype=bool)
+            adj[rows, cols] = True
+            topo.adj = adj
+        elif kind == "bitset":
+            words = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+            np.bitwise_or.at(
+                words,
+                (rows, cols >> 6),
+                np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)),
+            )
+            topo.words = words
+        else:  # csr
+            order = np.lexsort((cols, rows))
+            counts = np.bincount(rows, minlength=n)
+            topo.indptr = np.concatenate(
+                (np.zeros(1, dtype=np.intp), np.cumsum(counts, dtype=np.intp))
+            )
+            topo.indices = cols[order]
         if kind == "bitset":
             topo.connected = _bitset_connected(topo.words)
         else:
@@ -684,65 +561,6 @@ def _csr_delivery(
     return counts, rkv[order].tolist()
 
 
-class ReplicaCoinBlock:
-    """The replica-axis coin kernel: one ``(K seeds x N nodes)`` fold state.
-
-    ``stable_hash64((seed, uid, round))`` folds left to right, so
-    ``h(seed) ^ uid`` is a per-(replica, node) constant computable up
-    front as a 2-D uint64 array; each round then finishes *every*
-    replica's fold in one vectorized expression instead of K separate
-    1-D expressions.  Element-wise the arithmetic is identical to
-    :meth:`BatchEngine._coin_states` — same offsets, same prime, same
-    wraparound — so per-replica results stay bit-identical; the win is
-    one numpy dispatch per round for the whole lockstep cohort (plus
-    the cache locality of touching one contiguous block).
-
-    Rows are cached per round: lockstep execution asks for round ``r``
-    of every replica before any asks for ``r + 1``, so the K x N round
-    matrix is computed once and served K times.  Replicas that
-    terminate early simply stop asking; stragglers keep advancing the
-    cache.  Seeds and uids of any sign/magnitude are folded exactly
-    (the scalar prologue handles multi-chunk values); only uids or
-    rounds outside ``[0, 2^64)`` are refused — those cells take the
-    engine's scalar path instead.
-    """
-
-    __slots__ = ("_h", "_round", "_rows", "stats")
-
-    def __init__(self, seeds, uids):
-        uids = list(uids)
-        if not all(0 <= uid < 2 ** 64 for uid in uids):
-            raise ConfigurationError(
-                "replica coin block requires uids in [0, 2**64); use the "
-                "per-engine coin path for exotic uid ranges"
-            )
-        h_seeds = np.array(
-            [_fnv_fold(_FNV_OFFSET, seed) for seed in seeds], dtype=np.uint64
-        )
-        uid_arr = np.array(uids, dtype=np.uint64)
-        self._h = (h_seeds[:, np.newaxis] ^ uid_arr[np.newaxis, :]) * np.uint64(
-            _FNV_PRIME
-        )
-        self._round = 0
-        self._rows: Optional[np.ndarray] = None
-        #: kernel counters (tests + `repro profile` span events)
-        self.stats: Dict[str, int] = {"rounds": 0, "rows_served": 0}
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """(replicas, nodes)."""
-        return tuple(self._h.shape)
-
-    def row(self, slot: int, round_: int) -> List[int]:
-        """Replica ``slot``'s splitmix seeds for ``round_``, in uid order."""
-        if round_ != self._round:
-            self._rows = (self._h ^ np.uint64(round_)) * np.uint64(_FNV_PRIME)
-            self._round = round_
-            self.stats["rounds"] += 1
-        self.stats["rows_served"] += 1
-        return self._rows[slot].tolist()
-
-
 class BatchEngine:
     """Drop-in vectorized engine — oblivious *and* adaptive adversaries.
 
@@ -752,14 +570,9 @@ class BatchEngine:
     model semantics.  Extra parameters: ``tape``, a shared
     :class:`ScheduleTape` (one is built from the adversary when absent:
     a replay tape for oblivious adversaries, an incremental one for
-    adaptive adversaries); ``dense_node_limit``/``sparse``, forwarded to
-    that implicit tape (ignored when ``tape`` is given — a shared tape
-    already fixed its representation policy); ``encoding_memo``, a
-    shareable :class:`~repro.sim.encoding.EncodingMemo` (fresh when
-    absent); and ``coin_block``/``coin_slot``, attaching this engine to
-    row ``coin_slot`` of a :class:`ReplicaCoinBlock` built over the
-    lockstep cohort's seeds (absent: the engine folds its own 1-D coin
-    vector, same values).
+    adaptive adversaries); and ``dense_node_limit``, forwarded to that
+    implicit tape (ignored when ``tape`` is given — a shared tape
+    already fixed its representation policy).
 
     Adaptive mode runs the identical five-stage round: the actions stage
     additionally materializes the committed-actions mapping, the
@@ -768,9 +581,7 @@ class BatchEngine:
     build and commits the chosen edge set to the incremental tape; coin
     folds, bit accounting, and delivery stay vectorized around it.
 
-    Selection is via ``RunConfig(backend="batch")`` on the runner layer;
-    the only construction the fast path refuses is an adversary with
-    ``dynamic_nodes=True`` (see :func:`batch_fallback_reason`).
+    Selection is via ``RunConfig(backend="batch")`` on the runner layer.
     """
 
     backend = "batch"
@@ -785,10 +596,6 @@ class BatchEngine:
         instrumentation: Optional[Any] = None,
         tape: Optional[ScheduleTape] = None,
         dense_node_limit: Optional[int] = None,
-        sparse: str = "auto",
-        encoding_memo: Optional[EncodingMemo] = None,
-        coin_block: Optional[ReplicaCoinBlock] = None,
-        coin_slot: int = 0,
     ):
         self.nodes = dict(nodes)
         self.node_ids = frozenset(self.nodes)
@@ -804,7 +611,6 @@ class BatchEngine:
                 adversary,
                 dense_node_limit=dense_node_limit,
                 incremental=not getattr(adversary, "oblivious", False),
-                sparse=sparse,
             )
         self.tape = tape
         #: adaptive mode: the engine writes the tape round by round and
@@ -817,15 +623,9 @@ class BatchEngine:
         #: the overwhelmingly common layout — letting delivery build its
         #: index arrays straight from uid lists.
         self._contiguous = self._uids == list(range(len(self._uids)))
-        # Identity-keyed payload->encoding memo; shareable across a
-        # lockstep cohort (see EncodingMemo for the soundness argument).
-        self._encoding_memo = encoding_memo if encoding_memo is not None else (
-            EncodingMemo()
-        )
-        # A cohort coin block trumps the per-engine vector: same folds,
-        # one 2-D expression per round for all replicas.
-        self._coin_block = coin_block
-        self._coin_slot = coin_slot
+        # Identity-keyed payload->encoding memo (see EncodingMemo for
+        # the soundness argument).
+        self._encoding_memo = EncodingMemo()
         # Vectorized coin-state derivation: stable_hash64((seed, uid, r))
         # folds left to right, so h(seed) is a run constant and
         # h(seed, uid) a per-node constant; per round one uint64 vector
@@ -861,22 +661,11 @@ class BatchEngine:
         """The dense-adjacency cutoff this engine's tape runs under."""
         return self.tape.dense_node_limit
 
-    @property
-    def vectorized_replicas(self) -> bool:
-        """True when this engine rides a lockstep replica coin block."""
-        return self._coin_block is not None
-
     def _coin_states(self, round_: int) -> List[int]:
         """splitmix64 seeds for every node this round, in uid order."""
-        if 1 <= round_ < 2 ** 64:
-            block = self._coin_block
-            if block is not None:
-                return block.row(self._coin_slot, round_)
-            if self._h_seed_uid is not None:
-                states = (self._h_seed_uid ^ np.uint64(round_)) * np.uint64(
-                    _FNV_PRIME
-                )
-                return states.tolist()
+        if self._h_seed_uid is not None and 1 <= round_ < 2 ** 64:
+            states = (self._h_seed_uid ^ np.uint64(round_)) * np.uint64(_FNV_PRIME)
+            return states.tolist()
         source = self.coin_source  # pragma: no cover - exotic uid ranges
         return [
             _fnv_fold(_fnv_fold(_fnv_fold(_FNV_OFFSET, source.seed), uid), round_)
@@ -980,9 +769,8 @@ class BatchEngine:
 
     def _stage_delivery(self, state: _RoundState) -> None:
         """(4): delivery.  Encodings and CONGEST bits come from the
-        identity memo (payload objects repeat across rounds — and
-        across lockstep replicas when the memo is shared), falling back
-        to the process-global interned cache."""
+        identity memo (payload objects repeat across rounds), falling
+        back to the process-global interned cache."""
         r = state.round
         topo = state.topo
         edges = state.edges
@@ -1020,14 +808,6 @@ class BatchEngine:
             for uid in receiver_list:
                 delivered[uid] = 0
                 nodes[uid].on_messages(r, ())
-        elif topo.neighbors is not None:  # legacy scan oracle
-            rank = {uid: k for k, uid in enumerate(sorted_uids)}
-            neighbors = topo.neighbors
-            for uid in receiver_list:
-                senders = [v for v in neighbors[uid] if v in sends]
-                senders.sort(key=rank.__getitem__)
-                delivered[uid] = len(senders)
-                nodes[uid].on_messages(r, tuple(sends[v] for v in senders))
         else:
             recv_idx, send_idx = self._delivery_indices(receiver_list, sorted_uids)
             if topo.indptr is not None:  # csr
@@ -1155,7 +935,6 @@ class BatchEngine:
             extra = getattr(self.instrumentation, "extra", None)
             if extra is not None:
                 extra["representation"] = self.representation
-                extra["vectorized_replicas"] = self.vectorized_replicas
             self.instrumentation.run_finished(self)
         return self.trace
 
@@ -1170,38 +949,30 @@ def build_engine(
     backend: str = "reference",
     tape: Optional[ScheduleTape] = None,
     dense_node_limit: Optional[int] = None,
-    sparse: str = "auto",
 ):
     """Construct the engine a resolved backend name asks for.
 
     ``backend="batch"`` serves oblivious adversaries from a replay tape
-    and adaptive ones from an incremental tape; only adversaries that
-    declare ``dynamic_nodes=True`` fall back to the reference engine,
-    with the reason logged once per :func:`fallback_log_scope` — the run
-    is always correct, the fast path is best-effort.  This is the single
+    and adaptive ones from an incremental tape.  This is the single
     dispatch point the runner, the analysis drivers, and the tests
-    share.  ``dense_node_limit``/``sparse`` shape the implicit tape's
-    adjacency representation (ignored with an explicit ``tape``, and by
-    the reference engine, which has no materialized adjacency at all).
+    share.  ``dense_node_limit`` shapes the implicit tape's adjacency
+    representation (ignored with an explicit ``tape``, and by the
+    reference engine, which has no materialized adjacency at all).
     """
     from .engine import SynchronousEngine
 
     if backend == "batch":
-        reason = batch_fallback_reason(adversary)
-        if reason is None:
-            return BatchEngine(
-                nodes,
-                adversary,
-                coin_source,
-                bandwidth_factor=bandwidth_factor,
-                check_connected=check_connected,
-                instrumentation=instrumentation,
-                tape=tape,
-                dense_node_limit=dense_node_limit,
-                sparse=sparse,
-            )
-        _log_fallback(reason)
-    elif backend != "reference":
+        return BatchEngine(
+            nodes,
+            adversary,
+            coin_source,
+            bandwidth_factor=bandwidth_factor,
+            check_connected=check_connected,
+            instrumentation=instrumentation,
+            tape=tape,
+            dense_node_limit=dense_node_limit,
+        )
+    if backend != "reference":
         raise ConfigurationError(f"unknown backend {backend!r}")
     return SynchronousEngine(
         nodes,
@@ -1224,8 +995,6 @@ def run_batch_replicas(
     instrument: bool = False,
     registry: Optional[Any] = None,
     dense_node_limit: Optional[int] = None,
-    vector_replicas: bool = False,
-    sparse: str = "auto",
 ) -> List[Any]:
     """Run one cell's replicas on the batch engine; list of ``ProtocolRun``.
 
@@ -1243,33 +1012,19 @@ def run_batch_replicas(
     order afterwards.  Instrumented replicas (explicit or via an ambient
     observation session) run sequentially instead, keeping each run's
     wall-clock span meaningful and the session's run numbering ordered.
-
-    ``vector_replicas=True`` additionally fuses the cohort onto one
-    :class:`ReplicaCoinBlock` — a ``(K seeds x N nodes)`` uint64 coin
-    state advanced in one numpy expression per lockstep round — and one
-    shared :class:`~repro.sim.encoding.EncodingMemo`, so coin folds and
-    payload encodings are paid once per cell instead of once per
-    replica.  Per-replica results stay bit-identical (the block computes
-    the same folds element-wise); the fusion silently stands down on
-    instrumented cells (they run sequentially, not in lockstep) and on
-    exotic uid ranges the block cannot fold.  ``dense_node_limit`` and
-    ``sparse`` shape every tape's adjacency representation.
+    ``dense_node_limit`` shapes every tape's adjacency representation.
     """
     from .runner import ProtocolRun
 
     require(max_rounds is not None and max_rounds >= 0, "max_rounds must be >= 0")
     seeds = list(seeds)
     adversary = make_adversary()
-    reason = batch_fallback_reason(adversary)
-    if reason is not None:
-        raise ConfigurationError(f"cannot run batch replicas: {reason}")
     oblivious = bool(getattr(adversary, "oblivious", False))
     shared_tape = (
-        ScheduleTape(adversary, dense_node_limit=dense_node_limit, sparse=sparse)
+        ScheduleTape(adversary, dense_node_limit=dense_node_limit)
         if oblivious
         else None
     )
-    shared_memo = EncodingMemo() if vector_replicas and not instrument else None
     engines: List[BatchEngine] = []
     for seed in seeds:
         instrumentation = None
@@ -1283,12 +1038,7 @@ def run_batch_replicas(
             # A fresh adversary per seed: adaptive families may be
             # stateful, and each run's view drives its own tape.
             adv = adversary if not engines else make_adversary()
-            tape = ScheduleTape(
-                adv,
-                dense_node_limit=dense_node_limit,
-                incremental=True,
-                sparse=sparse,
-            )
+            tape = ScheduleTape(adv, dense_node_limit=dense_node_limit, incremental=True)
         engines.append(
             BatchEngine(
                 make_nodes(),
@@ -1298,24 +1048,8 @@ def run_batch_replicas(
                 check_connected=check_connected,
                 instrumentation=instrumentation,
                 tape=tape,
-                encoding_memo=shared_memo,
             )
         )
-    coin_block: Optional[ReplicaCoinBlock] = None
-    if (
-        vector_replicas
-        and engines
-        and all(engine.instrumentation is None for engine in engines)
-        and all(engine._uids == engines[0]._uids for engine in engines)
-    ):
-        try:
-            coin_block = ReplicaCoinBlock(seeds, engines[0]._uids)
-        except ConfigurationError:
-            coin_block = None  # exotic uids: per-engine coin paths
-        if coin_block is not None:
-            for slot, engine in enumerate(engines):
-                engine._coin_block = coin_block
-                engine._coin_slot = slot
     from ..obs.progress import current_reporter
     from ..obs.spans import span_event
 
@@ -1346,18 +1080,11 @@ def run_batch_replicas(
     # How well the tape(s) amortized: one event span per chunk, so
     # `repro profile` can report interning effectiveness per cell.  For
     # adaptive cells the per-engine incremental tapes are aggregated.
-    # The replica-axis kernel, when engaged, reports its own counters
-    # (coin_rounds ~ unique rounds, coin_rows ~ replica-rounds served).
-    vector_fields: Dict[str, Any] = {"vector_replicas": coin_block is not None}
-    if coin_block is not None:
-        vector_fields["coin_rounds"] = coin_block.stats["rounds"]
-        vector_fields["coin_rows"] = coin_block.stats["rows_served"]
     if shared_tape is not None:
         span_event(
             "tape-stats",
             replicas=len(engines),
             representation=shared_tape.representation,
-            **vector_fields,
             **shared_tape.stats,
         )
     else:
@@ -1376,7 +1103,6 @@ def run_batch_replicas(
             "tape-stats",
             replicas=len(engines),
             representation=representation,
-            **vector_fields,
             **agg,
         )
     runs: List[Any] = []

@@ -39,12 +39,10 @@ __all__ = [
     "RunConfig",
     "BACKENDS",
     "BACKEND_ENV",
-    "VECTOR_REPLICAS_ENV",
     "CACHE_MODES",
     "CACHE_ENV",
     "coerce_config",
     "resolve_backend",
-    "resolve_vector_replicas",
     "resolve_cache",
 ]
 
@@ -54,17 +52,11 @@ BACKENDS: Tuple[str, ...] = ("reference", "batch")
 #: environment variable supplying the default backend (cf. REPRO_WORKERS)
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: environment variable supplying the replica-axis vectorization default
-VECTOR_REPLICAS_ENV = "REPRO_VECTOR_REPLICAS"
-
 #: recognized result-cache modes: read-write, read-only, disabled
 CACHE_MODES: Tuple[str, ...] = ("rw", "ro", "off")
 
 #: environment variable supplying the default cache mode (cf. REPRO_BACKEND)
 CACHE_ENV = "REPRO_CACHE"
-
-_TRUTHY = frozenset(("1", "true", "yes", "on"))
-_FALSY = frozenset(("", "0", "false", "no", "off"))
 
 
 def resolve_backend(backend: Optional[str]) -> str:
@@ -81,28 +73,6 @@ def resolve_backend(backend: Optional[str]) -> str:
             f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
         )
     return backend
-
-
-def resolve_vector_replicas(vector_replicas: Optional[bool]) -> bool:
-    """Resolve a replica-axis vectorization request against the environment.
-
-    Same precedence ladder as :func:`resolve_backend`: an explicit
-    ``True``/``False`` wins, ``None`` defers to
-    ``$REPRO_VECTOR_REPLICAS`` (``1/true/yes/on`` enable,
-    ``0/false/no/off`` or unset disable; anything else is a
-    :class:`~repro.errors.ConfigurationError`).
-    """
-    if vector_replicas is not None:
-        return bool(vector_replicas)
-    raw = os.environ.get(VECTOR_REPLICAS_ENV, "").strip().lower()
-    if raw in _TRUTHY:
-        return True
-    if raw in _FALSY:
-        return False
-    raise ConfigurationError(
-        f"cannot parse {VECTOR_REPLICAS_ENV}={raw!r}: expected one of "
-        f"{', '.join(sorted(_TRUTHY))} / {', '.join(sorted(x for x in _FALSY if x))}"
-    )
 
 
 def resolve_cache(cache: Optional[str]) -> str:
@@ -150,24 +120,7 @@ class RunConfig:
     backend:
         ``"reference"`` or ``"batch"`` (``None`` defers to
         ``$REPRO_BACKEND``, then ``reference``).  The batch backend is
-        bit-identical on oblivious and adaptive adversaries alike, and
-        falls back to the reference engine, with a logged reason, only
-        for adversaries that declare ``dynamic_nodes=True``.
-    vector_replicas:
-        Replica-axis vectorization for ``replicate`` under the batch
-        backend: the K replicas of a cell advance their coin folds as
-        one ``(K seeds x N nodes)`` uint64 state and share one encoding
-        memo (``None`` defers to ``$REPRO_VECTOR_REPLICAS``, then off).
-        Per-replica results stay bit-identical; ignored on the
-        reference backend and on instrumented runs (which execute
-        sequentially, not in lockstep).
-    dense_node_limit:
-        Node-count cutoff above which the batch backend switches from
-        dense N x N adjacency matrices to sparse rows (packed bitsets
-        or CSR, chosen per topology by edge density).  ``None`` defers
-        to :data:`~repro.sim.batch.DENSE_NODE_LIMIT`; ``0`` forces the
-        sparse path everywhere.  Recorded by :meth:`as_dict` so cached
-        manifests capture which representation shaped a run.
+        bit-identical on oblivious and adaptive adversaries alike.
     cache:
         Result-cache mode for ``run_protocol``/``replicate``/
         ``cartesian_sweep`` and the experiment drivers: ``"rw"`` reads
@@ -190,8 +143,6 @@ class RunConfig:
     registry: Optional[Any] = None
     workers: Optional[int] = None
     backend: Optional[str] = None
-    vector_replicas: Optional[bool] = None
-    dense_node_limit: Optional[int] = None
     cache: Optional[str] = None
     cache_dir: Optional[str] = None
 
@@ -200,10 +151,6 @@ class RunConfig:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; "
                 f"expected one of {', '.join(BACKENDS)}"
-            )
-        if self.dense_node_limit is not None and self.dense_node_limit < 0:
-            raise ConfigurationError(
-                f"dense_node_limit must be >= 0, got {self.dense_node_limit}"
             )
         if self.cache is not None and self.cache not in CACHE_MODES:
             raise ConfigurationError(
@@ -216,21 +163,9 @@ class RunConfig:
         """The backend this config actually selects (env-resolved)."""
         return resolve_backend(self.backend)
 
-    def resolved_vector_replicas(self) -> bool:
-        """Whether this config selects replica-axis vectorization."""
-        return resolve_vector_replicas(self.vector_replicas)
-
     def resolved_cache(self) -> str:
         """The result-cache mode this config actually selects."""
         return resolve_cache(self.cache)
-
-    def resolved_dense_node_limit(self) -> int:
-        """The dense-adjacency cutoff this config actually selects."""
-        if self.dense_node_limit is not None:
-            return self.dense_node_limit
-        from .batch import DENSE_NODE_LIMIT  # local: avoid import cycle
-
-        return DENSE_NODE_LIMIT
 
     # -- ergonomics ------------------------------------------------------
     def evolve(self, **changes: Any) -> "RunConfig":

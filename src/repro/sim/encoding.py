@@ -7,7 +7,7 @@ pure functions of the payload value, and experiment payloads repeat
 heavily — a gossip protocol re-sends ``("max", best)`` thousands of
 times per sweep cell — so this module interns ``payload -> (encoding,
 bits)`` once per process and shares the table across engines, rounds,
-and lockstep replicas.
+and replicas.
 
 Correctness of the intern table is mechanical, not probabilistic.  A
 plain ``dict`` keyed on the payload would confuse values that compare
@@ -132,11 +132,7 @@ class EncodingMemo:
     :func:`interned_encoding`, so the memo can only save work, never
     change a result.
 
-    Each :class:`~repro.sim.batch.BatchEngine` owns one by default;
-    :func:`~repro.sim.batch.run_batch_replicas` shares a single memo
-    across all K lockstep replicas of a cell when the replica-axis
-    vector path is on, so a payload object common to the replicas is
-    encoded once per cell instead of once per engine.  Bounded: the
+    Each :class:`~repro.sim.batch.BatchEngine` owns one.  Bounded: the
     memo clears itself at ``limit`` entries (payload churn would
     otherwise pin every sent object alive via the stored reference).
     """

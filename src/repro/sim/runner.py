@@ -15,10 +15,8 @@ The config selects the execution backend: ``"reference"`` is the
 readable one-loop-per-round :class:`~repro.sim.engine.SynchronousEngine`;
 ``"batch"`` is the vectorized :class:`~repro.sim.batch.BatchEngine`,
 bit-identical on oblivious *and* adaptive adversaries (the latter via an
-incremental schedule tape); only adversaries that declare
-``dynamic_nodes=True`` fall back to the reference engine, with a logged
-reason.  The legacy call styles — individual seed/max_rounds/...
-arguments — were removed; passing them raises a
+incremental schedule tape).  The legacy call styles — individual
+seed/max_rounds/... arguments — were removed; passing them raises a
 :class:`~repro.errors.ConfigurationError` naming the ``RunConfig``
 replacement.
 
@@ -53,7 +51,7 @@ from statistics import mean, median
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .._util import require
-from .batch import batch_fallback_reason, build_engine, run_batch_replicas
+from .batch import build_engine, run_batch_replicas
 from .coins import CoinSource
 from .config import RunConfig, coerce_config
 from .node import ProtocolNode
@@ -88,11 +86,10 @@ class ProtocolRun:
     #: per-run instrumentation summary (wall_seconds, phase_seconds,
     #: counters) when the run was instrumented; {} otherwise
     metrics: Dict[str, Any] = field(default_factory=dict)
-    #: which engine produced this run ("reference" or "batch"); batch
-    #: requests that fell back to the reference engine record "reference"
+    #: which engine produced this run ("reference" or "batch")
     backend: str = "reference"
     #: batch runs only: the adjacency representation the schedule tape
-    #: settled on ("dense"/"bitset"/"csr"/"scan"); None on reference runs
+    #: settled on ("dense"/"bitset"/"csr"); None on reference runs
     representation: Optional[str] = None
     #: True when this run was served from the result cache instead of
     #: executed; its trace is a :class:`repro.cache.runcache.CachedTrace`
@@ -110,24 +107,6 @@ class ProtocolRun:
     @property
     def wall_seconds(self) -> Optional[float]:
         return self.metrics.get("wall_seconds")
-
-
-def _resolve_batch(make_adversary: AdversaryFactory, backend: str) -> str:
-    """Downgrade a batch request to reference when the cell can't tape.
-
-    Probes one adversary instance; the fallback reason is logged on the
-    ``repro.sim.batch`` logger so a sweep that silently ran on the
-    reference engine is explainable after the fact.
-    """
-    if backend != "batch":
-        return backend
-    reason = batch_fallback_reason(make_adversary())
-    if reason is None:
-        return "batch"
-    from .batch import _log_fallback
-
-    _log_fallback(reason)
-    return "reference"
 
 
 def run_protocol(
@@ -153,9 +132,7 @@ def run_protocol(
     ``RunConfig(instrument=True)`` attaches a fresh
     :class:`~repro.obs.instrumentation.Instrumentation` (feeding
     ``config.registry`` if given) and stores its summary on the returned
-    run.  ``RunConfig(backend="batch")`` runs the vectorized backend
-    (reference only for ``dynamic_nodes`` adversaries — the returned
-    run's ``backend`` field records which engine actually ran).
+    run.  ``RunConfig(backend="batch")`` runs the vectorized backend.
     """
     cfg = coerce_config(
         "run_protocol", _RUN_PROTOCOL_LEGACY, config, legacy_args, legacy_kwargs
@@ -184,7 +161,6 @@ def run_protocol(
         check_connected=cfg.check_connected,
         instrumentation=instrumentation,
         backend=cfg.resolved_backend(),
-        dense_node_limit=cfg.dense_node_limit,
     )
     trace = engine.run(cfg.max_rounds)
     terminated = trace.termination_round is not None
@@ -291,8 +267,8 @@ def _replicate_task(
             check_connected=check_connected,
             instrument=instrument,
             registry=registry,
-            # the parent already resolved (or fell back) to reference;
-            # never let a worker re-resolve $REPRO_BACKEND differently
+            # the parent already resolved the backend; never let a
+            # worker re-resolve $REPRO_BACKEND differently
             backend="reference",
             # replicate caches the whole replication as one entry; the
             # per-seed runs must not also consult $REPRO_CACHE
@@ -310,17 +286,12 @@ def _replicate_batch_task(
     bandwidth_factor: int,
     check_connected: bool,
     instrument: bool,
-    dense_node_limit: Optional[int],
-    vector_replicas: bool,
 ) -> Tuple[List[ProtocolRun], Optional[Any]]:
     """One contiguous seed chunk on the batch backend, inside a worker.
 
     The chunk shares a single schedule tape (that is what the chunking
-    buys) — and, with ``vector_replicas``, one replica coin block and
-    encoding memo; the worker's registry rides back for in-order merging
-    exactly like :func:`_replicate_task`.  The parent pre-resolved
-    ``vector_replicas``/``dense_node_limit``, so workers never re-read
-    the environment.
+    buys); the worker's registry rides back for in-order merging
+    exactly like :func:`_replicate_task`.
     """
     registry = None
     if instrument:
@@ -336,8 +307,6 @@ def _replicate_batch_task(
         check_connected=check_connected,
         instrument=instrument,
         registry=registry,
-        dense_node_limit=dense_node_limit,
-        vector_replicas=vector_replicas,
     )
     return runs, registry
 
@@ -393,16 +362,10 @@ def replicate(
     ``backend="batch"`` replays every oblivious seed against one shared
     schedule tape per worker, and gives each adaptive seed its own fresh
     adversary and incremental tape (see
-    :func:`repro.sim.batch.run_batch_replicas`); ``dynamic_nodes``
-    adversaries fall back to the reference engine with a reason logged
-    once per cell, identical results either way.
-    ``vector_replicas=True`` (or ``$REPRO_VECTOR_REPLICAS``)
-    additionally advances each lockstep cohort's coin folds as one
-    (seeds x nodes) uint64 block and shares one payload-encoding memo —
-    bit-identical per replica, batch backend only.
+    :func:`repro.sim.batch.run_batch_replicas`), with results identical
+    to the reference engine's.
     """
     from ..obs.spans import span
-    from .batch import fallback_log_scope
     from .parallel import ensure_picklable, resolve_workers
 
     cfg = coerce_config(
@@ -418,30 +381,27 @@ def replicate(
         )
         if served is not None:
             return served
-    with fallback_log_scope():
-        backend = _resolve_batch(make_adversary, cfg.resolved_backend())
-        vector = backend == "batch" and cfg.resolved_vector_replicas()
-        n_workers = resolve_workers(cfg.workers)
-        if n_workers > 0:
-            unpicklable = ensure_picklable(
-                make_nodes=make_nodes, make_adversary=make_adversary
+    backend = cfg.resolved_backend()
+    n_workers = resolve_workers(cfg.workers)
+    if n_workers > 0:
+        unpicklable = ensure_picklable(
+            make_nodes=make_nodes, make_adversary=make_adversary
+        )
+        if unpicklable is not None:
+            warnings.warn(
+                f"replicate: {unpicklable} cannot be pickled for "
+                f"process-pool execution (closure or lambda?); running "
+                f"seeds inline. Use module-level factories (see "
+                f"repro.sim.factories) to parallelize.",
+                stacklevel=2,
             )
-            if unpicklable is not None:
-                warnings.warn(
-                    f"replicate: {unpicklable} cannot be pickled for "
-                    f"process-pool execution (closure or lambda?); running "
-                    f"seeds inline. Use module-level factories (see "
-                    f"repro.sim.factories) to parallelize.",
-                    stacklevel=2,
-                )
-                n_workers = 0
-        with span(
-            "replicate", "replicate",
-            seeds=len(seeds), backend=backend, workers=n_workers,
-            vector_replicas=vector,
-        ):
-            summary = _replicate_impl(make_nodes, make_adversary, seeds, cfg,
-                                      backend, n_workers, vector)
+            n_workers = 0
+    with span(
+        "replicate", "replicate",
+        seeds=len(seeds), backend=backend, workers=n_workers,
+    ):
+        summary = _replicate_impl(make_nodes, make_adversary, seeds, cfg,
+                                  backend, n_workers)
     if cache_key is not None and cache_mode == "rw":
         from ..cache.runcache import store_replicate
 
@@ -458,7 +418,6 @@ def _replicate_impl(
     cfg: RunConfig,
     backend: str,
     n_workers: int,
-    vector: bool,
 ) -> ReplicationSummary:
     """The execution paths of :func:`replicate`, under its span/progress."""
     from ..obs.progress import report_advance, report_begin, report_finish
@@ -481,8 +440,6 @@ def _replicate_impl(
                         cfg.bandwidth_factor,
                         cfg.check_connected,
                         cfg.instrument,
-                        cfg.dense_node_limit,
-                        vector,
                     )
                     for chunk in chunks
                 ],
@@ -539,8 +496,6 @@ def _replicate_impl(
                 check_connected=cfg.check_connected,
                 instrument=cfg.instrument,
                 registry=registry,
-                dense_node_limit=cfg.dense_node_limit,
-                vector_replicas=vector,
             )
         )
     report_begin(len(seeds), unit="runs", label="replicate")
@@ -558,7 +513,7 @@ def _replicate_impl(
                         check_connected=cfg.check_connected,
                         instrument=cfg.instrument,
                         registry=registry,
-                        backend="reference",  # already resolved/fallen back above
+                        backend="reference",  # already resolved above
                         cache="off",  # the replication entry is the cache unit
                     ),
                 )

@@ -119,6 +119,41 @@ class TestBenchDiff:
         with pytest.raises(FileNotFoundError):
             diff_dirs(tmp_path / "absent", tmp_path / "absent2")
 
+    @staticmethod
+    def _with_headers(rows, headers):
+        data = _exp_json("EXP-X1", rows)
+        data["headers"] = headers
+        return data
+
+    def test_removed_volatile_column_is_one_note(self, tmp_path):
+        old = self._with_headers([[1, 0.5, 2], [3, 0.7, 4]], ["a", "vector s", "b"])
+        new = self._with_headers([[1, 2], [3, 4]], ["a", "b"])
+        _write_dir(tmp_path / "old", [old])
+        _write_dir(tmp_path / "new", [new])
+        diffs, code = diff_dirs(tmp_path / "old", tmp_path / "new")
+        assert code == 0
+        assert diffs[0].status == "ok" and diffs[0].details == []
+        assert diffs[0].notes == ["column 'vector s' only in the old file"]
+
+    def test_changed_cell_beside_removed_column_is_drift(self, tmp_path):
+        old = self._with_headers([[1, 0.5, 2], [3, 0.7, 4]], ["a", "vector s", "b"])
+        new = self._with_headers([[1, 9], [3, 4]], ["a", "b"])
+        _write_dir(tmp_path / "old", [old])
+        _write_dir(tmp_path / "new", [new])
+        diffs, code = diff_dirs(tmp_path / "old", tmp_path / "new")
+        assert code == 1
+        assert diffs[0].status == "drift"
+        assert diffs[0].details == ["row 0 col 1 ('b'): 2 -> 9"]
+
+    def test_removed_result_column_is_drift_once(self, tmp_path):
+        old = self._with_headers([[1, 2], [3, 4], [5, 6]], ["a", "b"])
+        new = self._with_headers([[1], [3], [5]], ["a"])
+        _write_dir(tmp_path / "old", [old])
+        _write_dir(tmp_path / "new", [new])
+        diffs, code = diff_dirs(tmp_path / "old", tmp_path / "new")
+        assert code == 1
+        assert diffs[0].details == ["column 'b' only in the old file"]
+
 
 class TestOpenMetrics:
     def test_render_counters_gauges_histograms(self):
@@ -208,6 +243,23 @@ class TestCliIntegration:
 
     def test_bench_diff_wrong_arity(self, capsys):
         assert main(["bench-diff", "just-one"]) == 2
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("rows", 5), ("rows", [5]), ("headers", "ab"), ("headers", [1]),
+         ("summary", [1]), ("timings", 3)],
+        ids=["rows-int", "rows-flat", "headers-str", "headers-ints",
+             "summary-list", "timings-int"],
+    )
+    def test_bench_diff_malformed_field_exits_2(self, tmp_path, capsys, field, value):
+        bad = _exp_json("EXP-X1", [[1, 2]])
+        bad[field] = value
+        _write_dir(tmp_path / "old", [_exp_json("EXP-X1", [[1, 2]])])
+        _write_dir(tmp_path / "new", [bad])
+        assert main(["bench-diff", str(tmp_path / "old"), str(tmp_path / "new")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "EXP-X1.json" in err and f"field {field!r}" in err
 
     def test_paths_rejected_for_experiments(self):
         with pytest.raises(SystemExit):

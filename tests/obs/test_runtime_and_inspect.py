@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.network.adversaries import RandomConnectedAdversary, StaticAdversary
 from repro.network.causality import dynamic_diameter
 from repro.network.generators import line_edges
@@ -15,6 +17,7 @@ from repro.obs import (
     read_trace_jsonl,
 )
 from repro.obs.instrumentation import PHASES
+from repro.obs.manifest import RunManifest
 from repro.protocols.flooding import GossipMaxNode, TokenFloodNode
 from repro.sim.coins import CoinSource
 from repro.sim.engine import SynchronousEngine
@@ -86,6 +89,35 @@ class TestObserveSession:
             eng.run(3, stop_on_termination=False)
         assert eng.instrumentation is mine
         assert session.num_runs == 0  # session never saw the run
+
+
+class TestManifestFiles:
+    def test_run_manifest_ignores_dropped_keys(self):
+        """A run recorded when RunManifest had vectorized_replicas loads."""
+        run = RunManifest.from_dict(
+            {"seed": 1, "num_nodes": 4, "adversary": "X", "backend": "batch",
+             "representation": "dense", "dense_node_limit": 512,
+             "vectorized_replicas": True}
+        )
+        assert run == RunManifest(
+            seed=1, num_nodes=4, adversary="X", backend="batch",
+            representation="dense", dense_node_limit=512,
+        )
+
+    @pytest.mark.parametrize("runs", [[5], 5, {"seed": 1}], ids=["list", "int", "object"])
+    def test_malformed_runs_raise_value_error(self, tmp_path, runs):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"label": "x", "runs": runs}))
+        with pytest.raises(ValueError, match="'runs' must be a list of objects") as exc:
+            SessionManifest.load(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("text", ["{not json", "[]"], ids=["not-json", "array"])
+    def test_non_object_manifest_names_the_file(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="manifest.json"):
+            SessionManifest.load(path)
 
 
 class TestInspect:

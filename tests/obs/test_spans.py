@@ -396,10 +396,10 @@ class TestStderrTicker:
     def test_events_print_as_lines(self):
         ticker, stream = self._ticker()
         ticker.begin(1, label="EXP-X")
-        ticker.event("batch-fallback", "adaptive adversary")
+        ticker.event("degraded-retry", "worker crash on [seed=3]")
         ticker.advance()
         ticker.finish()
-        assert "[EXP-X] batch-fallback: adaptive adversary\n" in stream.getvalue()
+        assert "[EXP-X] degraded-retry: worker crash on [seed=3]\n" in stream.getvalue()
 
 
 class TestCLI:

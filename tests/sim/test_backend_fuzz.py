@@ -2,7 +2,7 @@
 
 Drives ``tools/fuzz_backends.py`` — Hypothesis draws random (protocol,
 adversary, N, seeds, rounds) cells and every variant of the execution
-stack (reference, batch, batch+vector, forced-sparse, legacy scan) must
+stack (reference, batch, forced-sparse batch) must
 agree on fingerprints, bit totals, rounds, and outputs.  A planted
 divergence confirms the lockstep diagnosis names the exact round and
 stage, so a real future divergence arrives pre-bisected.
@@ -94,7 +94,7 @@ _CLEAN_CELL = fb.Cell(
 
 def test_diagnose_clean_cell_is_none():
     assert fb.diagnose_divergence(_CLEAN_CELL, 3, "batch") is None
-    assert fb.diagnose_divergence(_CLEAN_CELL, 3, "batch-vector") is None
+    assert fb.diagnose_divergence(_CLEAN_CELL, 3, "batch-sparse") is None
 
 
 def test_diagnose_names_round_and_stage(monkeypatch):

@@ -6,13 +6,11 @@ exactly: the :func:`~repro.faults.check.trace_fingerprint` (a sha256
 over every round record and output), total bits, termination round, and
 outputs.  A Hypothesis property sweeps (protocol × oblivious-adversary ×
 seed) cells; directed tests pin the edges — error semantics, adaptive
-fallback, lockstep replication, instrumentation, parallel workers, and
-the schedule tape's interning behaviour.
+adversaries, lockstep replication, instrumentation, parallel workers,
+and the schedule tape's interning behaviour.
 """
 
 from __future__ import annotations
-
-import logging
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,12 +32,7 @@ from repro.protocols.cflood import cflood_factory
 from repro.protocols.flooding import GossipMaxNode, TokenFloodNode
 from repro.sim import RunConfig, replicate, run_protocol
 from repro.sim.actions import Receive, Send
-from repro.sim.batch import (
-    BatchEngine,
-    ScheduleTape,
-    batch_fallback_reason,
-    build_engine,
-)
+from repro.sim.batch import BatchEngine, ScheduleTape, build_engine, run_batch_replicas
 from repro.sim.coins import CoinSource
 from repro.sim.engine import SynchronousEngine
 from repro.sim.factories import BoundNode, Constant, NodeSet
@@ -168,6 +161,21 @@ def test_parallel_workers_batch_is_bit_identical(monkeypatch):
     assert [r.backend for r in par.runs] == ["batch"] * len(seeds)
 
 
+def test_instrumented_replicas_match_lockstep():
+    """Instrumented replicas run one after another; same bits as lockstep."""
+    ids = tuple(range(8))
+    make_nodes = _make_node_factory("gossip", ids)
+    make_adv = Constant(TIntervalAdversary(list(ids), seed=2, interval=2))
+    seeds = [4, 5]
+    plain = run_batch_replicas(make_nodes, make_adv, seeds, max_rounds=20)
+    instrumented = run_batch_replicas(
+        make_nodes, make_adv, seeds, max_rounds=20, instrument=True
+    )
+    assert all(run.metrics for run in instrumented)
+    for a, b in zip(plain, instrumented):
+        assert trace_fingerprint(a.trace) == trace_fingerprint(b.trace)
+
+
 def test_instrumented_runs_match_and_count(monkeypatch):
     from repro.obs.metrics import MetricsRegistry
 
@@ -190,7 +198,7 @@ def test_instrumented_runs_match_and_count(monkeypatch):
             assert bat_snap[key]["value"] == metric["value"], key
 
 
-# -- fallback --------------------------------------------------------------
+# -- adaptive and function adversaries -----------------------------------
 
 
 def _adaptive_edges(round_, view):
@@ -211,61 +219,9 @@ def test_adaptive_adversary_runs_on_batch_backend():
     assert run.terminated
 
 
-class _DynamicNodesAdversary(FunctionAdversary):
-    dynamic_nodes = True
-
-
-def test_dynamic_nodes_adversary_falls_back_with_logged_reason(caplog):
-    ids = (0, 1, 2, 3)
-    make_nodes = _make_node_factory("token-flood", ids)
-    make_adv = Constant(_DynamicNodesAdversary(list(ids), _adaptive_edges))
-    with caplog.at_level(logging.INFO, logger="repro.sim.batch"):
-        run = run_protocol(
-            make_nodes, make_adv, RunConfig(seed=1, max_rounds=20, backend="batch")
-        )
-    assert run.backend == "reference"
-    assert any("dynamic_nodes" in rec.message for rec in caplog.records)
-    assert run.terminated
-
-
-def test_fallback_logs_once_per_replicate_cell(caplog):
-    ids = (0, 1, 2, 3)
-    make_nodes = _make_node_factory("token-flood", ids)
-    make_adv = Constant(_DynamicNodesAdversary(list(ids), _adaptive_edges))
-    with caplog.at_level(logging.INFO, logger="repro.sim.batch"):
-        summary = replicate(
-            make_nodes, make_adv, seeds=range(5),
-            config=RunConfig(max_rounds=20, backend="batch", workers=0),
-        )
-    assert all(run.backend == "reference" for run in summary.runs)
-    fallback_records = [
-        rec for rec in caplog.records if "falling back to reference" in rec.message
-    ]
-    assert len(fallback_records) == 1  # one cell, one log line — not one per seed
-
-
-def test_fallback_log_scope_dedups_and_restores(caplog):
-    from repro.sim import fallback_log_scope
-    from repro.sim.batch import _log_fallback
-
-    with caplog.at_level(logging.INFO, logger="repro.sim.batch"):
-        with fallback_log_scope():
-            _log_fallback("reason A")
-            _log_fallback("reason A")  # deduped inside the scope
-            _log_fallback("reason B")  # distinct reasons still log
-            with fallback_log_scope():  # nested scope starts fresh
-                _log_fallback("reason A")
-        _log_fallback("reason A")  # unscoped: logs every time
-        _log_fallback("reason A")
-    messages = [rec.message for rec in caplog.records]
-    assert sum("reason A" in m for m in messages) == 4
-    assert sum("reason B" in m for m in messages) == 1
-
-
 def test_oblivious_function_adversary_opts_in():
     ids = (0, 1, 2, 3)
     adv = FunctionAdversary(list(ids), _adaptive_edges, oblivious=True)
-    assert batch_fallback_reason(adv) is None
     make_nodes = _make_node_factory("token-flood", ids)
     ref, bat = _run_pair(make_nodes, Constant(adv), 1, 20)
     _assert_identical(ref, bat)
@@ -375,12 +331,13 @@ class TestScheduleTape:
     def test_forced_representations_cover_all_kinds(self):
         ids = list(range(5))
         adv = StaticAdversary(ids, line_edges(ids))
-        for kind in ("bitset", "csr", "scan"):
+        for kind in ("bitset", "csr"):
             tape = ScheduleTape(adv, sparse=kind)
             tape.bind(ids)
             assert tape.topology(1).kind == kind
-        with pytest.raises(ConfigurationError, match="sparse representation"):
-            ScheduleTape(adv, sparse="nope")
+        for kind in ("scan", "nope"):
+            with pytest.raises(ConfigurationError, match="sparse representation"):
+                ScheduleTape(adv, sparse=kind)
 
     def test_bind_rejects_mismatched_node_set(self):
         ids = list(range(4))

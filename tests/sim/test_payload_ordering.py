@@ -6,7 +6,8 @@ receivers' payload order depend on allocation addresses — deterministic
 within a process by accident, different across processes, which breaks
 the bit-identical re-execution the Lemma-5 simulation requires.  The
 engine now sorts by :func:`repro._util.canonical_encoding`, the stable
-byte encoding whose sizes :func:`bit_size` charges.
+byte encoding whose sizes :func:`bit_size` charges.  The batch engine
+reads those encodings through an identity memo, pinned at the end.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.network.adversaries import StaticAdversary
 from repro.network.generators import star_edges
 from repro.sim.actions import Receive, Send
 from repro.sim.coins import CoinSource
+from repro.sim.encoding import EncodingMemo, interned_encoding
 from repro.sim.engine import SynchronousEngine
 from repro.sim.node import ProtocolNode
 
@@ -140,3 +142,34 @@ class TestCanonicalEncoding:
         assert isinstance(enc, bytes)
         assert enc == canonical_encoding(payload)
         bit_size(payload)  # same algebra: whatever bit_size charges, we encode
+
+
+# -- the engine's identity memo over the interned encodings ---------------
+
+
+def test_encoding_memo_matches_interned():
+    memo = EncodingMemo()
+    for payload in (5, (1, 2), ("x", True), None, (3.5, b"ab")):
+        assert memo.lookup(payload) == interned_encoding(payload)
+    # memoized second lookup returns the identical answer
+    payload = (9, "token")
+    first = memo.lookup(payload)
+    assert memo.lookup(payload) == first
+
+
+def test_encoding_memo_admits_only_flat_immutable_payloads():
+    memo = EncodingMemo()
+    flat = (1, "x", True)
+    nested = ((1, 2), 3)  # valid payload, but not identity-memoizable
+    assert memo.lookup(flat) == interned_encoding(flat)
+    size_after_flat = len(memo)
+    assert memo.lookup(nested) == interned_encoding(nested)
+    assert len(memo) == size_after_flat  # nested payload not admitted
+
+
+def test_encoding_memo_bounded():
+    memo = EncodingMemo(limit=4)
+    keep = [(i,) for i in range(6)]  # hold refs so ids stay unique
+    for payload in keep:
+        memo.lookup(payload)
+    assert len(memo) <= 4

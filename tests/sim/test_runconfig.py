@@ -52,6 +52,15 @@ class TestRunConfig:
         cfg = RunConfig.from_dict({"seed": 1, "max_rounds": 2, "novel_field": True})
         assert cfg == RunConfig(seed=1, max_rounds=2)
 
+    def test_from_dict_ignores_dropped_fields(self):
+        """Configs recorded when vector_replicas/dense_node_limit were
+        RunConfig fields still load."""
+        cfg = RunConfig.from_dict(
+            {"seed": 1, "max_rounds": 2, "vector_replicas": True,
+             "dense_node_limit": 64}
+        )
+        assert cfg == RunConfig(seed=1, max_rounds=2)
+
     def test_evolve_replaces_fields(self):
         base = RunConfig(seed=1, max_rounds=10)
         assert base.evolve(seed=2) == RunConfig(seed=2, max_rounds=10)

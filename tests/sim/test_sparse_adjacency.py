@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.errors import ModelViolation
+from repro.errors import ConfigurationError, ModelViolation
 from repro.faults.check import first_trace_divergence, trace_fingerprint
 from repro.network.adversaries import (
     FunctionAdversary,
@@ -37,7 +37,8 @@ from repro.sim.coins import CoinSource
 from repro.sim.engine import SynchronousEngine, _is_connected, _normalize_edges
 
 
-def _run(make_nodes, make_adv, seed, rounds, *, reference=False, **kwargs):
+def _run(make_nodes, make_adv, seed, rounds, *, reference=False, sparse=None,
+         **kwargs):
     nodes = make_nodes()
     adversary = make_adv()
     if reference:
@@ -46,6 +47,13 @@ def _run(make_nodes, make_adv, seed, rounds, *, reference=False, **kwargs):
             check_connected=kwargs.get("check_connected", True),
         )
     else:
+        if sparse is not None:  # a forced kind is a ScheduleTape-only hook
+            kwargs["tape"] = ScheduleTape(
+                adversary,
+                dense_node_limit=kwargs.pop("dense_node_limit", None),
+                incremental=not adversary.oblivious,
+                sparse=sparse,
+            )
         engine = build_engine(
             nodes, adversary, CoinSource(seed), backend="batch", **kwargs
         )
@@ -83,6 +91,12 @@ def test_dense_node_limit_boundary(n, expected_dense):
         assert tape.representation == "dense"
     else:
         assert tape.representation in ("bitset", "csr")
+
+
+def test_dense_node_limit_validated():
+    ids = list(range(4))
+    with pytest.raises(ConfigurationError, match="dense_node_limit"):
+        ScheduleTape(StaticAdversary(ids, line_edges(ids)), dense_node_limit=-1)
 
 
 def test_boundary_bit_identity():
@@ -133,7 +147,6 @@ def _fingerprints_across_representations(
         "auto-sparse": dict(dense_node_limit=0),
         "bitset": dict(dense_node_limit=0, sparse="bitset"),
         "csr": dict(dense_node_limit=0, sparse="csr"),
-        "scan": dict(dense_node_limit=0, sparse="scan"),
     }
     prints = {}
     for name, kwargs in variants.items():

@@ -46,6 +46,30 @@ class TestCli:
         assert main(["cc", "--quick"]) == 0
         assert "Thm1 bound" in capsys.readouterr().out
 
+    def test_cache_rerun_is_served_and_verifies(self, tmp_path, capsys):
+        """A second identical run is all cache hits with the same table,
+        and `repro cache verify` re-executes the stored recipes."""
+        argv = ["thm6", "--quick", "--no-progress", "--cache", "rw",
+                "--cache-dir", str(tmp_path)]
+
+        def run():
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            cache = [line for line in lines if line.startswith("cache:")]
+            table = [line for line in lines
+                     if line and not line.startswith(("cache:", "timing:"))]
+            assert len(cache) == 1
+            return table, cache[0]
+
+        cold_table, cold_cache = run()
+        warm_table, warm_cache = run()
+        assert "store=" in cold_cache
+        assert warm_table == cold_table
+        assert "hit=" in warm_cache
+        assert "store=" not in warm_cache and "miss=" not in warm_cache
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
+        assert ", 0 mismatch," in capsys.readouterr().out
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["nonsense"])
@@ -185,6 +209,20 @@ class TestCliEdgeCases:
         bad.write_text('{"type": "round"}\n')
         assert main(["audit", str(bad)]) == 2
         assert "repro audit:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["inspect", "audit", "profile", "report"])
+    @pytest.mark.parametrize("runs", [[5], 5], ids=["list-of-int", "int"])
+    def test_malformed_manifest_runs_exit_2(self, tmp_path, capsys, command, runs):
+        session = tmp_path / "session"
+        session.mkdir()
+        (session / "manifest.json").write_text(json.dumps({"label": "x", "runs": runs}))
+        argv = [command, str(session)]
+        if command == "report":
+            argv += ["--out", str(tmp_path / "report.html")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"repro {command}:" in err and "'runs' must be a list of objects" in err
 
     def test_bench_diff_non_object_json(self, tmp_path, capsys):
         old = tmp_path / "old"

@@ -1,9 +1,9 @@
 """Differential fuzzing across execution backends.
 
 The batch backend's whole value rests on one contract: every variant of
-the execution stack — reference engine, batch engine, batch with forced
-sparse adjacency (bitset / CSR / legacy scan), batch with replica-axis
-vectorized coins — produces **bit-identical** runs.  This tool hammers
+the execution stack — reference engine, batch engine, batch with sparse
+adjacency forced at every size (bitset or CSR, chosen by edge
+density) — produces **bit-identical** runs.  This tool hammers
 that contract with random cells and, on a mismatch, drives the two
 engines through the staged round protocol in lockstep to name the exact
 round *and stage* where they part ways — turning any future divergence
@@ -98,10 +98,7 @@ ADAPTIVE_ADVERSARIES = ("blocking-flood", "blocking-gossip")
 VARIANTS: Dict[str, Dict[str, Any]] = {
     "reference": {},
     "batch": {},
-    "batch-vector": {"vector_replicas": True},
     "batch-sparse": {"dense_node_limit": 0},
-    "batch-scan": {"dense_node_limit": 0, "sparse": "scan"},
-    "batch-sparse-vector": {"dense_node_limit": 0, "vector_replicas": True},
 }
 
 
@@ -274,27 +271,19 @@ def compare_cell(
 
 
 def _variant_engine(cell: Cell, seed: int, variant: str):
-    """One engine for (cell, seed) under a variant's representation knobs."""
+    """One engine for (cell, seed) under a variant's dense-node limit."""
     ids = tuple(range(cell.n))
     nodes = make_node_factory(cell.protocol, ids)()
     adversary = make_adversary_factory(cell.adversary, ids, cell.adv_seed)()
     if variant == "reference":
         return SynchronousEngine(nodes, adversary, CoinSource(seed))
-    kwargs = VARIANTS[variant]
-    engine = build_engine(
+    return build_engine(
         nodes,
         adversary,
         CoinSource(seed),
         backend="batch",
-        dense_node_limit=kwargs.get("dense_node_limit"),
-        sparse=kwargs.get("sparse", "auto"),
+        dense_node_limit=VARIANTS[variant].get("dense_node_limit"),
     )
-    if kwargs.get("vector_replicas"):
-        from repro.sim.batch import ReplicaCoinBlock
-
-        engine._coin_block = ReplicaCoinBlock([seed], sorted(nodes))
-        engine._coin_slot = 0
-    return engine
 
 
 def diagnose_divergence(cell: Cell, seed: int, variant: str) -> Optional[str]:
