@@ -23,7 +23,6 @@ since they are a property of the host as much as of the code.
 import time
 
 from repro.analysis.experiments.base import ExperimentResult
-from repro.faults.check import trace_fingerprint
 from repro.network.adaptive import AdaptiveBlockingAdversary
 from repro.network.adversaries import (
     RandomConnectedAdversary,
@@ -41,6 +40,7 @@ from repro.sim.config import RunConfig
 from repro.sim.engine import SynchronousEngine
 from repro.sim.factories import BoundNode, Constant, NodeSet
 from repro.sim.runner import replicate
+from repro.sim.trace import trace_fingerprint
 
 
 def run_gossip_rounds(n=64, rounds=200, seed=5):

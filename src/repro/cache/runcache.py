@@ -2,7 +2,7 @@
 
 The cache stores *measurements*, not full traces: per run it keeps the
 manifest-shaped provenance, the canonical trace fingerprint (the same
-sha256 :func:`repro.faults.check.trace_fingerprint` computes from the
+sha256 :func:`repro.sim.trace.trace_fingerprint` computes from the
 JSONL round lines), and the derived aggregates every consumer reads —
 rounds, termination, total/per-node bits, outputs.  A served run comes
 back as a :class:`~repro.sim.runner.ProtocolRun` whose trace is a
@@ -169,14 +169,14 @@ def run_fingerprint(run: Any) -> str:
     """The canonical trace fingerprint of a run, fresh or cached."""
     if getattr(run, "fingerprint", None) is not None:
         return run.fingerprint
-    from ..faults.check import trace_fingerprint
+    from ..sim.trace import trace_fingerprint
 
     return trace_fingerprint(run.trace)
 
 
 def run_payload(run: Any, config: Any) -> Dict[str, Any]:
     """What the cache stores for one finished run (strict encoding)."""
-    from ..faults.check import trace_fingerprint
+    from ..sim.trace import trace_fingerprint
 
     trace = run.trace
     return {

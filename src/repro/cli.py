@@ -15,7 +15,6 @@ Usage::
         --fail-on-regression --tolerance wall=0.4
     python -m repro profile out/thm8                   # span rollups
     python -m repro report out/thm8 --out report.html  # static HTML page
-    python -m repro faultcheck --out benchmarks/out/EXP-FI.json
     python -m repro cache stats                        # result cache
     python -m repro cache verify --sample 3
     python -m repro cache gc --max-bytes 100000000 --max-age-days 30
@@ -51,10 +50,7 @@ phase timing, realized dynamic diameter) or a whole session directory.
 reduction runs and exits nonzero if any Lemma 3/4 spoil budget or the
 O(s log N) cut-bit envelope was violated.  ``repro bench-diff OLD NEW``
 compares two directories of ``benchmarks/out/EXP-*.json`` sidecars and
-flags result drift and wall-time regressions.  ``repro faultcheck``
-runs the fault-injection detection matrix (``docs/FAULTS.md``) and
-exits nonzero unless every injected fault was caught by its expected
-checker, one to one.
+flags result drift and wall-time regressions.
 
 Spans and progress (PR 6): every experiment records hierarchical spans
 (sweep → cell → run → phase) into the observation session; ``repro
@@ -68,12 +64,12 @@ NAME=FRAC`` per-metric thresholds.
 
 Streaming telemetry (PR 7): ``--stream`` (with ``--trace-out``; or
 ``REPRO_STREAM=1``) makes the session crash-safe — every run/cell/
-fault/progress occurrence appends one fsync'd line to ``events.jsonl``
-and a background thread samples RSS/CPU/GC into ``resource.jsonl``, so
+progress occurrence appends one fsync'd line to ``events.jsonl`` and a
+background thread samples RSS/CPU/GC into ``resource.jsonl``, so
 a killed sweep leaves a loadable partial session (``inspect``/
 ``profile``/``report`` mark it PARTIAL instead of failing).  ``repro
 tail SESSION-DIR`` attaches to a live session and follows its events
-(done/total, rates, ETA, faults, retries).  ``repro bench-history
+(done/total, rates, ETA, retries).  ``repro bench-history
 HISTORY.jsonl`` analyzes the benchmark history store for windowed
 trends (latest vs median-of-last-K) and exits nonzero on regressions;
 ``repro report --baseline`` accepts either a baseline session directory
@@ -268,7 +264,7 @@ def add_execution_options(parser: argparse.ArgumentParser) -> argparse.ArgumentP
         dest="stream",
         action="store_true",
         default=None,
-        help="append every run/cell/fault/progress occurrence to the "
+        help="append every run/cell/progress occurrence to the "
         "session's events.jsonl as it happens (crash-safe telemetry; "
         "requires --trace-out); default: the REPRO_STREAM environment "
         "variable",
@@ -474,6 +470,9 @@ def _run_bench_history(paths: Sequence[str], window: int, threshold: float) -> i
     except FileNotFoundError:
         print(f"repro bench-history: no such file: {path}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"repro bench-history: {exc}", file=sys.stderr)
+        return 2
     trends, code = analyze_history(records, window=window, threshold=threshold)
     if not trends:
         print(
@@ -483,46 +482,6 @@ def _run_bench_history(paths: Sequence[str], window: int, threshold: float) -> i
         return code
     print(render_history(trends, window=window, threshold=threshold))
     return code
-
-
-def _run_faultcheck(out: Optional[str]) -> int:
-    """Run the fault-injection detection matrix (see docs/FAULTS.md).
-
-    Exit 0 iff every taxonomy cell was injected exactly once and every
-    injection was caught by its expected checker — the mutation-style
-    guarantee CI enforces.  ``--out`` writes the matrix as an EXP-FI
-    JSON sidecar (same schema as ``benchmarks/out/EXP-*.json``).
-    """
-    import pathlib
-    import tempfile
-
-    from .faults.check import matrix_result, render_matrix, run_detection_matrix
-
-    with tempfile.TemporaryDirectory(prefix="repro-faultcheck-") as tmp:
-        records = run_detection_matrix(work_dir=pathlib.Path(tmp))
-    result = matrix_result(records)
-    print(render_matrix(records))
-    if out is not None:
-        out_path = pathlib.Path(out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(result.to_json() + "\n")
-        print(f"matrix: EXP-FI sidecar -> {out_path}")
-    summary = result.summary
-    ok = (
-        summary.get("detection_rate") == 1.0
-        and summary.get("one_to_one")
-        and summary.get("applicability_covered")
-    )
-    if not ok:
-        undetected = [r for r in records if not r.one_to_one]
-        for record in undetected:
-            print(
-                f"repro faultcheck: FAIL {record.fault}/{record.layer} "
-                f"(expected {record.expect}): injected={record.injected} "
-                f"detected={record.detected} — {record.detail}",
-                file=sys.stderr,
-            )
-    return 0 if ok else 1
 
 
 def _run_cache(action: str, args: argparse.Namespace) -> int:
@@ -766,18 +725,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "K (default 5)",
     )
     sub.set_defaults(func=_cmd_bench_history)
-
-    sub = subparsers.add_parser(
-        "faultcheck", help="run the fault-injection detection matrix"
-    )
-    sub.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="also write the detection matrix as an EXP-FI JSON sidecar "
-        "(benchmarks/out schema)",
-    )
-    sub.set_defaults(func=lambda parser, args: _run_faultcheck(args.out))
 
     sub = subparsers.add_parser("profile", help="roll up a session's spans")
     sub.add_argument("paths", nargs="*", default=[], metavar="SESSION")

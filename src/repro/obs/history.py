@@ -105,13 +105,18 @@ def append_history(path: pathlib.Path, record: Dict[str, Any]) -> pathlib.Path:
 
 
 def read_history(path: pathlib.Path) -> List[dict]:
-    """Load a history file in append order, skipping undecodable lines."""
+    """Load a history file in append order, skipping undecodable lines.
+
+    A decoded record whose ``timings``, ``timings.phase_seconds`` or
+    ``summary`` is present but not an object raises ``ValueError``
+    naming the file, the line and the field.
+    """
     path = pathlib.Path(path)
     if not path.is_file():
         return []
     records: List[dict] = []
     with path.open(encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             raw = raw.strip()
             if not raw:
                 continue
@@ -120,8 +125,22 @@ def read_history(path: pathlib.Path) -> List[dict]:
             except json.JSONDecodeError:
                 continue  # a torn line from a killed benchmark run
             if isinstance(line, dict) and line.get("exp_id"):
+                _check_record(path, lineno, line)
                 records.append(line)
     return records
+
+
+def _check_record(path: pathlib.Path, lineno: int, record: dict) -> None:
+    timings = record.get("timings")
+    fields = [("timings", timings), ("summary", record.get("summary"))]
+    if isinstance(timings, dict):
+        fields.append(("timings.phase_seconds", timings.get("phase_seconds")))
+    for name, value in fields:
+        if value is not None and not isinstance(value, dict):
+            raise ValueError(
+                f"{path}: line {lineno}: field {name!r} must be an object, "
+                f"got {type(value).__name__}"
+            )
 
 
 # ----------------------------------------------------------------------

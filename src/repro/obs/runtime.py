@@ -27,8 +27,6 @@ execution model.
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 import threading
 import time
@@ -84,8 +82,6 @@ class WorkerObservations:
 
     registry: MetricsRegistry
     runs: List[CapturedRun] = field(default_factory=list)
-    #: fault-injection events recorded inside the worker (repro.faults)
-    faults: List[dict] = field(default_factory=list)
     #: span dicts recorded inside the worker (repro.obs.spans); the
     #: parent re-keys ids and grafts worker roots onto its active span
     spans: List[dict] = field(default_factory=list)
@@ -136,9 +132,6 @@ class ObservationSession:
         #: the session's span tree (see :mod:`repro.obs.spans`);
         #: persisted as ``spans.jsonl`` (format_version 3) at close
         self.spans = SpanRecorder()
-        #: fault-injection events (:mod:`repro.faults`) recorded in this
-        #: scope; persisted as ``faults.jsonl`` next to ``manifest.json``
-        self.faults: List[dict] = []
         self._run_index = 0
         self._started_at = time.perf_counter()
         if self.trace_dir is not None:
@@ -148,7 +141,6 @@ class ObservationSession:
         #: the live event stream (None: not streaming); see module doc
         self.stream: Optional[EventStream] = None
         self._sampler: Optional[ResourceSampler] = None
-        self._faults_fh: Optional[Any] = None
         #: min seconds between checkpoints (events still stream per line)
         self.checkpoint_interval = 1.0
         self._last_checkpoint = 0.0
@@ -361,32 +353,6 @@ class ObservationSession:
         self._emit("run-complete", run=run_manifest.as_dict(), phase_seconds={})
         self._maybe_checkpoint()
 
-    # -- fault-injection integration ------------------------------------
-    def record_fault(self, event: dict) -> None:
-        """Record one applied fault injection (see :mod:`repro.faults`).
-
-        Events are JSON-ready dicts from
-        :class:`~repro.faults.injectors.FaultRecorder`.  Persisting
-        sessions append each event to ``faults.jsonl`` *immediately*
-        (and, when streaming, fsync it and mirror it into the event
-        stream) — a crash caused by an injected fault must itself be
-        observable post-mortem, so buffering to :meth:`close` is wrong.
-        """
-        event = dict(event)
-        self.faults.append(event)
-        if self.trace_dir is not None and not self.collect:
-            if self._faults_fh is None:
-                # "w": a reused directory starts a fresh fault log, the
-                # same truncate-then-append contract close() used to have
-                self._faults_fh = (self.trace_dir / "faults.jsonl").open(
-                    "w", encoding="utf-8"
-                )
-            self._faults_fh.write(json.dumps(event, sort_keys=True) + "\n")
-            self._faults_fh.flush()
-            if self.streaming:
-                os.fsync(self._faults_fh.fileno())
-        self._emit("fault", fault=event)
-
     # -- parallel-worker integration ------------------------------------
     def export_worker_observations(self) -> WorkerObservations:
         """Package a collecting session's registry + buffered runs.
@@ -398,7 +364,6 @@ class ObservationSession:
         return WorkerObservations(
             registry=self.registry,
             runs=self._captured,
-            faults=self.faults,
             spans=self.spans.export(),
         )
 
@@ -415,10 +380,6 @@ class ObservationSession:
         run would have left them.
         """
         self.registry.merge(observations.registry)
-        for fault in getattr(observations, "faults", ()) or ():
-            # routed through record_fault: grafted faults stream/persist
-            # exactly like locally recorded ones
-            self.record_fault(fault)
         self.spans.ingest(getattr(observations, "spans", ()) or [])
         if workers > self.manifest.workers:
             self.manifest.workers = workers
@@ -472,17 +433,7 @@ class ObservationSession:
             self._sampler.stop()
         self.manifest.wall_seconds = time.perf_counter() - self._started_at
         self.manifest.metrics = self.registry.snapshot()
-        if self._faults_fh is not None:
-            self._faults_fh.close()
-            self._faults_fh = None
         if self.trace_dir is not None:
-            if self.faults and not (self.trace_dir / "faults.jsonl").is_file():
-                # collect-less sessions write incrementally above; this
-                # covers faults ingested before trace_dir semantics ever
-                # opened the file (defensive — record_fault handles both)
-                with (self.trace_dir / "faults.jsonl").open("w") as fh:
-                    for event in self.faults:
-                        fh.write(json.dumps(event, sort_keys=True) + "\n")
             if self.spans.spans:
                 write_spans_jsonl(
                     self.trace_dir / SPANS_FILENAME,

@@ -341,7 +341,7 @@ def read_spans_jsonl(path: pathlib.Path) -> List[Span]:
     path = pathlib.Path(path)
     spans: List[Span] = []
     with path.open() as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             raw = raw.strip()
             if not raw:
                 continue
@@ -352,7 +352,13 @@ def read_spans_jsonl(path: pathlib.Path) -> List[Span]:
             if not isinstance(line, dict):
                 raise ValueError(f"{path}: expected JSON objects per line")
             if line.get("type") == "span":
-                spans.append(Span.from_dict(line))
+                try:
+                    spans.append(Span.from_dict(line))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(
+                        f"{path}: malformed span line (line {lineno}): "
+                        f"missing or invalid field {exc}"
+                    ) from exc
             elif line.get("type") == "manifest":
                 version = line.get("format_version", SPANS_FORMAT_VERSION)
                 if version > SPANS_FORMAT_VERSION:

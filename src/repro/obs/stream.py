@@ -1,7 +1,7 @@
 """Crash-safe streaming telemetry: ``events.jsonl`` + checkpoints.
 
 An :class:`~repro.obs.runtime.ObservationSession` historically persisted
-its manifest, spans, and fault events only at ``close()`` — a
+its manifest and spans only at ``close()`` — a
 ``kill -9`` three hours into a sweep left run files with no session
 around them.  This module makes session telemetry *streaming*: a
 persisting session opened with ``stream=True`` (or under
@@ -22,8 +22,6 @@ loading — understand):
   ``spans.jsonl`` (which only exists after a clean close).  Synthesized
   ``run``/``phase`` spans are *not* re-emitted — they are rebuilt from
   ``run-complete`` events (see :func:`spans_from_events`);
-* ``fault`` — a fault injection, streamed the moment it is recorded (a
-  crash *caused* by an injected fault is itself observable post-mortem);
 * ``degraded-retry`` — executor degradations (zero-duration event
   spans, forwarded with their tags);
 * ``progress`` — begin/advance/finish heartbeats from the execution
@@ -252,6 +250,14 @@ def _runs_from_files(directory: pathlib.Path) -> List[RunManifest]:
     return runs
 
 
+def _typed(checkpoint: dict, key: str, types: Any) -> Any:
+    """``checkpoint[key]`` if it has one of ``types``; else None (absent)."""
+    value = checkpoint.get(key)
+    if isinstance(value, types) and not isinstance(value, bool):
+        return value
+    return None
+
+
 def synthesize_manifest(directory: pathlib.Path) -> SessionManifest:
     """Build the best-available :class:`SessionManifest` for a partial dir.
 
@@ -268,8 +274,8 @@ def synthesize_manifest(directory: pathlib.Path) -> SessionManifest:
     events_path = directory / EVENTS_FILENAME
     if events_path.is_file():
         events = read_events_jsonl(events_path)
-    label = checkpoint.get("label")
-    provenance = dict(checkpoint.get("provenance") or {})
+    label = _typed(checkpoint, "label", str)
+    provenance = dict(_typed(checkpoint, "provenance", dict) or {})
     for event in events:
         if event.get("type") == "stream-start":
             label = label or event.get("label")
@@ -279,7 +285,7 @@ def synthesize_manifest(directory: pathlib.Path) -> SessionManifest:
     runs = _runs_from_events(events)
     if not runs:
         runs = _runs_from_files(directory)
-    wall = checkpoint.get("wall_seconds")
+    wall = _typed(checkpoint, "wall_seconds", (int, float))
     if events:
         last = events[-1].get("elapsed")
         if isinstance(last, (int, float)) and (wall is None or last > wall):
@@ -288,8 +294,8 @@ def synthesize_manifest(directory: pathlib.Path) -> SessionManifest:
         label=label,
         wall_seconds=wall,
         runs=runs,
-        metrics=dict(checkpoint.get("metrics") or {}),
-        workers=int(checkpoint.get("workers") or 0),
+        metrics=dict(_typed(checkpoint, "metrics", dict) or {}),
+        workers=_typed(checkpoint, "workers", int) or 0,
         provenance=provenance,
         partial=True,
     )

@@ -5,8 +5,9 @@ line-at-a-time precisely so that *another process* can follow it.  This
 module is that follower: open ``events.jsonl``, render what has
 happened so far, then poll the file for growth and render each new
 event as one line — progress scopes collapse into an updating
-``done/total  rate/s  ETA`` status, runs/cells/faults/retries print as
-discrete lines.
+``done/total  rate/s  ETA`` status, runs/cells/retries print as
+discrete lines, and event types with no handler render nothing unless
+``verbose``.
 
 Attach semantics:
 
@@ -61,7 +62,6 @@ class TailRenderer:
         #: depth -> {done, total, unit, label, t0}
         self._progress: Dict[int, Dict[str, Any]] = {}
         self.runs = 0
-        self.faults = 0
         self.retries = 0
         self.closed = False
 
@@ -108,13 +108,6 @@ class TailRenderer:
             return []
         sp = event.get("span") or {}
         return [f"  span {sp.get('kind')}:{sp.get('name')}  {sp.get('wall_seconds', 0):.3f}s"]
-
-    def _on_fault(self, event: dict) -> List[str]:
-        self.faults += 1
-        fault = event.get("fault") or {}
-        kind = fault.get("kind") or fault.get("fault") or "?"
-        target = fault.get("target") or fault.get("label") or ""
-        return [f"fault      {kind}  {target}".rstrip()]
 
     def _on_degraded_retry(self, event: dict) -> List[str]:
         self.retries += 1
@@ -172,8 +165,6 @@ class TailRenderer:
     def summary(self) -> str:
         """Final status line for a tail that ended without a close marker."""
         bits = [f"{self.runs} runs"]
-        if self.faults:
-            bits.append(f"{self.faults} faults")
         if self.retries:
             bits.append(f"{self.retries} retries")
         state = "closed cleanly" if self.closed else "no close marker (killed or still running)"

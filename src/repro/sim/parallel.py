@@ -230,8 +230,7 @@ class ParallelExecutor:
     order, and the first failing task (in input order) raises with its
     label attached.  Worker-level degradations (crash/hang absorbed by a
     retry) are appended to :attr:`degradations` as dicts with ``kind``
-    (``"crash"``/``"hang"``), ``label``, and ``attempt`` — the audit
-    trail ``repro faultcheck`` matches injections against.
+    (``"crash"``/``"hang"``), ``label``, and ``attempt``.
     """
 
     def __init__(

@@ -2,15 +2,24 @@
 
 A trace is the raw material for all measurements — communication volume,
 termination rounds, and (through :mod:`repro.network.causality`) the
-dynamic diameter actually realized by the adversary.
+dynamic diameter actually realized by the adversary.  Two traces are
+compared by :func:`trace_fingerprint` (bit-identity) and
+:func:`first_trace_divergence` (where they part).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-__all__ = ["RoundRecord", "ExecutionTrace"]
+__all__ = [
+    "RoundRecord",
+    "ExecutionTrace",
+    "trace_fingerprint",
+    "first_trace_divergence",
+]
 
 Edge = Tuple[int, int]
 
@@ -82,3 +91,37 @@ class ExecutionTrace:
     def sends_of(self, uid: int) -> List[Tuple[int, Any]]:
         """All (round, payload) pairs node ``uid`` sent."""
         return [(rec.round, rec.sends[uid]) for rec in self.records if uid in rec.sends]
+
+
+def trace_fingerprint(trace: ExecutionTrace) -> str:
+    """A canonical digest of everything an execution trace recorded.
+
+    Two runs with equal fingerprints produced byte-identical round
+    records and outputs; the digest hashes the same canonical JSON lines
+    the JSONL exporter writes.
+    """
+    from ..obs.export import _round_line, encode_payload
+
+    h = hashlib.sha256()
+    for record in trace:
+        h.update(json.dumps(_round_line(record), sort_keys=True).encode())
+    tail = {
+        "termination_round": trace.termination_round,
+        "outputs": {str(u): encode_payload(o) for u, o in sorted(trace.outputs.items())},
+    }
+    h.update(json.dumps(tail, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def first_trace_divergence(a: ExecutionTrace, b: ExecutionTrace) -> Optional[int]:
+    """First 1-based round whose records differ, or None if identical."""
+    from ..obs.export import _round_line
+
+    for ra, rb in zip(a, b):
+        if _round_line(ra) != _round_line(rb):
+            return ra.round
+    if a.rounds != b.rounds:
+        return min(a.rounds, b.rounds) + 1
+    if a.outputs != b.outputs or a.termination_round != b.termination_round:
+        return a.rounds + 1
+    return None

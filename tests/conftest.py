@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import pathlib
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -21,22 +20,14 @@ settings.register_profile("ci", max_examples=40, derandomize=True, **_COMMON)
 settings.register_profile("ci-main", max_examples=120, derandomize=True, **_COMMON)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro"))
 
-_TESTS_DIR = pathlib.Path(__file__).parent
-_FAULTS_DIR = _TESTS_DIR / "faults"
-
 
 def pytest_collection_modifyitems(config, items):
-    """Auto-apply the tier markers (see pyproject ``[tool.pytest.ini_options]``).
+    """Auto-apply the tier marker (see pyproject ``[tool.pytest.ini_options]``).
 
-    Everything under ``tests/faults/`` is ``faults``; everything not
-    explicitly ``slow`` is ``tier1`` — so ``-m tier1`` and
-    ``-m "not slow"`` select the same fast PR gate, and ``-m faults``
-    names the fault-injection subsystem alone.
+    Everything not explicitly ``slow`` is ``tier1`` — so ``-m tier1``
+    and ``-m "not slow"`` select the same fast PR gate.
     """
     for item in items:
-        path = pathlib.Path(str(item.fspath))
-        if _FAULTS_DIR in path.parents:
-            item.add_marker(pytest.mark.faults)
         if "slow" not in item.keywords:
             item.add_marker(pytest.mark.tier1)
 

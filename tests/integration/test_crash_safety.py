@@ -1,8 +1,8 @@
 """Crash safety: a SIGKILL'd streaming sweep leaves a loadable session.
 
 The scenario the event stream exists for: a ``REPRO_WORKERS=2`` sweep
-runs some cells to completion, then wedges on a hung worker (the fault
-subsystem's ``hangy_task``) and is SIGKILL'd — no atexit, no flush, no
+runs some cells to completion, then wedges on a pool whose workers
+sleep for ten minutes and is SIGKILL'd — no atexit, no flush, no
 manifest.  The partial session must load under ``inspect``, ``profile``
 and ``tail``, showing exactly the completed prefix.
 """
@@ -36,9 +36,8 @@ _SEEDS = (1, 2, 3)
 # Completed prefix first (a 2-worker replicate, streamed), then wedge on
 # a hung 2-worker pool inside the still-open session, and wait to die.
 _VICTIM = """
-import pathlib, sys
+import pathlib, sys, time
 
-from repro.faults.injectors import hangy_task
 from repro.network.adversaries import RandomConnectedAdversary
 from repro.obs import observe
 from repro.protocols.flooding import TokenFloodNode
@@ -47,8 +46,7 @@ from repro.sim.factories import BoundNode, Constant, NodeSet
 from repro.sim.parallel import ParallelExecutor
 from repro.sim.runner import replicate
 
-session_dir, ready_path, marker_path = map(pathlib.Path, sys.argv[1:4])
-marker_path.write_text("armed")
+session_dir, ready_path = map(pathlib.Path, sys.argv[1:3])
 with observe(trace_dir=session_dir, stream=True, resource_interval=0.02):
     ids = tuple(range(5))
     replicate(
@@ -58,10 +56,7 @@ with observe(trace_dir=session_dir, stream=True, resource_interval=0.02):
         config=RunConfig(max_rounds=16, workers=2, backend="reference"),
     )
     ready_path.write_text("prefix-complete")
-    ParallelExecutor(workers=2).map(
-        hangy_task,
-        [(str(marker_path), 1), (str(marker_path), 2)],
-    )
+    ParallelExecutor(workers=2).map(time.sleep, [(600.0,), (600.0,)])
 """ % (_SEEDS,)
 
 
@@ -84,13 +79,12 @@ def killed_session(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("crash")
     session_dir = tmp / "session"
     ready = tmp / "ready"
-    marker = tmp / "hang-marker"
     env = dict(os.environ, PYTHONPATH=str(
         pathlib.Path(__file__).resolve().parents[2] / "src"
     ))
     env.pop("REPRO_STREAM", None)
     proc = subprocess.Popen(
-        [sys.executable, "-c", _VICTIM, str(session_dir), str(ready), str(marker)],
+        [sys.executable, "-c", _VICTIM, str(session_dir), str(ready)],
         env=env, start_new_session=True, stderr=subprocess.PIPE,
     )
     try:

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.faults.check import trace_fingerprint
 from repro.network.adversaries import RandomConnectedAdversary
 from repro.obs import observe
 from repro.obs.profile import profile_session, render_profile
@@ -47,6 +46,7 @@ from repro.sim.config import RunConfig
 from repro.sim.engine import SynchronousEngine
 from repro.sim.factories import BoundNode, Constant, NodeSet
 from repro.sim.runner import replicate
+from repro.sim.trace import trace_fingerprint
 
 
 def run_gossip(n=6, rounds=8, seed=5):

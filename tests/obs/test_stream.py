@@ -28,7 +28,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults.check import trace_fingerprint
 from repro.network.adversaries import RandomConnectedAdversary
 from repro.obs import observe
 from repro.obs.export import read_trace_jsonl
@@ -73,6 +72,7 @@ from repro.protocols.flooding import TokenFloodNode
 from repro.sim.config import RunConfig
 from repro.sim.factories import BoundNode, Constant, NodeSet
 from repro.sim.runner import replicate
+from repro.sim.trace import trace_fingerprint
 
 
 def _token_replicate(seeds, workers=0):
@@ -132,11 +132,11 @@ class TestEventStream:
         path = tmp_path / EVENTS_FILENAME
         stream = EventStream(path, label="t")
         stream.emit("run-complete", run={"seed": 1})
-        stream.emit("fault", fault={"kind": "x"})
+        stream.emit("heartbeat", rss_bytes=1)
         stream.close(runs=1)
         events = read_events_jsonl(path)
         assert [e["type"] for e in events] == [
-            "stream-start", "run-complete", "fault", "session-close",
+            "stream-start", "run-complete", "heartbeat", "session-close",
         ]
         assert [e["seq"] for e in events] == [1, 2, 3, 4]
         assert events[-1]["runs"] == 1
@@ -149,6 +149,7 @@ class TestEventStream:
         with path.open("a") as fh:
             fh.write('{"type": "run-com')
         events = read_events_jsonl(path)
+        stream.close()
         assert [e["type"] for e in events] == ["stream-start", "run-complete"]
 
     def test_checkpoint_roundtrip_is_atomic(self, tmp_path):
@@ -200,16 +201,6 @@ class TestStreamingSession:
             (sp.kind, sp.name) for sp in spans if sp.kind != "event"
         )
         assert shape(rebuilt) == shape(recorded)
-
-    def test_fault_events_stream_immediately(self, tmp_path):
-        d = tmp_path / "faulty"
-        with observe(trace_dir=d, stream=True, resource_interval=0) as session:
-            session.record_fault({"fault": "worker-crash", "layer": "executor"})
-            # before close: both faults.jsonl and the event stream have it
-            faults_line = (d / "faults.jsonl").read_text().strip()
-            assert json.loads(faults_line)["fault"] == "worker-crash"
-            streamed = read_events_jsonl(d / EVENTS_FILENAME)
-            assert any(e["type"] == "fault" for e in streamed)
 
     def test_unstreamed_session_writes_no_events(self, tmp_path):
         d = tmp_path / "plain"
@@ -358,6 +349,21 @@ class TestPartialSession:
         assert len(manifest.runs) == session.num_runs == 3
         assert manifest.metrics
         assert manifest.label == "stream"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("metrics", 5), ("provenance", 5), ("wall_seconds", "x"), ("workers", "x")],
+    )
+    def test_mistyped_checkpoint_field_read_as_absent(self, tmp_path, field, value):
+        d, _ = _streamed_session(tmp_path)
+        _make_partial(d)
+        checkpoint = load_checkpoint(d)
+        checkpoint[field] = value
+        write_checkpoint(d, checkpoint)
+        manifest = load_session_manifest(d)
+        assert manifest.partial
+        assert len(manifest.runs) == len(list(d.glob("run-*.jsonl"))) == 3
+        assert inspect_session(d).partial
 
     def test_torn_run_file_skipped_with_note(self, tmp_path):
         d, _ = _streamed_session(tmp_path)

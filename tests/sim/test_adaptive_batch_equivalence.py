@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.cc.disjointness import random_instance
 from repro.core.composition import theorem6_network, theorem7_network
 from repro.errors import ConfigurationError, DisconnectedTopology
-from repro.faults.check import trace_fingerprint
 from repro.network.adaptive import AdaptiveBlockingAdversary
 from repro.network.adversaries import (
     FunctionAdversary,
@@ -40,6 +39,7 @@ from repro.sim.coins import CoinSource
 from repro.sim.engine import SynchronousEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.factories import BoundNode, NodeSet
+from repro.sim.trace import trace_fingerprint
 
 ADAPTIVE = ("blocking-flood", "blocking-gossip", "rotating-adaptive")
 PROTOCOLS = ("token-flood", "gossip", "cflood-conservative")

@@ -2,7 +2,7 @@
 
 The vectorized :class:`~repro.sim.batch.BatchEngine` exists purely for
 throughput — every observable of a run must match the reference engine
-exactly: the :func:`~repro.faults.check.trace_fingerprint` (a sha256
+exactly: the :func:`~repro.sim.trace.trace_fingerprint` (a sha256
 over every round record and output), total bits, termination round, and
 outputs.  A Hypothesis property sweeps (protocol × oblivious-adversary ×
 seed) cells; directed tests pin the edges — error semantics, adaptive
@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BandwidthExceeded, ConfigurationError, DisconnectedTopology
-from repro.faults.check import trace_fingerprint
 from repro.network.adversaries import (
     FunctionAdversary,
     OverlappingStarsAdversary,
@@ -37,6 +36,7 @@ from repro.sim.coins import CoinSource
 from repro.sim.engine import SynchronousEngine
 from repro.sim.factories import BoundNode, Constant, NodeSet
 from repro.sim.node import ProtocolNode
+from repro.sim.trace import trace_fingerprint
 
 ADVERSARIES = ("static-line", "schedule", "random", "shifting-line",
                "rotating-star", "overlap-stars", "t-interval")

@@ -19,7 +19,6 @@ from repro.errors import (
     InvalidAction,
     ModelViolation,
 )
-from repro.faults.check import trace_fingerprint
 from repro.network.adversaries import Adversary, FunctionAdversary, StaticAdversary
 from repro.network.generators import line_edges
 from repro.obs.instrumentation import PHASES, Instrumentation
@@ -30,6 +29,7 @@ from repro.sim.batch import BatchEngine, ScheduleTape
 from repro.sim.coins import CoinSource
 from repro.sim.engine import SynchronousEngine
 from repro.sim.node import ProtocolNode
+from repro.sim.trace import trace_fingerprint
 
 IDS = (0, 1, 2, 3)
 

@@ -24,7 +24,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ModelViolation
-from repro.faults.check import first_trace_divergence, trace_fingerprint
 from repro.network.adversaries import (
     FunctionAdversary,
     RandomConnectedAdversary,
@@ -35,6 +34,7 @@ from repro.protocols.flooding import GossipMaxNode, TokenFloodNode
 from repro.sim.batch import DENSE_NODE_LIMIT, ScheduleTape, build_engine
 from repro.sim.coins import CoinSource
 from repro.sim.engine import SynchronousEngine, _is_connected, _normalize_edges
+from repro.sim.trace import first_trace_divergence, trace_fingerprint
 
 
 def _run(make_nodes, make_adv, seed, rounds, *, reference=False, sparse=None,

@@ -224,6 +224,57 @@ class TestCliEdgeCases:
         assert err.count("\n") == 1
         assert f"repro {command}:" in err and "'runs' must be a list of objects" in err
 
+    @pytest.mark.parametrize("command", ["bench-history", "report"])
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"timings": 5}, "'timings'"),
+            ({"timings": {"phase_seconds": 5}}, "'timings.phase_seconds'"),
+            ({"summary": [1]}, "'summary'"),
+        ],
+        ids=["timings", "phase_seconds", "summary"],
+    )
+    def test_malformed_history_record_exit_2(self, tmp_path, capsys, command, record, field):
+        hist = tmp_path / "history.jsonl"
+        hist.write_text(_history_line(1.0, 0) + "\n"
+                        + json.dumps({"exp_id": "EXP-X", **record}) + "\n")
+        if command == "bench-history":
+            argv = ["bench-history", str(hist)]
+        else:
+            session = tmp_path / "session"
+            session.mkdir()
+            (session / "manifest.json").write_text(json.dumps({"label": "x", "runs": []}))
+            argv = ["report", str(session), "--out", str(tmp_path / "r.html"),
+                    "--baseline", str(hist)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"repro {command}:" in err
+        assert f"{hist}: line 2: field {field} must be an object" in err
+
+    @pytest.mark.parametrize("command", ["profile", "report"])
+    @pytest.mark.parametrize(
+        "span",
+        [{"type": "span"}, {"type": "span", "span_id": 1, "tags": 5},
+         {"type": "span", "span_id": "z"}],
+        ids=["no-span-id", "tags-not-object", "span-id-not-int"],
+    )
+    def test_malformed_span_line_exit_2(self, tmp_path, capsys, command, span):
+        session = tmp_path / "session"
+        session.mkdir()
+        (session / "manifest.json").write_text(json.dumps({"label": "x", "runs": []}))
+        head = {"type": "manifest", "format_version": 3, "label": "x", "spans": 1}
+        (session / "spans.jsonl").write_text(
+            json.dumps(head) + "\n" + json.dumps(span) + "\n"
+        )
+        argv = [command, str(session)]
+        if command == "report":
+            argv += ["--out", str(tmp_path / "report.html")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"repro {command}: {session / 'spans.jsonl'}: malformed span line (line 2)" in err
+
     def test_bench_diff_non_object_json(self, tmp_path, capsys):
         old = tmp_path / "old"
         new = tmp_path / "new"

@@ -24,41 +24,40 @@ from repro.errors import (
     ReproError,
     SimulationDiverged,
 )
-from repro.faults import FaultPlan, FaultRecorder, FaultSpec, wire_engine_faults
 from repro.network.adversaries import RandomConnectedAdversary
 from repro.protocols.flooding import GossipMaxNode
 from repro.sim.coins import CoinSource
 from repro.sim.engine import SynchronousEngine
 
+from .faults.injectors import inject_reduction_fault, wire_engine_fault
 
-def _faulted_engine_run(spec: FaultSpec) -> None:
+
+def _faulted_engine_run(fault: str, at: int, target: int) -> None:
     n = 6
     nodes = {u: GossipMaxNode(u) for u in range(n)}
     adversary = RandomConnectedAdversary(range(n), seed=3)
     coins = CoinSource(11)
-    nodes, adversary, coins = wire_engine_faults(
-        nodes, adversary, coins, FaultPlan.single(11, spec), FaultRecorder()
+    nodes, adversary, coins = wire_engine_fault(
+        nodes, adversary, coins, fault, at, target, []
     )
     SynchronousEngine(nodes, adversary, coins).run(10)
 
 
 def _trigger_bandwidth_exceeded():
-    _faulted_engine_run(
-        FaultSpec("over-budget", "engine", round=2, target=1, params={"bits": 4096})
-    )
+    _faulted_engine_run("over-budget", at=2, target=1)
 
 
 def _trigger_invalid_action():
-    _faulted_engine_run(FaultSpec("invalid-action", "engine", round=2, target=1))
+    _faulted_engine_run("invalid-action", at=2, target=1)
 
 
 def _trigger_disconnected_topology():
-    _faulted_engine_run(FaultSpec("disconnect", "adversary", round=3, target=2))
+    _faulted_engine_run("disconnect", at=3, target=2)
 
 
 def _trigger_model_violation():
     # the base class's own raise site: a foreign edge leaving the node set
-    _faulted_engine_run(FaultSpec("foreign-edge", "adversary", round=3, target=2))
+    _faulted_engine_run("foreign-edge", at=3, target=2)
 
 
 def _trigger_promise_violation():
@@ -70,23 +69,12 @@ def _trigger_promise_violation():
 def _trigger_simulation_diverged():
     from repro.cc.disjointness import random_instance
     from repro.core.simulation import TwoPartyReduction
-    from repro.faults.injectors import inject_reduction_faults
 
     inst = random_instance(3, 9, seed=1)
     horizon = (inst.q - 1) // 2
     for start in range(2, horizon + 1):
         red = TwoPartyReduction(inst, "T6", GossipMaxNode, seed=7)
-        inject_reduction_faults(
-            red,
-            FaultPlan.single(
-                7,
-                FaultSpec(
-                    "adversary-perturb", "reduction", round=start,
-                    params={"party": "alice"},
-                ),
-            ),
-            FaultRecorder(),
-        )
+        inject_reduction_fault(red, "adversary-perturb", start, [])
         red.run()  # some shift start must trip the Lemma 3/4 bookkeeping
 
 

@@ -37,7 +37,6 @@ _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:  # script mode: `python tools/fuzz_backends.py`
     sys.path.insert(0, str(_SRC))
 
-from repro.faults.check import first_trace_divergence, trace_fingerprint
 from repro.network.adaptive import AdaptiveBlockingAdversary
 from repro.network.adversaries import (
     OverlappingStarsAdversary,
@@ -58,6 +57,7 @@ from repro.sim import RunConfig, run_protocol
 from repro.sim.batch import build_engine, run_batch_replicas
 from repro.sim.coins import CoinSource
 from repro.sim.engine import ROUND_STAGES, SynchronousEngine
+from repro.sim.trace import first_trace_divergence, trace_fingerprint
 
 __all__ = [
     "PROTOCOLS",
