@@ -10,13 +10,12 @@ Each entry is a single JSON object::
     {"format_version": 1, "key": "<sha256>", "kind": "cell",
      "created_unix": 1723...,  "recipe": {...} | null, "payload": {...}}
 
-Writes go through the same atomic tmp + ``os.replace`` contract as
-:func:`repro.obs.stream.write_checkpoint`: readers never observe a
-half-written entry, and a crash mid-store leaves at worst a stale
-``*.tmp`` sibling that the next store of that key overwrites.
+Writes are atomic (a ``*.tmp`` sibling, then ``os.replace``): readers
+never observe a half-written entry, and a crash mid-store leaves at
+worst a stale ``*.tmp`` sibling that the next store of that key
+overwrites.
 
-Reads are forgiving the way :func:`repro.obs.stream.read_events_jsonl`
-is about torn tails: a truncated, corrupt, wrong-version, or
+Reads are forgiving: a truncated, corrupt, wrong-version, or
 wrong-key entry is counted (``corrupt``) and treated as a miss — the
 caller recomputes and rewrites.  A cache must never convert disk rot
 into a traceback, and never serve an entry it cannot fully validate.

@@ -42,10 +42,11 @@ it raises :class:`~repro.errors.ConfigurationError` naming the exact
 Observability (see ``docs/OBSERVABILITY.md``): ``--metrics`` collects
 engine counters and per-phase wall-clock timings and appends them to the
 output; ``--trace-out DIR`` additionally persists every engine run as
-``run-NNNN.jsonl`` plus a ``manifest.json``; ``--metrics-out FILE``
-writes the session registry in OpenMetrics text format.  ``repro
-inspect PATH`` summarizes one persisted run (rounds, bits by node,
-phase timing, realized dynamic diameter) or a whole session directory.
+``run-NNNN.jsonl`` plus the session log ``events.jsonl``;
+``--metrics-out FILE`` writes the session registry in OpenMetrics text
+format.  ``repro inspect PATH`` summarizes one persisted run (rounds,
+bits by node, phase timing, realized dynamic diameter) or a whole
+session directory.
 ``repro audit PATH`` replays the proof-ledger records of persisted
 reduction runs and exits nonzero if any Lemma 3/4 spoil budget or the
 O(s log N) cut-bit envelope was violated.  ``repro bench-diff OLD NEW``
@@ -62,16 +63,18 @@ a TTY; ``--no-progress`` disables).  ``repro bench-diff`` grows
 ``--fail-on-regression`` (CI gate mode) and repeatable ``--tolerance
 NAME=FRAC`` per-metric thresholds.
 
-Streaming telemetry (PR 7): ``--stream`` (with ``--trace-out``; or
-``REPRO_STREAM=1``) makes the session crash-safe — every run/cell/
-progress occurrence appends one fsync'd line to ``events.jsonl`` and a
-background thread samples RSS/CPU/GC into ``resource.jsonl``, so
-a killed sweep leaves a loadable partial session (``inspect``/
-``profile``/``report`` mark it PARTIAL instead of failing).  ``repro
-tail SESSION-DIR`` attaches to a live session and follows its events
-(done/total, rates, ETA, retries).  ``repro bench-history
-HISTORY.jsonl`` analyzes the benchmark history store for windowed
-trends (latest vs median-of-last-K) and exits nonzero on regressions;
+Session log: every persisting session writes one ``events.jsonl``
+next to its run files — runs, spans, progress and aggregates, one line
+each as they happen.  ``--stream`` (with ``--trace-out``; or
+``REPRO_STREAM=1``) makes it durable: every line is fsync'd, a
+background thread logs RSS/CPU/GC heartbeats, and rate-limited
+checkpoints carry the aggregates, so a killed sweep leaves a loadable
+partial session (``inspect``/``profile``/``report`` mark it PARTIAL
+instead of failing).  ``repro tail SESSION-DIR`` attaches to a live
+session and follows its events (done/total, rates, ETA, retries).
+``repro bench-history HISTORY.jsonl`` analyzes the benchmark history
+store for windowed trends (latest vs median-of-last-K) and exits
+nonzero on regressions;
 ``repro report --baseline`` accepts either a baseline session directory
 (metric deltas) or a history file (sparkline trend table).
 
@@ -264,16 +267,15 @@ def add_execution_options(parser: argparse.ArgumentParser) -> argparse.ArgumentP
         dest="stream",
         action="store_true",
         default=None,
-        help="append every run/cell/progress occurrence to the "
-        "session's events.jsonl as it happens (crash-safe telemetry; "
-        "requires --trace-out); default: the REPRO_STREAM environment "
-        "variable",
+        help="make the session's events.jsonl crash-safe: fsync every "
+        "line, log resource heartbeats and checkpoints (requires "
+        "--trace-out); default: the REPRO_STREAM environment variable",
     )
     group.add_argument(
         "--no-stream",
         dest="stream",
         action="store_false",
-        help="disable event streaming even when REPRO_STREAM is set",
+        help="disable durable streaming even when REPRO_STREAM is set",
     )
     return parser
 
@@ -305,7 +307,7 @@ def _render_metrics(session) -> str:
 
 def _run_inspect(paths: Sequence[str]) -> int:
     if len(paths) != 1:
-        print("usage: repro inspect <run.jsonl | session-dir | manifest.json>", file=sys.stderr)
+        print("usage: repro inspect <run.jsonl | session-dir>", file=sys.stderr)
         return 2
     from .obs.inspect import inspect_path
 
@@ -323,7 +325,7 @@ def _run_inspect(paths: Sequence[str]) -> int:
 
 def _run_audit(paths: Sequence[str]) -> int:
     if len(paths) != 1:
-        print("usage: repro audit <run.jsonl | session-dir | manifest.json>", file=sys.stderr)
+        print("usage: repro audit <run.jsonl | session-dir>", file=sys.stderr)
         return 2
     from .obs.audit import audit_path, render_audit
 
@@ -374,18 +376,12 @@ def _run_bench_diff(
 
 def _run_profile(paths: Sequence[str], top: int) -> int:
     if len(paths) != 1:
-        print("usage: repro profile <session-dir | manifest.json>", file=sys.stderr)
+        print("usage: repro profile <session-dir>", file=sys.stderr)
         return 2
-    import pathlib
-
-    from .obs.manifest import MANIFEST_FILENAME
     from .obs.profile import profile_session, render_profile
 
-    path = pathlib.Path(paths[0])
-    if path.is_file() and path.name == MANIFEST_FILENAME:
-        path = path.parent
     try:
-        profile = profile_session(path, top_k=top)
+        profile = profile_session(paths[0], top_k=top)
     except FileNotFoundError as exc:
         print(f"repro profile: {exc}", file=sys.stderr)
         return 2
@@ -401,24 +397,20 @@ def _run_report(
 ) -> int:
     if len(paths) != 1 or out is None:
         print(
-            "usage: repro report <session-dir | manifest.json> --out report.html "
+            "usage: repro report <session-dir> --out report.html "
             "[--baseline DIR]",
             file=sys.stderr,
         )
         return 2
     import pathlib
 
-    from .obs.manifest import MANIFEST_FILENAME
     from .obs.report import write_report
 
-    path = pathlib.Path(paths[0])
-    if path.is_file() and path.name == MANIFEST_FILENAME:
-        path = path.parent
     try:
         out_path = pathlib.Path(out)
         if out_path.parent != pathlib.Path("."):
             out_path.parent.mkdir(parents=True, exist_ok=True)
-        written = write_report(path, out_path, baseline=baseline, top_k=top)
+        written = write_report(paths[0], out_path, baseline=baseline, top_k=top)
     except FileNotFoundError as exc:
         print(f"repro report: {exc}", file=sys.stderr)
         return 2
@@ -642,7 +634,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         metavar="DIR",
         default=None,
-        help="persist every engine run as JSONL (plus manifest.json) under DIR",
+        help="persist every engine run as JSONL (plus the events.jsonl "
+        "session log) under DIR",
     )
     run_parent.add_argument(
         "--metrics-out",
@@ -765,7 +758,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sub = subparsers.add_parser(
-        "tail", help="follow a live streaming session's events"
+        "tail", help="follow a live session's events"
     )
     sub.add_argument("paths", nargs="*", default=[], metavar="SESSION-DIR")
     sub.add_argument(

@@ -12,6 +12,9 @@ The layer every quantitative claim runs through:
     budget curve, cut-crossing bit attribution, adversary divergence.
 ``repro.obs.manifest``
     :class:`RunManifest` / :class:`SessionManifest` — replay-from-metadata.
+``repro.obs.stream``
+    The session log ``events.jsonl`` — its writer and
+    :func:`load_session`, the one reader of session directories.
 ``repro.obs.export``
     Lossless JSONL persistence of execution traces and reduction ledgers
     (``format_version 2``; the reader accepts version-1 files).
@@ -31,8 +34,8 @@ The layer every quantitative claim runs through:
     tolerances and a blocking ``--fail-on-regression`` gate mode.
 ``repro.obs.spans``
     Hierarchical spans (sweep → cell → replicate → run → phase) with
-    wall + CPU time, persisted as ``spans.jsonl`` (format_version 3)
-    next to a session's runs; a no-op without an active session.
+    wall + CPU time, logged as ``span-close`` events; a no-op without
+    an active session.
 ``repro.obs.progress``
     :class:`ProgressReporter` callback protocol + the stderr ticker
     behind ``--progress``: cells done/total, rate, ETA, and
@@ -86,16 +89,8 @@ from .progress import (
 )
 from .report import render_report, write_report
 from .runtime import ObservationSession, current_session, observe
-from .spans import (
-    Span,
-    SpanRecorder,
-    current_span,
-    read_spans_jsonl,
-    session_spans,
-    span,
-    span_event,
-    write_spans_jsonl,
-)
+from .spans import Span, SpanRecorder, current_span, span, span_event
+from .stream import SessionLog, load_session
 
 __all__ = [
     "Counter",
@@ -139,9 +134,8 @@ __all__ = [
     "span",
     "span_event",
     "current_span",
-    "read_spans_jsonl",
-    "write_spans_jsonl",
-    "session_spans",
+    "SessionLog",
+    "load_session",
     "ProgressReporter",
     "StderrTicker",
     "current_reporter",

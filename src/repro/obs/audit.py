@@ -17,11 +17,11 @@ paper's lemmas *allow*:
   diverge is construction-dependent; that they diverge only after
   round 1 on Theorem-6 networks is asserted by the test suite instead.
 
-:func:`audit_path` accepts a single ``run-*.jsonl`` file, a session
-directory, or a ``manifest.json`` path; directories audit every
-reduction run they contain and note (but do not fail on) plain engine
-runs, which carry no ledger.  Exit status is the contract: 0 means every
-ledger checked out, 1 means at least one violated a budget.
+:func:`audit_path` accepts a single ``run-*.jsonl`` file or a session
+directory; directories audit every reduction run they contain and note
+(but do not fail on) plain engine runs, which carry no ledger.  Exit
+status is the contract: 0 means every ledger checked out, 1 means at
+least one violated a budget.
 """
 
 from __future__ import annotations
@@ -36,31 +36,20 @@ from ..core.reduction import (
     cut_budget_bits,
 )
 from .export import PersistedRun, read_trace_jsonl
-from .manifest import MANIFEST_FILENAME, SessionManifest
+from .stream import load_session
 
 __all__ = ["AuditReport", "audit_run", "audit_path", "resolve_run_files"]
 
 
 def resolve_run_files(path: pathlib.Path) -> List[pathlib.Path]:
-    """Run JSONL files named by ``path`` (file, session dir, or manifest).
-
-    For a directory, the manifest's ``trace_file`` order is used when a
-    ``manifest.json`` is present (runs recorded but not persisted are
-    skipped); otherwise every ``run-*.jsonl`` in name order.
-    """
+    """Run JSONL files named by ``path``: the file itself, or the run
+    files of a session directory in log order
+    (:meth:`~repro.obs.stream.SessionLog.run_files`)."""
     path = pathlib.Path(path)
     if path.is_file():
-        if path.name == MANIFEST_FILENAME:
-            return resolve_run_files(path.parent)
         return [path]
     if path.is_dir():
-        manifest = path / MANIFEST_FILENAME
-        if manifest.is_file():
-            runs = SessionManifest.load(manifest).runs
-            files = [path / r.trace_file for r in runs if r.trace_file]
-            if files:
-                return files
-        return sorted(path.glob("run-*.jsonl"))
+        return load_session(path).run_files()
     raise FileNotFoundError(f"no run file or session directory at {path}")
 
 

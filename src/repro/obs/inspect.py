@@ -10,10 +10,9 @@ recorded schedule, computed with the vectorized causality pass in
 format_version 2) have no engine trace, so their report is drawn from
 the run summary and the proof-ledger rollup instead.
 
-``repro inspect`` also accepts a whole session — a directory of
-``run-*.jsonl`` files or its ``manifest.json`` — and renders one table
-summarizing every run (:class:`SessionReport`); per-run detail stays one
-``repro inspect <run.jsonl>`` away.
+``repro inspect`` also accepts a whole session directory and renders one
+table summarizing every run (:class:`SessionReport`); per-run detail
+stays one ``repro inspect <run.jsonl>`` away.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from ..network.dynamic import DynamicSchedule
 from ..network.topology import RoundTopology
 from .export import PersistedRun, read_trace_jsonl
 from .instrumentation import PHASES
-from .manifest import MANIFEST_FILENAME, SessionManifest
+from .stream import EVENTS_FILENAME, load_session
 
 __all__ = [
     "RunReport",
@@ -179,33 +178,18 @@ def inspect_run(path: pathlib.Path) -> RunReport:
 class SessionReport:
     """One table summarizing every run of an observation session.
 
-    Partial sessions — a crashed or still-running streamer with no
-    ``manifest.json`` yet (see :mod:`repro.obs.stream`) — load too: the
-    manifest is synthesized from the event stream/checkpoint/run files,
-    the report is marked PARTIAL, and run files the kill tore mid-write
-    are skipped with a note instead of failing the whole report.
+    Partial sessions — killed or still running, their log has no
+    ``session-close`` (see :mod:`repro.obs.stream`) — load too: the
+    report is marked PARTIAL, and run files the kill tore mid-write are
+    skipped with a note instead of failing the whole report.
     """
 
     def __init__(self, directory: pathlib.Path):
         self.directory = pathlib.Path(directory)
-        from .stream import load_session_manifest
-
-        manifest_path = self.directory / MANIFEST_FILENAME
-        try:
-            self.manifest: Optional[SessionManifest] = load_session_manifest(
-                self.directory
-            )
-        except FileNotFoundError:
-            self.manifest = None
-        self.partial = self.manifest is not None and self.manifest.partial
-        from .audit import resolve_run_files
-
-        self.files = resolve_run_files(self.directory)
-        if not self.files and self.manifest is None:
-            raise ValueError(
-                f"{self.directory}: no run-*.jsonl files and no "
-                f"{MANIFEST_FILENAME} — not an observation session directory"
-            )
+        log = load_session(self.directory)
+        self.manifest = log.manifest
+        self.partial = log.partial
+        self.files = log.run_files()
         self.runs: List[Tuple[pathlib.Path, PersistedRun]] = []
         #: run files named but unreadable (torn by a kill, or deleted)
         self.skipped: List[str] = []
@@ -217,7 +201,7 @@ class SessionReport:
                     self.skipped.append(f"{path.name}: missing")
                     continue
                 raise ValueError(
-                    f"{path.name} is listed in {MANIFEST_FILENAME} but "
+                    f"{path.name} is listed in {EVENTS_FILENAME} but "
                     f"missing from {self.directory} — partial or truncated "
                     f"session"
                 ) from None
@@ -229,13 +213,12 @@ class SessionReport:
 
     def render(self) -> str:
         header = f"session: {self.directory}"
-        if self.manifest is not None:
-            bits = [f"label={self.manifest.label}" if self.manifest.label else None,
-                    "PARTIAL (no clean close)" if self.partial else None,
-                    f"runs={len(self.manifest.runs)}",
-                    f"wall={self.manifest.wall_seconds:.3f}s"
-                    if self.manifest.wall_seconds is not None else None]
-            header += "  (" + ", ".join(b for b in bits if b) + ")"
+        bits = [f"label={self.manifest.label}" if self.manifest.label else None,
+                "PARTIAL (no clean close)" if self.partial else None,
+                f"runs={len(self.manifest.runs)}",
+                f"wall={self.manifest.wall_seconds:.3f}s"
+                if self.manifest.wall_seconds is not None else None]
+        header += "  (" + ", ".join(b for b in bits if b) + ")"
         rows = []
         for path, run in self.runs:
             report = RunReport(path, run) if run.is_reduction else None
@@ -265,7 +248,7 @@ class SessionReport:
             rows,
         )
         lines = [header]
-        prov = self.manifest.provenance if self.manifest is not None else {}
+        prov = self.manifest.provenance
         if prov:
             sha = prov.get("git_sha")
             bits = [f"git={str(sha)[:12]}" if sha else None,
@@ -281,17 +264,14 @@ class SessionReport:
 
 
 def inspect_session(path: pathlib.Path) -> SessionReport:
-    """Summarize a whole session directory (or its ``manifest.json``)."""
-    path = pathlib.Path(path)
-    if path.is_file() and path.name == MANIFEST_FILENAME:
-        path = path.parent
-    return SessionReport(path)
+    """Summarize a whole session directory."""
+    return SessionReport(pathlib.Path(path))
 
 
 def inspect_path(path: pathlib.Path):
-    """Dispatch: run file -> :class:`RunReport`, directory or
-    ``manifest.json`` -> :class:`SessionReport`."""
+    """Dispatch: run file -> :class:`RunReport`, directory ->
+    :class:`SessionReport`."""
     path = pathlib.Path(path)
-    if path.is_dir() or path.name == MANIFEST_FILENAME:
+    if path.is_dir():
         return inspect_session(path)
     return inspect_run(path)

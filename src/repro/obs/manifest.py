@@ -5,34 +5,23 @@ count, adversary, bandwidth factor, package version, wall time — so a
 persisted JSONL trace can be replayed from metadata alone: construct the
 same nodes/adversary, pass ``CoinSource(seed)``, and the engine
 reproduces the run bit for bit (the whole simulator is deterministic in
-the seed).  Session manifests (``manifest.json``) aggregate the per-run
-manifests of everything recorded under one observation session.
+the seed).  A :class:`SessionManifest` aggregates the per-run manifests
+of everything recorded under one observation session; it is persisted
+as events of the session log (:mod:`repro.obs.stream`), never as a file
+of its own.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-import pathlib
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 __all__ = [
     "RunManifest",
     "SessionManifest",
-    "MANIFEST_FILENAME",
-    "SESSION_FORMAT_VERSION",
     "collect_provenance",
 ]
-
-MANIFEST_FILENAME = "manifest.json"
-
-#: Version 3 added the ``spans.jsonl`` sidecar (``spans_file``).
-#: Version 4 added provenance (git SHA, hostname, cpu_count, python
-#: version) and the streaming sidecars (``events_file``,
-#: ``resource_file``).  Older manifests load unchanged — every consumer
-#: treats the new fields as optional with defaults.
-SESSION_FORMAT_VERSION = 4
 
 
 @functools.lru_cache(maxsize=1)
@@ -148,69 +137,5 @@ class SessionManifest:
     #: largest process-pool worker count whose runs merged into this
     #: session (0 = everything ran inline/sequentially)
     workers: int = 0
-    #: spans sidecar filename relative to the session directory, once
-    #: persisted (``None``: no spans were recorded, or a pre-v3 session)
-    spans_file: Optional[str] = None
-    #: provenance stamp (git SHA, hostname, cpu_count, python version);
-    #: {} on pre-v4 manifests — consumers show what is there
+    #: provenance stamp (git SHA, hostname, cpu_count, python version)
     provenance: Dict[str, Any] = field(default_factory=dict)
-    #: streaming sidecars (``events.jsonl`` / ``resource.jsonl``), when
-    #: the session streamed (``None`` otherwise or pre-v4)
-    events_file: Optional[str] = None
-    resource_file: Optional[str] = None
-    format_version: int = SESSION_FORMAT_VERSION
-    #: loader-side marker: True when this manifest was *synthesized* for
-    #: a crashed/in-progress session (see :mod:`repro.obs.stream`);
-    #: never persisted — a written manifest implies a clean close
-    partial: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "format_version": self.format_version,
-            "package_version": self.package_version,
-            "wall_seconds": self.wall_seconds,
-            "workers": self.workers,
-            "spans_file": self.spans_file,
-            "provenance": dict(self.provenance),
-            "events_file": self.events_file,
-            "resource_file": self.resource_file,
-            "runs": [r.as_dict() for r in self.runs],
-            "metrics": self.metrics,
-        }
-
-    def write(self, directory: pathlib.Path) -> pathlib.Path:
-        path = pathlib.Path(directory) / MANIFEST_FILENAME
-        path.write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: pathlib.Path) -> "SessionManifest":
-        """Read a ``manifest.json``.  Unknown keys are ignored; a file that
-        is not JSON, not an object, or whose ``runs`` is not a list of
-        objects raises :class:`ValueError` naming the file."""
-        path = pathlib.Path(path)
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"{path}: expected a JSON object, got {type(data).__name__}"
-            )
-        runs = data.get("runs", [])
-        if not isinstance(runs, list) or not all(isinstance(r, dict) for r in runs):
-            raise ValueError(f"{path}: field 'runs' must be a list of objects")
-        return cls(
-            label=data.get("label"),
-            package_version=data.get("package_version", "?"),
-            wall_seconds=data.get("wall_seconds"),
-            runs=[RunManifest.from_dict(r) for r in runs],
-            metrics=data.get("metrics", {}),
-            workers=data.get("workers", 0),
-            spans_file=data.get("spans_file"),
-            provenance=data.get("provenance", {}) or {},
-            events_file=data.get("events_file"),
-            resource_file=data.get("resource_file"),
-            format_version=data.get("format_version", 2),
-        )

@@ -1,8 +1,9 @@
 """``repro profile``: where a session's wall clock went, rolled up.
 
-Turns a session's ``spans.jsonl`` into the classic profiler view —
-*total* time (a span and everything under it) vs *self* time (a span
-minus its children) — rolled up along the axes the sweeps vary:
+Turns a session's spans (its log's ``span-close`` events) into the
+classic profiler view — *total* time (a span and everything under it)
+vs *self* time (a span minus its children) — rolled up along the axes
+the sweeps vary:
 
 * span kind (sweep / cell / replicate / run / phase),
 * protocol, adversary, and backend tags,
@@ -11,7 +12,7 @@ minus its children) — rolled up along the axes the sweeps vary:
   cell names the (protocol, adversary, N) combination to vectorize next.
 
 Also reports *coverage*: the fraction of the session's wall clock
-attributed to named spans (root-span total over the manifest's
+attributed to named spans (root-span total over the session's
 ``wall_seconds``).  Coverage well under 1.0 means un-instrumented time
 — setup, analysis, I/O — and the profile is lying by omission; the CLI
 surfaces it on every invocation for exactly that reason.
@@ -24,9 +25,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.tables import render_table
-from .spans import Span, session_spans
+from .resource import summarize_resources
+from .spans import Span
+from .stream import SessionLog, load_session
 
-__all__ = ["SessionProfile", "profile_session", "render_profile"]
+__all__ = ["SessionProfile", "profile_session", "profile_log", "render_profile"]
 
 
 @dataclass
@@ -61,16 +64,16 @@ class SessionProfile:
     by_backend: Dict[str, _Rollup]
     #: hottest ``cell`` spans, by total wall, descending
     hottest_cells: List[Span]
-    #: session wall clock from the manifest (None: no manifest / no value)
+    #: session wall clock from the log (None: not recorded)
     session_wall_seconds: Optional[float] = None
     #: wall total of the root spans (the attributable time)
     attributed_seconds: float = 0.0
     events: Dict[str, int] = field(default_factory=dict)
-    #: True for a crashed/in-progress session: spans were reconstructed
-    #: from the event stream (completed prefix), not ``spans.jsonl``
+    #: True for a killed or still-running session: the spans are the
+    #: completed prefix
     partial: bool = False
-    #: rollup of ``resource.jsonl`` (see
-    #: :func:`repro.obs.resource.summarize_resources`); None without one
+    #: rollup of the heartbeat samples (see
+    #: :func:`repro.obs.resource.summarize_resources`); None without any
     resources: Optional[Dict[str, Any]] = None
 
     @property
@@ -93,43 +96,20 @@ def _self_seconds(spans: Sequence[Span]) -> Dict[int, float]:
 
 
 def profile_session(directory: pathlib.Path, top_k: int = 10) -> SessionProfile:
-    """Profile a session directory (requires a v3 ``spans.jsonl``).
+    """Profile a session directory; see :func:`profile_log`."""
+    return profile_log(load_session(directory), top_k=top_k)
 
-    A v2 session (no spans file) profiles to an empty span list — the
-    caller decides whether that is an error (the CLI says so) or just
-    an absent section (the HTML report omits it).  A *partial* session
-    (crashed or still running: no manifest yet) profiles the completed
-    prefix instead: spans reconstructed from the event stream, wall from
-    the synthesized manifest, marked ``partial``.
+
+def profile_log(log: SessionLog, top_k: int = 10) -> SessionProfile:
+    """Profile a loaded session.
+
+    A session with no spans (a directory of bare run files) profiles to
+    an empty span list — the caller decides whether that is an error
+    (the CLI says so) or just an absent section (the HTML report omits
+    it).  A *partial* session profiles its completed prefix, marked
+    ``partial``.
     """
-    from .resource import (
-        RESOURCE_FILENAME,
-        read_resource_jsonl,
-        summarize_resources,
-    )
-    from .stream import (
-        EVENTS_FILENAME,
-        load_session_manifest,
-        read_events_jsonl,
-        spans_from_events,
-    )
-
-    directory = pathlib.Path(directory)
-    spans = session_spans(directory)
-    partial = False
-    manifest = None
-    try:
-        manifest = load_session_manifest(directory)
-    except FileNotFoundError:
-        manifest = None
-    if manifest is not None and manifest.partial:
-        partial = True
-        if not spans and (directory / EVENTS_FILENAME).is_file():
-            spans = spans_from_events(read_events_jsonl(directory / EVENTS_FILENAME))
-    resources = None
-    resource_path = directory / RESOURCE_FILENAME
-    if resource_path.is_file():
-        resources = summarize_resources(read_resource_jsonl(resource_path))
+    spans = log.spans
     self_sec = _self_seconds(spans)
     by_kind: Dict[str, _Rollup] = {}
     by_protocol: Dict[str, _Rollup] = {}
@@ -161,7 +141,6 @@ def profile_session(directory: pathlib.Path, top_k: int = 10) -> SessionProfile:
         key=lambda sp: sp.wall_seconds,
         reverse=True,
     )[:top_k]
-    wall = manifest.wall_seconds if manifest is not None else None
     return SessionProfile(
         spans=spans,
         self_seconds=self_sec,
@@ -170,11 +149,11 @@ def profile_session(directory: pathlib.Path, top_k: int = 10) -> SessionProfile:
         by_adversary=by_adversary,
         by_backend=by_backend,
         hottest_cells=hottest,
-        session_wall_seconds=wall,
+        session_wall_seconds=log.manifest.wall_seconds,
         attributed_seconds=attributed,
         events=events,
-        partial=partial,
-        resources=resources,
+        partial=log.partial,
+        resources=summarize_resources(log.resources),
     )
 
 
@@ -244,8 +223,8 @@ def render_profile(profile: SessionProfile, top_k: int = 10) -> str:
     if profile.partial:
         parts.append(
             "PARTIAL session (no clean close): profile covers the "
-            "completed prefix reconstructed from the event stream"
+            "completed prefix of the session log"
         )
     if not profile.spans:
-        parts.append("no spans recorded (pre-v3 session, or nothing ran)")
+        parts.append("no spans recorded (a directory of bare run files, or nothing ran)")
     return "\n".join(parts)

@@ -185,21 +185,21 @@ def report_event(kind: str, detail: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# combined reporter + event-stream notification
+# combined reporter + session-log notification
 #
 # The execution layer calls these instead of poking the reporter
 # directly, so one call site feeds both live consumers: the installed
 # ProgressReporter (the stderr ticker by default) and the
-# active session's event stream (repro.obs.stream), which is what
+# active session's log (repro.obs.stream), which is what
 # ``repro tail`` follows after the process is no longer ours to watch.
-# Depth is tracked here (outermost scope = 1) because the event stream,
+# Depth is tracked here (outermost scope = 1) because the session log,
 # unlike StderrTicker, records *every* scope and lets the consumer
 # choose a depth to render.
 
 _DEPTH = 0
 
 
-def _streaming_session():
+def _logging_session():
     from .runtime import current_session
 
     session = current_session()
@@ -213,7 +213,7 @@ def report_begin(total: int, unit: str = "tasks", label: Optional[str] = None) -
     reporter = current_reporter()
     if reporter is not None:
         reporter.begin(total, unit=unit, label=label)
-    session = _streaming_session()
+    session = _logging_session()
     if session is not None:
         session.record_progress(
             "begin", label or "", _DEPTH, total=int(total), unit=unit
@@ -226,7 +226,7 @@ def report_advance(label: Optional[str] = None, status: str = "ok") -> None:
     reporter = current_reporter()
     if reporter is not None:
         reporter.advance(label=label, status=status)
-    session = _streaming_session()
+    session = _logging_session()
     if session is not None:
         session.record_progress("advance", label or "", _DEPTH, status=status)
 
@@ -237,7 +237,7 @@ def report_finish() -> None:
     reporter = current_reporter()
     if reporter is not None:
         reporter.finish()
-    session = _streaming_session()
+    session = _logging_session()
     if session is not None:
         session.record_progress("finish", "", _DEPTH)
     if _DEPTH > 0:

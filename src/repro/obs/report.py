@@ -4,8 +4,8 @@ Static by construction — a single file with inline CSS, no scripts, no
 external assets, no new dependencies — so it can be archived as a CI
 artifact next to ``EXP-*.json`` and opened years later.  Sections:
 
-* provenance — the session manifest (label, package version, wall
-  clock, worker count, format version);
+* provenance — label, package version, wall clock, worker count and
+  log format version;
 * the span profile — the same rollups as ``repro profile`` plus a
   treemap-style bar per kind/cell (CSS-proportional widths);
 * hottest cells — the EXP-SUB optimization targets;
@@ -19,8 +19,10 @@ artifact next to ``EXP-*.json`` and opened years later.  Sections:
   (``benchmarks/history.jsonl``), a sparkline trend table per
   experiment metric instead (:mod:`repro.obs.history`).
 
-Partial sessions (crashed or still running — no ``manifest.json``)
-render too, marked PARTIAL, from the synthesized manifest.
+The session, and a baseline session directory, are read by
+:func:`repro.obs.stream.load_session`.
+Partial sessions (killed or still running — no ``session-close``)
+render too, marked PARTIAL.
 
 Everything user-controlled (labels, tag values, metric names) is
 HTML-escaped; the page renders identically from ``file://``.
@@ -32,8 +34,9 @@ import html
 import pathlib
 from typing import Any, Dict, List, Optional
 
-from .manifest import MANIFEST_FILENAME, SessionManifest
-from .profile import SessionProfile, profile_session
+from .manifest import SessionManifest
+from .profile import SessionProfile, profile_log
+from .stream import load_session
 
 __all__ = ["render_report", "write_report"]
 
@@ -140,8 +143,9 @@ def _delta_rows(
     """Bench-diff-style relative changes of shared scalar metrics + wall."""
     rows: List[List[str]] = []
 
-    def fmt(name: str, old: Optional[float], new: Optional[float]) -> None:
-        if old is None or new is None:
+    def fmt(name: str, old: Any, new: Any) -> None:
+        numbers = (int, float)
+        if not isinstance(old, numbers) or not isinstance(new, numbers):
             return
         if old == 0:
             delta = "-" if new == 0 else "new"
@@ -200,19 +204,17 @@ def render_report(
     top_k: int = 10,
 ) -> str:
     """The full HTML page for one session directory."""
-    from .stream import load_session_manifest
-
     directory = pathlib.Path(directory)
-    manifest = load_session_manifest(directory)
-    profile: SessionProfile = profile_session(directory, top_k=top_k)
+    log = load_session(directory)
+    manifest = log.manifest
+    profile: SessionProfile = profile_log(log, top_k=top_k)
 
     title = manifest.label or directory.name
     body: List[str] = [f"<h1>Session report: {_esc(title)}</h1>"]
-    if manifest.partial:
+    if log.partial:
         body.append(
             '<p><strong>PARTIAL session</strong> — no clean close; this '
-            "report covers the completed prefix recovered from the event "
-            "stream and checkpoint.</p>"
+            "report covers the completed prefix of the session log.</p>"
         )
 
     # provenance
@@ -220,7 +222,7 @@ def render_report(
     prov = [
         ("label", manifest.label or "-"),
         ("package version", manifest.package_version),
-        ("format version", manifest.format_version),
+        ("format version", log.format_version),
         ("wall seconds", "-" if manifest.wall_seconds is None
          else f"{manifest.wall_seconds:.4f}"),
         ("workers", manifest.workers),
@@ -268,7 +270,7 @@ def render_report(
         ))
     if not profile.spans:
         body.append('<p class="muted">No spans recorded '
-                    "(pre-v3 session, or nothing ran).</p>")
+                    "(a directory of bare run files, or nothing ran).</p>")
 
     # resource timeline rollup
     if profile.resources:
@@ -313,16 +315,14 @@ def render_report(
             numeric_from=4,
         ))
 
-    # baseline deltas: a session directory compares manifests; a history
-    # file renders the benchmark trend table instead
+    # baseline deltas: a session directory compares aggregates; a
+    # history file renders the benchmark trend table instead
     if baseline is not None:
         baseline = pathlib.Path(baseline)
-        if baseline.is_file() and baseline.name != MANIFEST_FILENAME:
+        if baseline.is_file():
             body.append(_history_section(baseline))
         else:
-            base_manifest = SessionManifest.load(
-                pathlib.Path(baseline) / MANIFEST_FILENAME
-            )
+            base_manifest = load_session(baseline).manifest
             rows = _delta_rows(manifest, base_manifest)
             body.append(
                 f"<h2>Deltas vs baseline: {_esc(base_manifest.label or baseline)}</h2>"

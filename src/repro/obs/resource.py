@@ -4,19 +4,17 @@ Long sweeps fail for machine reasons as often as code reasons — memory
 creep from an interned-tape cache, a worker pinning one core while the
 rest idle, GC pressure from trace accumulation.  This module runs one
 daemon thread per streaming session that samples the process every
-``interval`` seconds and records three ways at once:
+``interval`` seconds and records each sample two ways:
 
 * **gauges** — ``process_rss_bytes``, ``process_cpu_percent``,
   ``process_gc_collections`` in the session's metrics registry, so the
-  final (and checkpointed) metrics snapshot carries the last-known
-  machine state;
-* **``resource.jsonl``** — an append-only timeline of samples (same
-  crash contract as ``events.jsonl``: flushed + fsync'd line at a
-  time), summarized by ``repro profile`` and the HTML report;
-* **heartbeat events** — one ``heartbeat`` per sample into the session's
-  event stream, which is what keeps ``repro tail`` honest about a
-  session that is alive but between runs (a 20-minute N=4096 cell emits
-  no run-complete events while it grinds).
+  checkpointed and final metrics snapshots carry the last-known machine
+  state;
+* **heartbeat events** — the full sample as one ``heartbeat`` line of
+  the session log, which is both the resource timeline ``repro
+  profile`` and the HTML report summarize and what keeps ``repro tail``
+  honest about a session that is alive but between runs (a 20-minute
+  N=4096 cell emits no run-complete events while it grinds).
 
 The thread is a ``daemon`` — it can never hold the interpreter (or a
 ``kill -9``'d parent's reaper) hostage — and sampling is wait-free for
@@ -26,24 +24,18 @@ the simulation: no locks shared with the round loop, just gauge stores.
 from __future__ import annotations
 
 import gc
-import json
 import os
-import pathlib
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
-    "RESOURCE_FILENAME",
     "RESOURCE_INTERVAL_ENV",
     "DEFAULT_INTERVAL",
     "sample_resources",
     "ResourceSampler",
-    "read_resource_jsonl",
     "summarize_resources",
 ]
-
-RESOURCE_FILENAME = "resource.jsonl"
 
 #: Environment override for the sampling interval in seconds; ``0``
 #: disables the sampler even for streaming sessions.
@@ -89,15 +81,13 @@ class ResourceSampler(threading.Thread):
 
     Parameters
     ----------
-    directory:
-        Session directory; samples append to ``resource.jsonl`` there.
     registry:
         The session's metrics registry, receiving the gauges.
     interval:
         Seconds between samples (resolved by the caller; must be > 0).
     emit:
-        Callback for heartbeat events (the session's event stream);
-        called with keyword payload, None disables.
+        Callback for heartbeat events (the session log), called with
+        the sample as keyword payload; None disables.
     on_tick:
         Extra per-sample callback (the session hooks its periodic
         checkpoint here); exceptions are swallowed — sampling must
@@ -106,23 +96,18 @@ class ResourceSampler(threading.Thread):
 
     def __init__(
         self,
-        directory: pathlib.Path,
         registry: Any = None,
         interval: float = DEFAULT_INTERVAL,
         emit: Optional[Callable[..., None]] = None,
         on_tick: Optional[Callable[[], None]] = None,
     ):
         super().__init__(name="repro-resource-sampler", daemon=True)
-        self.path = pathlib.Path(directory) / RESOURCE_FILENAME
         self.registry = registry
         self.interval = float(interval)
         self.emit = emit
         self.on_tick = on_tick
-        self.samples_taken = 0
         self._halt = threading.Event()
-        self._fh = self.path.open("a", encoding="utf-8")
-        self._t0 = time.perf_counter()
-        self._last_wall = self._t0
+        self._last_wall = time.perf_counter()
         self._last_cpu = time.process_time()
 
     def run(self) -> None:  # pragma: no cover - exercised via real threads
@@ -137,49 +122,31 @@ class ResourceSampler(threading.Thread):
             wall_delta = now - self._last_wall
             cpu_delta = sample["cpu_seconds"] - self._last_cpu
             self._last_wall, self._last_cpu = now, sample["cpu_seconds"]
-            sample["elapsed"] = now - self._t0
-            sample["cpu_percent"] = (
-                100.0 * cpu_delta / wall_delta if wall_delta > 0 else 0.0
+            sample["cpu_percent"] = round(
+                100.0 * cpu_delta / wall_delta if wall_delta > 0 else 0.0, 2
             )
-            self._write(sample)
             self._gauges(sample)
             if self.emit is not None:
-                self.emit(
-                    rss_bytes=sample["rss_bytes"],
-                    cpu_percent=round(sample["cpu_percent"], 2),
-                    gc_collections=sample["gc_collections"],
-                )
+                self.emit(**sample)
             if self.on_tick is not None:
                 self.on_tick()
-            self.samples_taken += 1
             return sample
         except Exception:  # pragma: no cover - sampling never kills a sweep
             return None
-
-    def _write(self, sample: dict) -> None:
-        if self._fh.closed:  # pragma: no cover - stop() raced a sample
-            return
-        self._fh.write(json.dumps(sample, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     def _gauges(self, sample: dict) -> None:
         if self.registry is None:
             return
         if sample["rss_bytes"] is not None:
             self.registry.gauge("process_rss_bytes").set(sample["rss_bytes"])
-        self.registry.gauge("process_cpu_percent").set(
-            round(sample["cpu_percent"], 2)
-        )
+        self.registry.gauge("process_cpu_percent").set(sample["cpu_percent"])
         self.registry.gauge("process_gc_collections").set(sample["gc_collections"])
 
     def stop(self) -> None:
-        """Signal the thread, wait briefly, close the timeline file."""
+        """Signal the thread and wait briefly for it to finish."""
         self._halt.set()
         if self.is_alive():
             self.join(timeout=max(1.0, 2 * self.interval))
-        if not self._fh.closed:
-            self._fh.close()
 
 
 def resolve_interval(interval: Optional[float] = None) -> float:
@@ -202,26 +169,12 @@ def resolve_interval(interval: Optional[float] = None) -> float:
     return DEFAULT_INTERVAL
 
 
-def read_resource_jsonl(path: pathlib.Path) -> List[dict]:
-    """Load a resource timeline, tolerating a torn final line."""
-    path = pathlib.Path(path)
-    samples: List[dict] = []
-    with path.open(encoding="utf-8") as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                line = json.loads(raw)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(line, dict):
-                samples.append(line)
-    return samples
-
-
 def summarize_resources(samples: List[dict]) -> Optional[Dict[str, Any]]:
-    """Rollup for ``repro profile`` / the HTML report (None: no samples)."""
+    """Rollup for ``repro profile`` / the HTML report (None: no samples).
+
+    ``samples`` are heartbeat events; ``elapsed`` is their time into
+    the session.
+    """
     if not samples:
         return None
     rss = [s["rss_bytes"] for s in samples if s.get("rss_bytes") is not None]

@@ -6,13 +6,14 @@ through every call signature.  Instead, a scope opts in::
 
     with observe(trace_dir="out/run", label="thm8") as session:
         exp_thm8_leader_election()          # any number of engine runs
-    # out/run/ now holds manifest.json + run-0001.jsonl, run-0002.jsonl, ...
+    # out/run/ now holds events.jsonl + run-0001.jsonl, run-0002.jsonl, ...
 
 While a session is active, every engine constructed without an explicit
 ``instrumentation=`` picks one up from the session (one fresh
 :class:`~repro.obs.instrumentation.Instrumentation` per engine, all
 feeding the session's shared registry); when each run ends the session
-persists its trace as JSONL and appends a :class:`RunManifest`.  Every
+persists its trace as JSONL and logs a :class:`RunManifest` to the
+session log, ``events.jsonl`` (:mod:`repro.obs.stream`).  Every
 :class:`~repro.core.simulation.TwoPartyReduction` likewise picks up a
 fresh :class:`~repro.obs.ledger.ProofLedger` and hands it back via
 :meth:`ObservationSession.record_reduction`, persisted as a
@@ -28,20 +29,19 @@ execution model.
 from __future__ import annotations
 
 import pathlib
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .export import write_ledger_jsonl, write_trace_jsonl
 from .instrumentation import Instrumentation
 from .ledger import ProofLedger
 from .manifest import RunManifest, SessionManifest, collect_provenance
 from .metrics import MetricsRegistry, NULL_REGISTRY
-from .resource import RESOURCE_FILENAME, ResourceSampler, resolve_interval
-from .spans import SPANS_FILENAME, Span, SpanRecorder, write_spans_jsonl
-from .stream import EVENTS_FILENAME, EventStream, resolve_stream, write_checkpoint
+from .resource import ResourceSampler, resolve_interval
+from .spans import Span, SpanRecorder
+from .stream import EVENTS_FILENAME, EventStream, resolve_stream
 
 __all__ = [
     "ObservationSession",
@@ -93,19 +93,21 @@ class ObservationSession:
     Parameters
     ----------
     trace_dir:
-        Directory for ``manifest.json`` + one ``run-NNNN.jsonl`` per
-        engine run.  ``None`` collects metrics only.
+        Directory for the session log ``events.jsonl`` + one
+        ``run-NNNN.jsonl`` per engine run.  ``None`` collects metrics
+        only.
     metrics:
         When False, per-run timing still works but nothing aggregates
         into the shared registry (it is the null sink).
     label:
-        Free-form tag (e.g. the experiment name) stored in the manifest.
+        Free-form tag (e.g. the experiment name) stored in the log.
     stream:
-        Crash-safe streaming (see :mod:`repro.obs.stream`): append one
-        fsync'd event line per occurrence to ``events.jsonl``, plus
-        periodic atomic checkpoints, so a ``kill -9`` leaves a loadable
-        partial session.  ``None`` defers to ``REPRO_STREAM``; only
-        persisting, non-collect sessions ever stream (workers ship their
+        Durability (see :mod:`repro.obs.stream`): fsync every log line,
+        sample resources into heartbeat events, and emit rate-limited
+        checkpoint events, so a ``kill -9`` leaves a loadable partial
+        session with its aggregates.  The log's content does not depend
+        on it.  ``None`` defers to ``REPRO_STREAM``; only persisting,
+        non-collect sessions ever stream (workers ship their
         observations back instead — single writer per session dir).
     resource_interval:
         Seconds between background resource samples when streaming
@@ -129,114 +131,84 @@ class ObservationSession:
         #: :class:`CapturedRun` for the parent to persist, never written
         self.collect = collect
         self._captured: List[CapturedRun] = []
-        #: the session's span tree (see :mod:`repro.obs.spans`);
-        #: persisted as ``spans.jsonl`` (format_version 3) at close
+        #: the session's span tree (see :mod:`repro.obs.spans`); each
+        #: finished span is logged as a ``span-close`` event
         self.spans = SpanRecorder()
         self._run_index = 0
         self._started_at = time.perf_counter()
-        if self.trace_dir is not None:
-            self.trace_dir.mkdir(parents=True, exist_ok=True)
-        if not collect and self.trace_dir is not None:
-            self.manifest.provenance = collect_provenance()
-        #: the live event stream (None: not streaming); see module doc
+        #: the session log (None: metrics only, or a pool worker)
         self.stream: Optional[EventStream] = None
         self._sampler: Optional[ResourceSampler] = None
-        #: min seconds between checkpoints (events still stream per line)
+        #: min seconds between checkpoint events
         self.checkpoint_interval = 1.0
-        self._last_checkpoint = 0.0
-        #: serializes checkpoints: the resource sampler's thread and the
-        #: main thread both write the one ``checkpoint.json.tmp``
-        self._checkpoint_lock = threading.Lock()
-        self.streaming = (
-            not collect and self.trace_dir is not None and resolve_stream(stream)
+        self._last_checkpoint = float("-inf")
+        persisting = not collect and self.trace_dir is not None
+        self.streaming = persisting and resolve_stream(stream)
+        if not persisting:
+            return
+        self.trace_dir.mkdir(parents=True, exist_ok=True)
+        self.manifest.provenance = collect_provenance()
+        self.stream = EventStream(
+            self.trace_dir / EVENTS_FILENAME,
+            durable=self.streaming,
+            label=label,
+            package_version=self.manifest.package_version,
+            provenance=self.manifest.provenance,
         )
-        if self.streaming:
-            self.stream = EventStream(
-                self.trace_dir / EVENTS_FILENAME,
-                label=label,
-                header_extra={"provenance": self.manifest.provenance},
+        self.spans.on_record = self._span_recorded
+        interval = resolve_interval(resource_interval) if self.streaming else 0
+        if interval > 0:
+            self._sampler = ResourceSampler(
+                registry=self.registry,
+                interval=interval,
+                emit=lambda **sample: self._emit("heartbeat", **sample),
+                on_tick=self._maybe_checkpoint,
             )
-            self.spans.on_record = self._span_recorded
-            interval = resolve_interval(resource_interval)
-            if interval > 0:
-                self._sampler = ResourceSampler(
-                    self.trace_dir,
-                    registry=self.registry,
-                    interval=interval,
-                    emit=lambda **payload: self._emit("heartbeat", **payload),
-                    on_tick=self._maybe_checkpoint,
-                )
-                self._sampler.start()
+            self._sampler.start()
 
-    # -- streaming ------------------------------------------------------
+    # -- the session log ------------------------------------------------
     def _emit(self, type_: str, **payload: Any) -> None:
-        """One event line, when streaming; a no-op otherwise."""
+        """One log line, when persisting; a no-op otherwise."""
         if self.stream is not None:
             self.stream.emit(type_, **payload)
 
     def _span_recorded(self, sp: Span) -> None:
-        """``SpanRecorder.on_record`` hook: stream each finished span.
+        """``SpanRecorder.on_record`` hook: log each finished span."""
+        self._emit("span-close", span=sp.as_dict())
 
-        Synthesized ``run``/``phase`` spans are *not* re-emitted — each
-        run already streams one ``run-complete`` event carrying its
-        phase seconds, and :func:`repro.obs.stream.spans_from_events`
-        rebuilds the subtree from that (six extra fsync'd lines per run
-        would double the stream for zero information).
-        """
-        if sp.kind in ("run", "phase"):
-            return
-        if sp.kind == "cell":
-            type_ = "cell-complete"
-        elif sp.kind == "event" and sp.name == "degraded-retry":
-            type_ = sp.name
-        else:
-            type_ = "span-close"
-        self._emit(type_, span=sp.as_dict())
-
-    def _open_spans(self) -> List[Span]:
-        by_id = {sp.span_id: sp for sp in self.spans.spans}
-        return [by_id[sid] for sid in self.spans._stack if sid in by_id]
+    def _totals(self) -> Dict[str, Any]:
+        """The aggregates ``checkpoint`` and ``session-close`` carry."""
+        return {
+            "metrics": self.registry.snapshot(),
+            "wall_seconds": time.perf_counter() - self._started_at,
+            "workers": self.manifest.workers,
+            "runs": self._run_index,
+        }
 
     def checkpoint(self) -> None:
-        """Atomically snapshot aggregate state to ``checkpoint.json``.
+        """Log the aggregates so far as one ``checkpoint`` event.
 
-        The event stream is the per-occurrence record; the checkpoint is
-        what makes a crashed session's *aggregates* — metrics registry,
-        open-span stack, run count — recoverable to the last write
-        instead of to zero.
+        Run and span events are the per-occurrence record; checkpoints
+        make a killed session's *aggregates* — the metrics registry
+        above all — recoverable to the last one instead of to zero.
+        Only durable (streaming) sessions checkpoint.
         """
-        if self.stream is None or self.trace_dir is None:
-            return
-        with self._checkpoint_lock:
-            self._write_checkpoint()
-
-    def _write_checkpoint(self) -> None:
-        """Snapshot and write; the caller holds ``_checkpoint_lock``."""
-        write_checkpoint(
-            self.trace_dir,
-            {
-                "label": self.manifest.label,
-                "provenance": dict(self.manifest.provenance),
-                "workers": self.manifest.workers,
-                "wall_seconds": time.perf_counter() - self._started_at,
-                "runs": self._run_index,
-                "events_seq": self.stream.seq,
-                "metrics": self.registry.snapshot(),
-                "open_spans": [sp.as_dict() for sp in self._open_spans()],
-            },
-        )
-        self._last_checkpoint = time.perf_counter()
+        if self.streaming:
+            self._last_checkpoint = time.perf_counter()
+            self._emit("checkpoint", **self._totals())
 
     def _maybe_checkpoint(self) -> None:
-        """Checkpoint, rate-limited to :attr:`checkpoint_interval`."""
-        if self.stream is None or self.trace_dir is None:
-            return
-        with self._checkpoint_lock:
-            if time.perf_counter() - self._last_checkpoint >= self.checkpoint_interval:
-                self._write_checkpoint()
+        """Checkpoint, rate-limited to :attr:`checkpoint_interval`.
+
+        The sampler thread and the main thread both call this; the limit
+        is best-effort (both may pass it at once), while each line is
+        written whole under the log's lock.
+        """
+        if time.perf_counter() - self._last_checkpoint >= self.checkpoint_interval:
+            self.checkpoint()
 
     def record_progress(self, phase: str, label: str, depth: int, **extra: Any) -> None:
-        """Stream one progress event (begin/advance/finish); see
+        """Log one progress event (begin/advance/finish); see
         :func:`repro.obs.progress.report_begin` and friends."""
         self._emit("progress", phase=phase, label=label, depth=depth, **extra)
 
@@ -290,12 +262,7 @@ class ObservationSession:
             )
             run_manifest.trace_file = name
         self.manifest.runs.append(run_manifest)
-        self._emit(
-            "run-complete",
-            run=run_manifest.as_dict(),
-            phase_seconds=dict(getattr(instr, "phase_seconds", {}) or {}),
-            protocol=self._engine_protocol(engine),
-        )
+        self._emit("run-complete", run=run_manifest.as_dict())
         self._maybe_checkpoint()
 
     # -- reduction (proof-ledger) integration --------------------------
@@ -350,7 +317,7 @@ class ObservationSession:
             )
             run_manifest.trace_file = name
         self.manifest.runs.append(run_manifest)
-        self._emit("run-complete", run=run_manifest.as_dict(), phase_seconds={})
+        self._emit("run-complete", run=run_manifest.as_dict())
         self._maybe_checkpoint()
 
     # -- parallel-worker integration ------------------------------------
@@ -405,13 +372,7 @@ class ObservationSession:
                     )
                 run_manifest.trace_file = name
             self.manifest.runs.append(run_manifest)
-            self._emit(
-                "run-complete",
-                run=run_manifest.as_dict(),
-                phase_seconds=dict(
-                    (captured.run_metrics or {}).get("phase_seconds", {}) or {}
-                ),
-            )
+            self._emit("run-complete", run=run_manifest.as_dict())
         if observations.runs:
             self._maybe_checkpoint()
 
@@ -421,36 +382,22 @@ class ObservationSession:
         return self._run_index
 
     def close(self) -> Optional[pathlib.Path]:
-        """Finalize: snapshot metrics, write ``manifest.json`` if persisting.
+        """Finalize: snapshot the aggregates and log ``session-close``.
 
-        Streaming order matters: the sampler stops (its last gauges land
-        in the snapshot), the stream's ``session-close`` marker is the
-        final event, and ``manifest.json`` is written last — its
-        existence is the clean-close signal partial-session loading
-        keys on.
+        The sampler stops first, so its last gauges land in the
+        snapshot, and ``session-close`` is the log's final line — its
+        presence is what tells a clean close from a killed session.
+        Returns the log's path when persisting.
         """
         if self._sampler is not None:
             self._sampler.stop()
-        self.manifest.wall_seconds = time.perf_counter() - self._started_at
-        self.manifest.metrics = self.registry.snapshot()
-        if self.trace_dir is not None:
-            if self.spans.spans:
-                write_spans_jsonl(
-                    self.trace_dir / SPANS_FILENAME,
-                    self.spans.spans,
-                    label=self.manifest.label,
-                )
-                self.manifest.spans_file = SPANS_FILENAME
-            if self.stream is not None:
-                self.manifest.events_file = EVENTS_FILENAME
-                if self._sampler is not None:
-                    self.manifest.resource_file = RESOURCE_FILENAME
-                self.stream.close(
-                    runs=self._run_index,
-                    wall_seconds=self.manifest.wall_seconds,
-                )
-            return self.manifest.write(self.trace_dir)
-        return None
+        totals = self._totals()
+        self.manifest.metrics = totals["metrics"]
+        self.manifest.wall_seconds = totals["wall_seconds"]
+        if self.stream is None:
+            return None
+        self.stream.close(**totals)
+        return self.stream.path
 
 
 def current_session() -> Optional[ObservationSession]:

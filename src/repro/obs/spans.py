@@ -33,16 +33,14 @@ mirrors the PR-3 metrics merge: a merged parallel session's span tree
 has exactly the same shape and span count as the sequential session's,
 and the same totals up to wall-clock noise.
 
-**Persistence.**  A persisting session writes ``spans.jsonl``
-(``format_version 3``) next to ``manifest.json``: a header line, then
-one JSON object per span.  Version-2 sessions simply have no
-``spans.jsonl``; every reader treats the file as optional.
+**Persistence.**  A persisting session writes each span to its session
+log the moment the span finishes, as one ``span-close`` event carrying
+:meth:`Span.as_dict` (:mod:`repro.obs.stream`); ids are the recorder's
+own, so the loaded tree is the recorded one.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -50,28 +48,17 @@ from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
     "SPAN_KINDS",
-    "SPANS_FILENAME",
-    "SPANS_FORMAT_VERSION",
     "Span",
     "SpanRecorder",
     "span",
     "span_event",
     "current_span",
-    "read_spans_jsonl",
-    "write_spans_jsonl",
-    "session_spans",
 ]
 
 #: The canonical hierarchy, outermost first.  ``event`` marks
 #: zero-duration occurrences (retries, tape stats); other kinds are
 #: accepted — the hierarchy is a convention, not a schema.
 SPAN_KINDS = ("sweep", "cell", "replicate", "run", "phase", "event")
-
-SPANS_FILENAME = "spans.jsonl"
-
-#: Format version 3 = the spans sidecar.  Run JSONL files and sessions
-#: written at version 2 (or 1) load unchanged; they just carry no spans.
-SPANS_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -130,8 +117,8 @@ class SpanRecorder:
         self._next_id = 1
         #: called with each span the moment it is *finished* — on
         #: :meth:`end`, :meth:`add`, and per grafted span in
-        #: :meth:`ingest`.  The streaming session (:mod:`repro.obs.stream`)
-        #: hooks this to append span-close events; None costs one check.
+        #: :meth:`ingest`.  A persisting session hooks this to append
+        #: span-close events to its log; None costs one check.
         self.on_record: Optional[Any] = None
 
     def __len__(self) -> int:
@@ -314,68 +301,3 @@ def span_event(name: str, **tags: Any) -> Optional[Span]:
     if rec is None:
         return None
     return rec.add("event", name, tags=tags)
-
-
-# ----------------------------------------------------------------------
-# persistence
-def write_spans_jsonl(
-    path: pathlib.Path, spans: List[Span], label: Optional[str] = None
-) -> pathlib.Path:
-    """Persist a span list as ``spans.jsonl`` (header + one line per span)."""
-    path = pathlib.Path(path)
-    head = {
-        "type": "manifest",
-        "format_version": SPANS_FORMAT_VERSION,
-        "label": label,
-        "spans": len(spans),
-    }
-    with path.open("w") as fh:
-        fh.write(json.dumps(head, sort_keys=True) + "\n")
-        for sp in spans:
-            fh.write(json.dumps(sp.as_dict(), sort_keys=True) + "\n")
-    return path
-
-
-def read_spans_jsonl(path: pathlib.Path) -> List[Span]:
-    """Load ``spans.jsonl``; inverse of :func:`write_spans_jsonl`."""
-    path = pathlib.Path(path)
-    spans: List[Span] = []
-    with path.open() as fh:
-        for lineno, raw in enumerate(fh, 1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                line = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: not valid JSONL ({exc})") from exc
-            if not isinstance(line, dict):
-                raise ValueError(f"{path}: expected JSON objects per line")
-            if line.get("type") == "span":
-                try:
-                    spans.append(Span.from_dict(line))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(
-                        f"{path}: malformed span line (line {lineno}): "
-                        f"missing or invalid field {exc}"
-                    ) from exc
-            elif line.get("type") == "manifest":
-                version = line.get("format_version", SPANS_FORMAT_VERSION)
-                if version > SPANS_FORMAT_VERSION:
-                    raise ValueError(
-                        f"{path}: spans format_version {version} is newer "
-                        f"than this reader ({SPANS_FORMAT_VERSION})"
-                    )
-            else:
-                raise ValueError(
-                    f"unknown line type {line.get('type')!r} in {path}"
-                )
-    return spans
-
-
-def session_spans(directory: pathlib.Path) -> List[Span]:
-    """The spans of a session directory ([] for v2 sessions: no file)."""
-    path = pathlib.Path(directory) / SPANS_FILENAME
-    if not path.is_file():
-        return []
-    return read_spans_jsonl(path)

@@ -1,50 +1,38 @@
-"""Crash-safe streaming telemetry: ``events.jsonl`` + checkpoints.
+"""The session log: ``events.jsonl``, its writer, and its one loader.
 
-An :class:`~repro.obs.runtime.ObservationSession` historically persisted
-its manifest and spans only at ``close()`` — a
-``kill -9`` three hours into a sweep left run files with no session
-around them.  This module makes session telemetry *streaming*: a
-persisting session opened with ``stream=True`` (or under
-``REPRO_STREAM=1``) additionally appends one JSON line per occurrence to
-an append-only ``events.jsonl``, each line flushed and ``fsync``-ed
-before the session moves on, so the file is a valid record of the
-completed prefix at every instant.
+Every persisting :class:`~repro.obs.runtime.ObservationSession` writes
+exactly one session file, ``events.jsonl``, next to its
+``run-NNNN.jsonl`` traces: one JSON object per line, appended as things
+happen.  Event types:
 
-Event types (the union the consumers — ``repro tail``, partial-session
-loading — understand):
+* ``stream-start`` — the header line: ``format_version``, label, pid,
+  wall-clock start, package version, provenance;
+* ``run-complete`` — one engine/reduction run persisted (``run``: the
+  :class:`~repro.obs.manifest.RunManifest` dict);
+* ``span-close`` — one finished span (``span``: the
+  :class:`~repro.obs.spans.Span` dict with its real ``span_id`` and
+  ``parent_id``), run and phase spans included;
+* ``progress`` — begin/advance/finish of a progress scope
+  (:func:`repro.obs.progress.report_begin` and friends);
+* ``heartbeat`` — one resource sample (:mod:`repro.obs.resource`);
+* ``checkpoint`` — the aggregates so far (metrics snapshot, wall
+  seconds, worker count, run count), rate-limited;
+* ``session-close`` — the same aggregates at clean shutdown; absent
+  after a crash.
 
-* ``stream-start`` — the header line: format version, label, pid,
-  provenance;
-* ``run-complete`` — one engine/reduction run persisted (carries the
-  :class:`~repro.obs.manifest.RunManifest` dict plus per-phase seconds);
-* ``cell-complete`` / ``span-close`` — a closed span, payload included,
-  so the span tree of everything *finished* is reconstructible without
-  ``spans.jsonl`` (which only exists after a clean close).  Synthesized
-  ``run``/``phase`` spans are *not* re-emitted — they are rebuilt from
-  ``run-complete`` events (see :func:`spans_from_events`);
-* ``degraded-retry`` — executor degradations (zero-duration event
-  spans, forwarded with their tags);
-* ``progress`` — begin/advance/finish heartbeats from the execution
-  layer (:func:`repro.obs.progress.report_begin` and friends), the
-  done/total/rate seam ``repro tail`` renders;
-* ``heartbeat`` — periodic liveness from the resource sampler thread
-  (:mod:`repro.obs.resource`);
-* ``session-close`` — the clean-shutdown marker (absent after a crash).
+**Durability.**  ``stream=True`` (or ``REPRO_STREAM=1``) controls
+durability and nothing else: each line is ``fsync``-ed before the
+session moves on, a sampler thread emits heartbeats, and checkpoints
+are emitted.  An unstreamed session writes the same kinds of lines,
+flushed but not fsync'd, so the format never depends on the flag.
 
-**Checkpoints.**  Alongside the event stream the session periodically
-writes ``checkpoint.json`` — an atomic (write-to-temp + ``os.replace``)
-snapshot of the metrics registry, the open-span stack, and the run
-count — so a crashed session's aggregate metrics are recoverable to the
-last checkpoint, not just to zero.
-
-**Partial sessions.**  :func:`load_session_manifest` is the single
-loader every consumer goes through: a directory with a ``manifest.json``
-loads it as before; a directory without one (crashed or still running)
-synthesizes a :class:`~repro.obs.manifest.SessionManifest` from the
-checkpoint, the event stream, and the run files actually on disk, with
-``partial=True`` so ``repro inspect``/``profile``/``report`` can mark it
-— they must *never* refuse a partial session.  The event reader
-tolerates a torn final line (a kill mid-``write``) by design.
+**Loading.**  :func:`load_session` is the single reader every consumer
+(``inspect``, ``audit``, ``profile``, ``report``) goes through; ``tail``
+decodes lines with the same :func:`decode_event`.  A log without
+``session-close`` loads as ``partial`` — the completed prefix, never a
+refusal.  A torn final line (a kill mid-``write``) is skipped; any other
+malformed line raises :class:`ValueError` naming the file, line and
+field.
 """
 
 from __future__ import annotations
@@ -54,38 +42,35 @@ import os
 import pathlib
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
-from .manifest import MANIFEST_FILENAME, RunManifest, SessionManifest
+from .manifest import RunManifest, SessionManifest
+from .spans import Span
 
 __all__ = [
     "EVENTS_FILENAME",
-    "CHECKPOINT_FILENAME",
     "STREAM_ENV",
     "STREAM_FORMAT_VERSION",
     "EventStream",
+    "SessionLog",
     "resolve_stream",
+    "decode_event",
     "read_events_jsonl",
-    "write_checkpoint",
-    "load_checkpoint",
-    "is_partial_session",
-    "synthesize_manifest",
-    "load_session_manifest",
-    "spans_from_events",
+    "load_session",
     "stream_progress_totals",
 ]
 
 EVENTS_FILENAME = "events.jsonl"
-CHECKPOINT_FILENAME = "checkpoint.json"
 
-#: Environment variable turning streaming on for every persisting
-#: session (the CLI ``--stream`` flag wins over it either way).
+#: Environment variable turning durable streaming on for every
+#: persisting session (the CLI ``--stream`` flag wins over it either way).
 STREAM_ENV = "REPRO_STREAM"
 
-#: Version 1 of the event-stream sidecar (independent of the session
-#: manifest's ``format_version``; both readers treat the other file as
-#: optional).
-STREAM_FORMAT_VERSION = 1
+#: Version 2: the log is the whole session — run and phase spans, the
+#: aggregates (``checkpoint``/``session-close``) and resource samples
+#: (``heartbeat``) included.
+STREAM_FORMAT_VERSION = 2
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
@@ -98,39 +83,34 @@ def resolve_stream(stream: Optional[bool] = None) -> bool:
 
 
 class EventStream:
-    """Append-only, fsync-per-line event log for one session directory.
+    """The writer of one session's ``events.jsonl``.
 
-    Thread-safe: the resource sampler thread heartbeats into the same
-    stream the main thread records runs into.  Every ``emit`` is one
-    ``write`` + ``flush`` + ``os.fsync`` — after a ``kill -9`` the file
-    holds every event emitted before the kill, plus at most one torn
-    final line (which :func:`read_events_jsonl` skips).
+    Opening truncates: a session directory holds one session, like its
+    run files.  Thread-safe — the resource sampler thread heartbeats
+    into the same log the main thread records runs into.  Every
+    ``emit`` is one ``write`` + ``flush``, plus an ``os.fsync`` when
+    ``durable``; after a ``kill -9`` a durable log holds every event
+    emitted before the kill and at most one torn final line.
     """
 
-    def __init__(self, path: pathlib.Path, label: Optional[str] = None,
-                 header_extra: Optional[Dict[str, Any]] = None):
+    def __init__(self, path: pathlib.Path, durable: bool = False, **header: Any):
         self.path = pathlib.Path(path)
+        self.durable = durable
         self._lock = threading.Lock()
         self._seq = 0
         self._t0 = time.perf_counter()
-        self._fh = self.path.open("a", encoding="utf-8")
+        self._fh = self.path.open("w", encoding="utf-8")
         self._closed = False
-        head = {
-            "format_version": STREAM_FORMAT_VERSION,
-            "label": label,
-            "pid": os.getpid(),
-            "unix_time": time.time(),
-        }
-        head.update(header_extra or {})
-        self.emit("stream-start", **head)
-
-    @property
-    def seq(self) -> int:
-        """Events emitted so far (monotone; the last line's ``seq``)."""
-        return self._seq
+        self.emit(
+            "stream-start",
+            format_version=STREAM_FORMAT_VERSION,
+            pid=os.getpid(),
+            unix_time=time.time(),
+            **header,
+        )
 
     def emit(self, type_: str, **payload: Any) -> None:
-        """Append one event line; durable before this method returns."""
+        """Append one event line; durable before this returns if ``durable``."""
         with self._lock:
             if self._closed:  # pragma: no cover - defensive late emits
                 return
@@ -139,10 +119,11 @@ class EventStream:
                       "elapsed": time.perf_counter() - self._t0}
             record.update(payload)
             # default=str: free-form span tags may carry non-JSON values;
-            # a readable stream beats a crashed sweep.
+            # a readable log beats a crashed sweep.
             self._fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
             self._fh.flush()
-            os.fsync(self._fh.fileno())
+            if self.durable:
+                os.fsync(self._fh.fileno())
 
     def close(self, **summary: Any) -> None:
         """Emit the clean-shutdown marker and close the file."""
@@ -152,88 +133,149 @@ class EventStream:
             self._fh.close()
 
 
-def read_events_jsonl(path: pathlib.Path) -> List[dict]:
-    """Load an event stream, tolerating a torn final line.
+# ----------------------------------------------------------------------
+# decoding: one checked line at a time
+_NONE = type(None)
 
-    A ``kill -9`` can interrupt the final ``write`` mid-line; every
-    *complete* line is valid JSON by construction, so undecodable or
-    non-object lines are skipped rather than fatal — the stream of a
-    crashed session must always load.
+#: field kind -> (accepted JSON-decoded types, what the message says)
+_KINDS: Dict[str, Tuple[Tuple[type, ...], str]] = {
+    "int": ((int,), "an integer"),
+    "int?": ((int, _NONE), "an integer or null"),
+    "number": ((int, float), "a number"),
+    "number?": ((int, float, _NONE), "a number or null"),
+    "str": ((str,), "a string"),
+    "str?": ((str, _NONE), "a string or null"),
+    "bool": ((bool,), "a boolean"),
+    "object": ((dict,), "an object"),
+}
+
+#: payload checks per event type: (key of the nested payload object, or
+#: None for the event itself; field kinds; fields that must be present)
+_PAYLOADS: Dict[str, Tuple[Optional[str], Dict[str, str], Tuple[str, ...]]] = {
+    "stream-start": (None, {"format_version": "int"}, ("format_version",)),
+    "run-complete": ("run", {
+        "seed": "int?", "num_nodes": "int", "adversary": "str",
+        "bandwidth_factor": "int?", "check_connected": "bool",
+        "package_version": "str", "wall_seconds": "number?",
+        "trace_file": "str?", "kind": "str", "backend": "str",
+        "representation": "str?", "dense_node_limit": "int?",
+    }, ("seed", "num_nodes", "adversary")),
+    "span-close": ("span", {
+        "span_id": "int", "parent_id": "int?", "kind": "str", "name": "str",
+        "tags": "object", "wall_seconds": "number", "cpu_seconds": "number?",
+        "status": "str",
+    }, ("span_id",)),
+    "heartbeat": (None, {
+        "rss_bytes": "int?", "cpu_percent": "number", "gc_collections": "int",
+    }, ()),
+}
+
+#: fields every event may carry
+_ENVELOPE = {"type": "str", "seq": "int", "elapsed": "number"}
+
+
+def _fits(value: Any, kind: str) -> bool:
+    # exact types: json gives bool for true/false, which is no integer
+    return type(value) in _KINDS[kind][0]
+
+
+def _check_fields(data: dict, kinds: Dict[str, str], required: Tuple[str, ...],
+                  prefix: str = "") -> None:
+    for name, kind in kinds.items():
+        if name not in data:
+            if name in required:
+                raise ValueError(f"field {prefix + name!r} is missing")
+            continue
+        value = data[name]
+        if not _fits(value, kind):
+            raise ValueError(
+                f"field {prefix + name!r} must be {_KINDS[kind][1]}, "
+                f"got {type(value).__name__}"
+            )
+
+
+def decode_event(raw: str) -> dict:
+    """Decode and check one complete event line.
+
+    Raises :class:`ValueError` naming the offending field: a payload
+    the loader would build a run or span from must be well-typed, and a
+    ``format_version`` newer than this reader is refused.  Event types
+    this reader does not know pass through unchecked.
+    """
+    try:
+        event = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON ({exc.msg})") from None
+    if not isinstance(event, dict):
+        raise ValueError(f"expected a JSON object, got {type(event).__name__}")
+    _check_fields(event, _ENVELOPE, ("type",))
+    spec = _PAYLOADS.get(event["type"])
+    if spec is not None:
+        key, kinds, required = spec
+        if key is None:
+            _check_fields(event, kinds, required)
+        else:
+            _check_fields(event, {key: "object"}, (key,))
+            _check_fields(event[key], kinds, required, prefix=f"{key}.")
+    if event["type"] == "stream-start" and event["format_version"] > STREAM_FORMAT_VERSION:
+        raise ValueError(
+            f"format_version {event['format_version']} is newer than this "
+            f"reader ({STREAM_FORMAT_VERSION})"
+        )
+    return event
+
+
+def read_events_jsonl(path: pathlib.Path) -> List[dict]:
+    """Every event of a log, in order, each checked by :func:`decode_event`.
+
+    A final line with no newline that does not decode is the torn
+    write of a killed session and is skipped; any other bad line raises
+    :class:`ValueError` naming the file and line.
     """
     path = pathlib.Path(path)
     events: List[dict] = []
     with path.open(encoding="utf-8") as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
+        for lineno, raw in enumerate(fh, 1):
+            if not raw.strip():
                 continue
             try:
-                line = json.loads(raw)
-            except json.JSONDecodeError:
-                continue  # torn tail of a killed writer
-            if isinstance(line, dict):
-                events.append(line)
+                events.append(decode_event(raw))
+            except ValueError as exc:
+                if not raw.endswith("\n"):
+                    break  # torn tail of a killed writer
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return events
 
 
-def write_checkpoint(directory: pathlib.Path, payload: Dict[str, Any]) -> pathlib.Path:
-    """Atomically replace ``checkpoint.json`` (temp file + ``os.replace``).
+# ----------------------------------------------------------------------
+# loading: the whole log folded into one SessionLog
+@dataclass
+class SessionLog:
+    """A session directory as read back by :func:`load_session`."""
 
-    Readers therefore always see either the previous checkpoint or the
-    new one, never a torn intermediate — the same crash contract as the
-    event stream's line-at-a-time appends.
-    """
-    directory = pathlib.Path(directory)
-    path = directory / CHECKPOINT_FILENAME
-    tmp = directory / (CHECKPOINT_FILENAME + ".tmp")
-    data = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-    with tmp.open("w", encoding="utf-8") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
+    directory: pathlib.Path
+    #: label, provenance, runs, and the latest aggregates
+    manifest: SessionManifest
+    #: every closed span, by ``span_id``; a span whose parent never
+    #: closed (the session was cut) is detached to root
+    spans: List[Span] = field(default_factory=list)
+    #: ``heartbeat`` events, in order (see
+    #: :func:`repro.obs.resource.summarize_resources`)
+    resources: List[dict] = field(default_factory=list)
+    #: True when the log has no ``session-close``: killed, still
+    #: running, or a directory of bare run files
+    partial: bool = False
+    format_version: int = STREAM_FORMAT_VERSION
 
-
-def load_checkpoint(directory: pathlib.Path) -> Optional[dict]:
-    """The last checkpoint of a session directory, or None."""
-    path = pathlib.Path(directory) / CHECKPOINT_FILENAME
-    if not path.is_file():
-        return None
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):  # pragma: no cover - atomic writes
-        return None
-    return data if isinstance(data, dict) else None
-
-
-def is_partial_session(directory: pathlib.Path) -> bool:
-    """True when ``directory`` holds session output but no final manifest.
-
-    That is the signature of a crashed or still-running session: run
-    files / an event stream / a checkpoint exist, but ``close()`` never
-    wrote ``manifest.json``.
-    """
-    directory = pathlib.Path(directory)
-    if not directory.is_dir() or (directory / MANIFEST_FILENAME).is_file():
-        return False
-    return (
-        (directory / EVENTS_FILENAME).is_file()
-        or (directory / CHECKPOINT_FILENAME).is_file()
-        or any(directory.glob("run-*.jsonl"))
-    )
-
-
-def _runs_from_events(events: List[dict]) -> List[RunManifest]:
-    runs: List[RunManifest] = []
-    for event in events:
-        if event.get("type") == "run-complete" and isinstance(event.get("run"), dict):
-            runs.append(RunManifest.from_dict(event["run"]))
-    return runs
+    def run_files(self) -> List[pathlib.Path]:
+        """The run files the log names, else every ``run-*.jsonl``."""
+        files = [self.directory / r.trace_file for r in self.manifest.runs
+                 if r.trace_file]
+        return files or sorted(self.directory.glob("run-*.jsonl"))
 
 
 def _runs_from_files(directory: pathlib.Path) -> List[RunManifest]:
-    """Fallback run list for streams with no run-complete events yet."""
+    """Runs of a directory with no log, read from the run files' heads."""
     runs: List[RunManifest] = []
     for path in sorted(directory.glob("run-*.jsonl")):
         manifest: Optional[RunManifest] = None
@@ -250,130 +292,81 @@ def _runs_from_files(directory: pathlib.Path) -> List[RunManifest]:
     return runs
 
 
-def _typed(checkpoint: dict, key: str, types: Any) -> Any:
-    """``checkpoint[key]`` if it has one of ``types``; else None (absent)."""
-    value = checkpoint.get(key)
-    if isinstance(value, types) and not isinstance(value, bool):
-        return value
-    return None
+def _fold_aggregates(manifest: SessionManifest, event: dict) -> None:
+    """Take a ``checkpoint``/``session-close`` event's aggregates.
+
+    A mistyped field reads as absent, and so does a metrics entry that
+    is not an object; the previous value stands.
+    """
+    metrics = event.get("metrics")
+    if isinstance(metrics, dict):
+        manifest.metrics = {k: v for k, v in metrics.items() if isinstance(v, dict)}
+    if _fits(event.get("wall_seconds"), "number"):
+        manifest.wall_seconds = float(event["wall_seconds"])
+    if _fits(event.get("workers"), "int"):
+        manifest.workers = event["workers"]
 
 
-def synthesize_manifest(directory: pathlib.Path) -> SessionManifest:
-    """Build the best-available :class:`SessionManifest` for a partial dir.
+def load_session(directory: pathlib.Path) -> SessionLog:
+    """Read a session directory, complete or partial.
 
-    Sources, in order of authority: the checkpoint (aggregate metrics,
-    label, workers, provenance), the event stream (completed runs, wall
-    clock so far), and finally the run files themselves (a session
-    killed before its first checkpoint still reports every persisted
-    run).  The result carries ``partial=True`` and is never written
-    back to disk.
+    Raises :class:`FileNotFoundError` when ``directory`` does not exist
+    and :class:`ValueError` when it holds neither a log nor run files,
+    or when a log line is malformed.
     """
     directory = pathlib.Path(directory)
-    checkpoint = load_checkpoint(directory) or {}
-    events: List[dict] = []
-    events_path = directory / EVENTS_FILENAME
-    if events_path.is_file():
-        events = read_events_jsonl(events_path)
-    label = _typed(checkpoint, "label", str)
-    provenance = dict(_typed(checkpoint, "provenance", dict) or {})
-    for event in events:
-        if event.get("type") == "stream-start":
-            label = label or event.get("label")
-            if not provenance and isinstance(event.get("provenance"), dict):
-                provenance = dict(event["provenance"])
-            break
-    runs = _runs_from_events(events)
-    if not runs:
+    if not directory.is_dir():
+        raise FileNotFoundError(f"no session directory at {directory}")
+    path = directory / EVENTS_FILENAME
+    if not path.is_file():
         runs = _runs_from_files(directory)
-    wall = _typed(checkpoint, "wall_seconds", (int, float))
-    if events:
-        last = events[-1].get("elapsed")
-        if isinstance(last, (int, float)) and (wall is None or last > wall):
-            wall = float(last)
-    manifest = SessionManifest(
-        label=label,
-        wall_seconds=wall,
-        runs=runs,
-        metrics=dict(_typed(checkpoint, "metrics", dict) or {}),
-        workers=_typed(checkpoint, "workers", int) or 0,
-        provenance=provenance,
-        partial=True,
-    )
-    if events_path.is_file():
-        manifest.events_file = EVENTS_FILENAME
-    from .resource import RESOURCE_FILENAME
+        if not runs:
+            raise ValueError(
+                f"{directory}: no {EVENTS_FILENAME} and no run files — "
+                f"not an observation session directory"
+            )
+        return SessionLog(
+            directory, SessionManifest(package_version="?", runs=runs), partial=True
+        )
 
-    if (directory / RESOURCE_FILENAME).is_file():
-        manifest.resource_file = RESOURCE_FILENAME
-    return manifest
-
-
-def load_session_manifest(directory: pathlib.Path) -> SessionManifest:
-    """The one loader for session directories, partial or complete.
-
-    A ``manifest.json`` wins (clean close); otherwise a partial manifest
-    is synthesized.  Raises :class:`FileNotFoundError` only when the
-    directory holds no session output at all.
-    """
-    directory = pathlib.Path(directory)
-    manifest_path = directory / MANIFEST_FILENAME
-    if manifest_path.is_file():
-        return SessionManifest.load(manifest_path)
-    if is_partial_session(directory):
-        return synthesize_manifest(directory)
-    raise FileNotFoundError(
-        f"{directory}: no {MANIFEST_FILENAME}, event stream, checkpoint, or "
-        f"run files — not an observation session directory"
-    )
-
-
-def spans_from_events(events: List[dict]) -> List["Any"]:
-    """Reconstruct the *closed* spans of a session from its event stream.
-
-    ``span-close``/``cell-complete`` events carry the span payload
-    verbatim; ``run-complete`` events re-synthesize the ``run`` span and
-    its ``phase`` children exactly as
-    :meth:`~repro.obs.spans.SpanRecorder.record_run` would have (they
-    are deliberately not double-emitted as span events).  Spans still
-    open at the kill are absent — the reconstruction is the completed
-    prefix, which is the honest answer.
-    """
-    from .spans import Span, SpanRecorder
-
-    recorder = SpanRecorder()
-    id_remap: Dict[int, int] = {}
-    spans: List[Span] = []
-    for event in events:
-        etype = event.get("type")
-        if etype in ("span-close", "cell-complete") and isinstance(
-            event.get("span"), dict
-        ):
-            sp = Span.from_dict(event["span"])
-            id_remap[sp.span_id] = recorder._next_id
-            sp.span_id = recorder._next_id
-            recorder._next_id += 1
-            if sp.parent_id is not None:
-                # Parents that closed earlier were remapped; parents
-                # still open at the kill are gone — detach to root.
-                sp.parent_id = id_remap.get(sp.parent_id)
-            spans.append(sp)
-            recorder.spans.append(sp)
-        elif etype == "run-complete" and isinstance(event.get("run"), dict):
-            manifest = RunManifest.from_dict(event["run"])
-            phase_seconds = event.get("phase_seconds") or {}
-
-            class _Instr:  # matches record_run's duck-typed reader
-                pass
-
-            instr = _Instr()
-            instr.wall_seconds = manifest.wall_seconds or 0.0
-            instr.phase_seconds = dict(phase_seconds)
-            recorder.record_run(manifest, instr, protocol=event.get("protocol"))
-    return recorder.spans
+    log = SessionLog(directory, SessionManifest(package_version="?"))
+    manifest = log.manifest
+    closed = False
+    elapsed = None
+    for event in read_events_jsonl(path):
+        etype = event["type"]
+        if etype == "stream-start":
+            log.format_version = event["format_version"]
+            if _fits(event.get("label"), "str"):
+                manifest.label = event["label"]
+            if _fits(event.get("package_version"), "str"):
+                manifest.package_version = event["package_version"]
+            if _fits(event.get("provenance"), "object"):
+                manifest.provenance = dict(event["provenance"])
+        elif etype == "run-complete":
+            manifest.runs.append(RunManifest.from_dict(event["run"]))
+        elif etype == "span-close":
+            log.spans.append(Span.from_dict(event["span"]))
+        elif etype == "heartbeat":
+            log.resources.append(event)
+        elif etype in ("checkpoint", "session-close"):
+            _fold_aggregates(manifest, event)
+            closed = closed or etype == "session-close"
+        elapsed = event.get("elapsed", elapsed)
+    log.partial = not closed
+    if log.partial and elapsed is not None:
+        # a cut session's wall clock runs to its last event
+        manifest.wall_seconds = float(elapsed)
+    log.spans.sort(key=lambda sp: sp.span_id)
+    ids = {sp.span_id for sp in log.spans}
+    for sp in log.spans:
+        if sp.parent_id not in ids:
+            sp.parent_id = None
+    return log
 
 
 # ----------------------------------------------------------------------
-# event-stream helpers shared by tail and the tests
+# event-log helpers shared by tail and the tests
 def stream_progress_totals(events: List[dict]) -> Dict[int, Tuple[int, int]]:
     """``{depth: (done, total)}`` from the progress events seen so far."""
     state: Dict[int, Tuple[int, int]] = {}

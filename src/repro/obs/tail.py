@@ -1,13 +1,14 @@
 """``repro tail``: attach to a live (or dead) session directory.
 
-The event stream (:mod:`repro.obs.stream`) is written fsync'd
-line-at-a-time precisely so that *another process* can follow it.  This
-module is that follower: open ``events.jsonl``, render what has
+The session log (:mod:`repro.obs.stream`) is written line-at-a-time,
+flushed per line, precisely so that *another process* can follow it.
+This module is that follower: open ``events.jsonl``, render what has
 happened so far, then poll the file for growth and render each new
 event as one line — progress scopes collapse into an updating
 ``done/total  rate/s  ETA`` status, runs/cells/retries print as
 discrete lines, and event types with no handler render nothing unless
-``verbose``.
+``verbose``.  Lines are decoded and checked by the loader's
+:func:`~repro.obs.stream.decode_event`.
 
 Attach semantics:
 
@@ -17,8 +18,7 @@ Attach semantics:
 * a session that stops growing without ``session-close`` is either
   still computing or dead; tail keeps following until ``timeout``
   seconds pass with no new events, then reports the session as stalled
-  or killed (a ``manifest.json`` appearing also ends the tail — the
-  writer closed between polls);
+  or killed;
 * ``follow=False`` renders the current contents and exits — the
   post-mortem mode the crash-safety tests drive.
 """
@@ -28,10 +28,9 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from typing import Any, Callable, Dict, List, Optional, TextIO
+from typing import Any, Callable, Dict, List, TextIO
 
-from .manifest import MANIFEST_FILENAME
-from .stream import EVENTS_FILENAME
+from .stream import EVENTS_FILENAME, decode_event
 
 __all__ = ["TailRenderer", "iter_event_lines", "tail_session"]
 
@@ -96,26 +95,23 @@ class TailRenderer:
             f"  [{run.get('backend', '?')}]{wall_s}"
         ]
 
-    def _on_cell_complete(self, event: dict) -> List[str]:
-        sp = event.get("span") or {}
-        wall = sp.get("wall_seconds") or 0.0
-        status = sp.get("status", "ok")
-        mark = "" if status == "ok" else f"  !{status}"
-        return [f"cell done  {sp.get('name', '?')}  {wall:.2f}s{mark}"]
-
     def _on_span_close(self, event: dict) -> List[str]:
+        sp = event.get("span") or {}
+        if sp.get("kind") == "cell":
+            wall = sp.get("wall_seconds") or 0.0
+            status = sp.get("status", "ok")
+            mark = "" if status == "ok" else f"  !{status}"
+            return [f"cell done  {sp.get('name', '?')}  {wall:.2f}s{mark}"]
+        if sp.get("kind") == "event" and sp.get("name") == "degraded-retry":
+            self.retries += 1
+            tags = sp.get("tags", {})
+            return [
+                f"retry      {tags.get('kind', '?')} on [{tags.get('label', '?')}]"
+                f" attempt {tags.get('attempt', '?')}"
+            ]
         if not self.verbose:
             return []
-        sp = event.get("span") or {}
         return [f"  span {sp.get('kind')}:{sp.get('name')}  {sp.get('wall_seconds', 0):.3f}s"]
-
-    def _on_degraded_retry(self, event: dict) -> List[str]:
-        self.retries += 1
-        tags = (event.get("span") or {}).get("tags", {})
-        return [
-            f"retry      {tags.get('kind', '?')} on [{tags.get('label', '?')}]"
-            f" attempt {tags.get('attempt', '?')}"
-        ]
 
     def _on_progress(self, event: dict) -> List[str]:
         depth = int(event.get("depth", 1))
@@ -178,21 +174,22 @@ def iter_event_lines(
     timeout: float = 10.0,
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
-    stop: Optional[Callable[[], bool]] = None,
 ):
-    """Yield parsed events from ``events.jsonl``, optionally following.
+    """Yield checked events from ``events.jsonl``, optionally following.
 
     Partial trailing lines (a writer mid-``write``) are buffered until
-    the newline lands; undecodable complete lines are skipped, matching
-    :func:`repro.obs.stream.read_events_jsonl`.  The generator ends on
-    ``follow=False`` EOF, a ``session-close`` event, ``timeout`` seconds
-    without growth, or ``stop()`` returning True.
+    the newline lands; a complete line that does not decode or check
+    raises :class:`ValueError` naming the file and line, as
+    :func:`repro.obs.stream.read_events_jsonl` does.  The generator ends
+    on ``follow=False`` EOF, a ``session-close`` event, or ``timeout``
+    seconds without growth.
     """
     path = pathlib.Path(path)
     buffer = ""
+    lineno = 0
     last_growth = clock()
-    # draining: one final read-to-EOF after the stop condition fires, so
-    # lines the writer flushed just before closing are never missed.
+    # draining: one final read-to-EOF after the timeout fires, so lines
+    # the writer flushed just before dying are never missed.
     draining = not follow
     with path.open(encoding="utf-8") as fh:
         while True:
@@ -203,23 +200,22 @@ def iter_event_lines(
                     if draining:
                         return  # torn tail of a killed writer
                     continue  # writer mid-line: wait for the rest
-                raw, buffer = buffer.strip(), ""
+                raw, buffer = buffer, ""
+                lineno += 1
                 last_growth = clock()
-                if not raw:
+                if not raw.strip():
                     continue
                 try:
-                    event = json.loads(raw)
-                except json.JSONDecodeError:
-                    continue
-                if not isinstance(event, dict):
-                    continue
+                    event = decode_event(raw)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
                 yield event
-                if event.get("type") == "session-close":
+                if event["type"] == "session-close":
                     return
                 continue
             if draining:
                 return
-            if (stop is not None and stop()) or clock() - last_growth > timeout:
+            if clock() - last_growth > timeout:
                 draining = True
                 continue
             sleep(poll)
@@ -235,13 +231,12 @@ def tail_session(
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
 ) -> int:
-    """Attach to ``directory`` and print its event stream to ``out``.
+    """Attach to ``directory`` and print its session log to ``out``.
 
-    Returns an exit code: 0 when the session closed cleanly (or a
-    manifest.json shows a clean close happened), 1 when the stream ended
-    without a close marker — a crashed, killed, or stalled session.
-    Never raises for partial sessions; a directory with no event stream
-    at all (and none appearing within ``timeout``) is an error the
+    Returns an exit code: 0 when the session closed cleanly, 1 when the
+    log ended without a close marker — a crashed, killed, or stalled
+    session.  Never raises for partial sessions; a directory with no
+    log at all (and none appearing within ``timeout``) is an error the
     caller turns into usage exit code 2.
     """
     directory = pathlib.Path(directory)
@@ -250,18 +245,15 @@ def tail_session(
     while not events_path.is_file():
         if not follow or clock() - waited > timeout:
             raise FileNotFoundError(
-                f"{directory}: no {EVENTS_FILENAME} — session never streamed "
-                f"(run it with --stream or REPRO_STREAM=1)"
+                f"{directory}: no {EVENTS_FILENAME} — not a session "
+                f"directory, or its session has not started"
             )
         sleep(poll)
 
     renderer = TailRenderer(verbose=verbose)
-    # A manifest appearing means the writer closed while we slept
-    # between polls; one final non-follow pass will see session-close.
-    stop = (directory / MANIFEST_FILENAME).is_file
     for event in iter_event_lines(
         events_path, follow=follow, poll=poll, timeout=timeout,
-        clock=clock, sleep=sleep, stop=stop,
+        clock=clock, sleep=sleep,
     ):
         for line in renderer.render(event):
             print(line, file=out)

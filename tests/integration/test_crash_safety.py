@@ -1,10 +1,10 @@
 """Crash safety: a SIGKILL'd streaming sweep leaves a loadable session.
 
-The scenario the event stream exists for: a ``REPRO_WORKERS=2`` sweep
+The scenario durable streaming exists for: a ``REPRO_WORKERS=2`` sweep
 runs some cells to completion, then wedges on a pool whose workers
 sleep for ten minutes and is SIGKILL'd — no atexit, no flush, no
-manifest.  The partial session must load under ``inspect``, ``profile``
-and ``tail``, showing exactly the completed prefix.
+``session-close``.  The partial session must load under ``inspect``,
+``profile`` and ``tail``, showing exactly the completed prefix.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ import pytest
 from repro.obs.export import read_trace_jsonl
 from repro.obs.inspect import inspect_session
 from repro.obs.profile import profile_session
-from repro.obs.resource import RESOURCE_FILENAME, read_resource_jsonl
-from repro.obs.stream import (
-    EVENTS_FILENAME,
-    is_partial_session,
-    load_session_manifest,
-    read_events_jsonl,
-)
+from repro.obs.stream import EVENTS_FILENAME, load_session, read_events_jsonl
 from repro.obs.tail import tail_session
 
 _SEEDS = (1, 2, 3)
@@ -97,14 +91,17 @@ def killed_session(tmp_path_factory):
         if proc.poll() is None:
             os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
             proc.wait(timeout=30)
+        proc.stderr.close()
     assert proc.returncode == -signal.SIGKILL
     return session_dir
 
 
 class TestKilledSweep:
     def test_partial_session_detected(self, killed_session):
-        assert is_partial_session(killed_session)
-        assert not (killed_session / "manifest.json").exists()
+        assert load_session(killed_session).partial
+        assert sorted(p.name for p in killed_session.iterdir()) == [
+            EVENTS_FILENAME, "run-0001.jsonl", "run-0002.jsonl", "run-0003.jsonl",
+        ]
 
     def test_events_match_completed_prefix(self, killed_session):
         events = read_events_jsonl(killed_session / EVENTS_FILENAME)
@@ -122,10 +119,12 @@ class TestKilledSweep:
         assert file_seeds == streamed_seeds
 
     def test_manifest_synthesized_with_every_run(self, killed_session):
-        manifest = load_session_manifest(killed_session)
-        assert manifest.partial
-        assert len(manifest.runs) == len(_SEEDS)
-        assert manifest.provenance.get("hostname")
+        log = load_session(killed_session)
+        assert log.partial
+        assert len(log.manifest.runs) == len(_SEEDS)
+        assert log.manifest.provenance.get("hostname")
+        # the checkpoint after the first run kept the aggregates
+        assert log.manifest.metrics
 
     def test_inspect_loads_and_marks_partial(self, killed_session):
         report = inspect_session(killed_session)
@@ -138,6 +137,8 @@ class TestKilledSweep:
         profile = profile_session(killed_session)
         assert profile.partial
         assert profile.by_kind["run"].count == len(_SEEDS)
+        assert profile.by_protocol["TokenFloodNode"].count == len(_SEEDS)
+        assert 0.0 < profile.coverage <= 1.0
 
     def test_tail_reports_no_close_marker(self, killed_session):
         out = io.StringIO()
@@ -147,6 +148,6 @@ class TestKilledSweep:
         assert f"{len(_SEEDS)} runs" in text
 
     def test_resource_timeline_survived(self, killed_session):
-        samples = read_resource_jsonl(killed_session / RESOURCE_FILENAME)
+        samples = load_session(killed_session).resources
         assert samples, "sampler never ticked before the kill"
-        assert all("rss_bytes" in s for s in samples)
+        assert all(s["type"] == "heartbeat" and "rss_bytes" in s for s in samples)

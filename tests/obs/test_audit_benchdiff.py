@@ -220,8 +220,6 @@ class TestCliIntegration:
         out = capsys.readouterr().out
         assert "session:" in out and "reduction" in out
         assert "run-0001.jsonl" in out
-        # manifest.json path works too
-        assert main(["inspect", str(trace / "manifest.json")]) == 0
 
     def test_metrics_out_writes_openmetrics(self, tmp_path, capsys):
         prom = tmp_path / "m.prom"

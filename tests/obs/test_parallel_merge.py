@@ -27,6 +27,7 @@ from repro.obs.metrics import (
     NullRegistry,
 )
 from repro.obs.runtime import observe
+from repro.obs.stream import load_session
 
 
 class TestInstrumentMerge:
@@ -133,7 +134,7 @@ def _strip_timing(obj):
 
 def _session_fingerprint(trace_dir):
     """(metrics snapshot, per-run-file stripped JSON lines) for a session."""
-    manifest = json.loads((trace_dir / "manifest.json").read_text())
+    manifest = load_session(trace_dir).manifest
     runs = {}
     for path in sorted(trace_dir.glob("run-*.jsonl")):
         lines = [
@@ -144,7 +145,7 @@ def _session_fingerprint(trace_dir):
         runs[path.name] = lines
     metrics = {
         k: v
-        for k, v in manifest["metrics"].items()
+        for k, v in manifest.metrics.items()
         if v.get("type") == "counter" or v.get("type") == "gauge"
     }
     return metrics, runs
@@ -180,5 +181,5 @@ class TestSessionMergeEquivalence:
     def test_manifest_records_worker_count(self, tmp_path):
         par_dir = _run_thm6(tmp_path, workers=2)
         seq_dir = _run_thm6(tmp_path, workers=0)
-        assert json.loads((par_dir / "manifest.json").read_text())["workers"] == 2
-        assert json.loads((seq_dir / "manifest.json").read_text())["workers"] == 0
+        assert load_session(par_dir).manifest.workers == 2
+        assert load_session(seq_dir).manifest.workers == 0

@@ -10,9 +10,9 @@ from repro.network.adversaries import RandomConnectedAdversary, StaticAdversary
 from repro.network.causality import dynamic_diameter
 from repro.network.generators import line_edges
 from repro.obs import (
-    SessionManifest,
     current_session,
     inspect_run,
+    load_session,
     observe,
     read_trace_jsonl,
 )
@@ -38,9 +38,8 @@ class TestObserveSession:
         assert eng.instrumentation is None
 
     def test_session_captures_every_engine_run(self, tmp_path):
-        # stream=False: the exact-listing assertion below documents the
-        # baseline session layout (streaming adds sidecars, tested in
-        # test_stream.py)
+        # stream=False: a session leaves exactly its log and its run
+        # files (the streamed listing is asserted in test_stream.py)
         with observe(trace_dir=tmp_path, label="cell", stream=False) as session:
             assert current_session() is session
             run_gossip(rounds=10, seed=1)
@@ -48,10 +47,9 @@ class TestObserveSession:
         assert current_session() is None
         assert session.num_runs == 2
         files = sorted(p.name for p in tmp_path.iterdir())
-        assert files == ["manifest.json", "run-0001.jsonl", "run-0002.jsonl",
-                         "spans.jsonl"]
+        assert files == ["events.jsonl", "run-0001.jsonl", "run-0002.jsonl"]
 
-        manifest = SessionManifest.load(tmp_path / "manifest.json")
+        manifest = load_session(tmp_path).manifest
         assert manifest.label == "cell"
         assert [r.seed for r in manifest.runs] == [1, 2]
         assert all(r.adversary == "RandomConnectedAdversary" for r in manifest.runs)
@@ -91,6 +89,17 @@ class TestObserveSession:
         assert session.num_runs == 0  # session never saw the run
 
 
+def _write_log(directory, *events):
+    """A session log of the given events, after a well-formed header."""
+    head = {"type": "stream-start", "format_version": 2, "seq": 1, "elapsed": 0.0}
+    lines = [head, *events]
+    (directory / "events.jsonl").write_text(
+        "".join(line if isinstance(line, str) else json.dumps(line) + "\n"
+                for line in lines)
+    )
+    return directory / "events.jsonl"
+
+
 class TestManifestFiles:
     def test_run_manifest_ignores_dropped_keys(self):
         """A run recorded when RunManifest had vectorized_replicas loads."""
@@ -104,20 +113,24 @@ class TestManifestFiles:
             representation="dense", dense_node_limit=512,
         )
 
-    @pytest.mark.parametrize("runs", [[5], 5, {"seed": 1}], ids=["list", "int", "object"])
-    def test_malformed_runs_raise_value_error(self, tmp_path, runs):
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"label": "x", "runs": runs}))
-        with pytest.raises(ValueError, match="'runs' must be a list of objects") as exc:
-            SessionManifest.load(path)
+    @pytest.mark.parametrize(
+        "run, field",
+        [([5], "'run' must be an object"), (5, "'run' must be an object"),
+         ({"seed": 1}, "'run.num_nodes' is missing")],
+        ids=["list", "int", "object"],
+    )
+    def test_malformed_runs_raise_value_error(self, tmp_path, run, field):
+        path = _write_log(tmp_path, {"type": "run-complete", "run": run})
+        with pytest.raises(ValueError, match=f"line 2: field {field}") as exc:
+            load_session(tmp_path)
         assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize("text", ["{not json", "[]"], ids=["not-json", "array"])
     def test_non_object_manifest_names_the_file(self, tmp_path, text):
-        path = tmp_path / "manifest.json"
-        path.write_text(text)
-        with pytest.raises(ValueError, match="manifest.json"):
-            SessionManifest.load(path)
+        path = _write_log(tmp_path, text + "\n")
+        with pytest.raises(ValueError, match="events.jsonl: line 2: ") as exc:
+            load_session(tmp_path)
+        assert str(path) in str(exc.value)
 
 
 class TestInspect:

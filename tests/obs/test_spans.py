@@ -8,8 +8,9 @@ The load-bearing properties:
 * **zero cost without a session** — no ambient session means ``span``
   yields ``None``, records nothing, and leaves engine results
   bit-identical (trace fingerprints unchanged);
-* **v2 compatibility** — a session without ``spans.jsonl`` still
-  inspects, audits, and profiles (to an empty profile) cleanly.
+* **v2 compatibility** — a directory of bare run files (a session with
+  no spans, like a v2 session's runs) still inspects, audits, and
+  profiles (to an empty profile) cleanly.
 """
 
 from __future__ import annotations
@@ -29,17 +30,8 @@ from repro.obs.profile import profile_session, render_profile
 from repro.obs.progress import ProgressReporter, StderrTicker, progress_scope
 from repro.obs.report import render_report, write_report
 from repro.obs.runtime import current_session
-from repro.obs.spans import (
-    SPANS_FILENAME,
-    Span,
-    SpanRecorder,
-    current_span,
-    read_spans_jsonl,
-    session_spans,
-    span,
-    span_event,
-    write_spans_jsonl,
-)
+from repro.obs.spans import current_span, span, span_event
+from repro.obs.stream import EVENTS_FILENAME, load_session, read_events_jsonl
 from repro.protocols.flooding import GossipMaxNode, TokenFloodNode
 from repro.sim.coins import CoinSource
 from repro.sim.config import RunConfig
@@ -185,8 +177,8 @@ class TestMergedParallelEqualsSequential:
             exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), workers=0)
         with observe(trace_dir=tmp_path / "par") as par_session:
             exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), workers=2)
-        seq = session_spans(tmp_path / "seq")
-        par = session_spans(tmp_path / "par")
+        seq = load_session(tmp_path / "seq").spans
+        par = load_session(tmp_path / "par").spans
         assert _shape(seq) == _shape(par)
         assert seq_session.num_runs == par_session.num_runs
         roots = [sp for sp in par if sp.parent_id is None]
@@ -195,55 +187,52 @@ class TestMergedParallelEqualsSequential:
 
 class TestPersistence:
     def test_roundtrip_and_format_version(self, tmp_path):
-        with observe() as session:
+        with observe(trace_dir=tmp_path) as session:
             with span("cell", "c", n=4):
                 pass
-        path = tmp_path / SPANS_FILENAME
-        write_spans_jsonl(path, session.spans.spans)
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["format_version"] == 3
-        loaded = read_spans_jsonl(path)
-        assert [sp.as_dict() for sp in loaded] == [
+        header = read_events_jsonl(tmp_path / EVENTS_FILENAME)[0]
+        assert header["type"] == "stream-start"
+        assert header["format_version"] == 2
+        log = load_session(tmp_path)
+        assert log.format_version == 2
+        assert [sp.as_dict() for sp in log.spans] == [
             sp.as_dict() for sp in session.spans.spans
         ]
 
     def test_newer_format_version_rejected(self, tmp_path):
-        path = tmp_path / SPANS_FILENAME
-        path.write_text(json.dumps({"type": "manifest", "format_version": 99}) + "\n")
-        with pytest.raises(ValueError, match="format_version"):
-            read_spans_jsonl(path)
+        path = tmp_path / EVENTS_FILENAME
+        path.write_text(json.dumps({"type": "stream-start", "format_version": 99}) + "\n")
+        with pytest.raises(ValueError, match="format_version 99 is newer"):
+            load_session(tmp_path)
 
     def test_session_writes_spans_sidecar(self, tmp_path):
+        """Every span, run and phase spans included, is one span-close line."""
         with observe(trace_dir=tmp_path) as session:
             run_gossip(rounds=4)
-        assert (tmp_path / SPANS_FILENAME).is_file()
-        assert session.manifest.spans_file == SPANS_FILENAME
-        assert _shape(session_spans(tmp_path)) == _shape(session.spans.spans)
+        closes = [e for e in read_events_jsonl(tmp_path / EVENTS_FILENAME)
+                  if e["type"] == "span-close"]
+        assert len(closes) == len(session.spans.spans) == 6
+        assert _shape(load_session(tmp_path).spans) == _shape(session.spans.spans)
 
 
 class TestV2SessionCompat:
-    """Sessions persisted before spans existed keep working everywhere."""
+    """A directory of bare run files — what a session that recorded no
+    spans leaves once its log is gone — keeps working everywhere."""
 
     @pytest.fixture()
     def v2_session(self, tmp_path):
         with observe(trace_dir=tmp_path):
             run_gossip(rounds=4)
-        (tmp_path / SPANS_FILENAME).unlink()
-        manifest_path = tmp_path / "manifest.json"
-        data = json.loads(manifest_path.read_text())
-        data.pop("spans_file", None)
-        data.pop("format_version", None)
-        manifest_path.write_text(json.dumps(data))
+        (tmp_path / EVENTS_FILENAME).unlink()
         return tmp_path
 
     def test_loads_inspects_audits(self, v2_session):
         from repro.obs.audit import audit_path
         from repro.obs.inspect import inspect_session
-        from repro.obs.manifest import SessionManifest
 
-        manifest = SessionManifest.load(v2_session / "manifest.json")
-        assert manifest.format_version == 2
-        assert manifest.spans_file is None
+        log = load_session(v2_session)
+        assert log.partial and log.spans == []
+        assert [r.trace_file for r in log.manifest.runs] == ["run-0001.jsonl"]
         report = inspect_session(v2_session)
         assert "run-0001.jsonl" in report.render()
         # no reduction runs: audit reports "nothing to audit" (2), the
@@ -418,7 +407,7 @@ class TestCLI:
 
         with observe(trace_dir=tmp_path):
             run_gossip(rounds=4)
-        (tmp_path / SPANS_FILENAME).unlink()
+        (tmp_path / EVENTS_FILENAME).unlink()
         assert main(["profile", str(tmp_path)]) == 0
         assert "no spans recorded" in capsys.readouterr().out
 

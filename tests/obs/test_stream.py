@@ -1,25 +1,26 @@
-"""Streaming telemetry (PR 7): events.jsonl, checkpoints, resource
-sampling, partial sessions, and the benchmark history store.
+"""The session log (events.jsonl), resource heartbeats, partial
+sessions, and the benchmark history store.
 
 The load-bearing properties:
 
-* **streaming is free of semantics** — a streamed session produces
-  bit-identical trace fingerprints and the same deterministic metric
-  counters as an unstreamed one (a Hypothesis property over seeds);
-* **crash-safety** — the event stream is a valid completed prefix at
-  every point: dropping the clean-close artifacts (manifest.json,
-  spans.jsonl, session-close) still loads under ``inspect``/``profile``
-  with a synthesized PARTIAL manifest, and the spans reconstructed from
-  events exactly match the recorder's;
+* **one log, same content either way** — a persisting session leaves
+  exactly ``events.jsonl`` plus its run files; streaming adds
+  durability (fsync, heartbeats, checkpoints) and changes no trace
+  fingerprint or deterministic metric counter (a Hypothesis property
+  over seeds);
+* **the loaded session is the recorded one** — the loader's span list
+  equals the recorder's, inline and through the process pool;
+* **crash-safety** — a log cut anywhere before ``session-close`` loads
+  under ``inspect``/``profile`` as a PARTIAL session holding the
+  closed prefix;
 * **trend analysis** — ``bench-history`` flags the injected regression
   against a median-of-last-K window and nothing else.
 """
 
 from __future__ import annotations
 
+import io
 import json
-import os
-import pathlib
 import sys
 import threading
 from collections import Counter
@@ -42,32 +43,24 @@ from repro.obs.history import (
     sparkline,
 )
 from repro.obs.inspect import inspect_session
-from repro.obs.manifest import MANIFEST_FILENAME, collect_provenance
+from repro.obs.manifest import collect_provenance
 from repro.obs.profile import profile_session, render_profile
 from repro.obs.resource import (
-    RESOURCE_FILENAME,
     ResourceSampler,
-    read_resource_jsonl,
     resolve_interval,
     sample_resources,
     summarize_resources,
 )
-from repro.obs.spans import session_spans
 from repro.obs.stream import (
-    CHECKPOINT_FILENAME,
     EVENTS_FILENAME,
     STREAM_ENV,
     EventStream,
-    is_partial_session,
-    load_checkpoint,
-    load_session_manifest,
+    load_session,
     read_events_jsonl,
     resolve_stream,
-    spans_from_events,
     stream_progress_totals,
-    synthesize_manifest,
-    write_checkpoint,
 )
+from repro.obs.tail import tail_session
 from repro.protocols.flooding import TokenFloodNode
 from repro.sim.config import RunConfig
 from repro.sim.factories import BoundNode, Constant, NodeSet
@@ -85,9 +78,9 @@ def _token_replicate(seeds, workers=0):
     )
 
 
-def _streamed_session(tmp_path, seeds=(1, 2, 3), workers=0, name="stream"):
+def _streamed_session(tmp_path, seeds=(1, 2, 3), workers=0, name="stream", stream=True):
     d = tmp_path / name
-    with observe(trace_dir=d, stream=True, resource_interval=0, label=name) as s:
+    with observe(trace_dir=d, stream=stream, resource_interval=0, label=name) as s:
         _token_replicate(seeds, workers=workers)
     return d, s
 
@@ -105,6 +98,14 @@ def _counters(session):
         for k, m in session.manifest.metrics.items()
         if m.get("type") == "counter" and not k.startswith("process_")
     }
+
+
+def _listing(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+#: the smallest well-formed run-complete payload
+_RUN = {"seed": 1, "num_nodes": 4, "adversary": "X"}
 
 
 class TestResolveStream:
@@ -131,7 +132,7 @@ class TestEventStream:
     def test_emit_sequences_and_close(self, tmp_path):
         path = tmp_path / EVENTS_FILENAME
         stream = EventStream(path, label="t")
-        stream.emit("run-complete", run={"seed": 1})
+        stream.emit("run-complete", run=_RUN)
         stream.emit("heartbeat", rss_bytes=1)
         stream.close(runs=1)
         events = read_events_jsonl(path)
@@ -144,7 +145,7 @@ class TestEventStream:
     def test_torn_tail_tolerated(self, tmp_path):
         path = tmp_path / EVENTS_FILENAME
         stream = EventStream(path)
-        stream.emit("run-complete", run={"seed": 1})
+        stream.emit("run-complete", run=_RUN)
         # simulate a kill mid-write: append half a JSON line
         with path.open("a") as fh:
             fh.write('{"type": "run-com')
@@ -153,31 +154,51 @@ class TestEventStream:
         assert [e["type"] for e in events] == ["stream-start", "run-complete"]
 
     def test_checkpoint_roundtrip_is_atomic(self, tmp_path):
-        payload = {"runs": 3, "metrics": {"a": 1}}
-        write_checkpoint(tmp_path, payload)
-        assert load_checkpoint(tmp_path)["runs"] == 3
-        # no stray tmp file left behind
-        leftovers = [p for p in tmp_path.iterdir() if p.name != CHECKPOINT_FILENAME]
-        assert leftovers == []
+        """A checkpoint is one log line: a live session's aggregates load
+        back from it, and the log is the only file the session writes."""
+        from repro.obs.runtime import ObservationSession
+
+        session = ObservationSession(trace_dir=tmp_path, stream=True, resource_interval=0)
+        session.registry.counter("a").inc(3)
+        session.checkpoint()
+        log = load_session(tmp_path)
+        session.close()
+        assert log.partial
+        assert log.manifest.metrics["a"]["value"] == 3
+        assert _listing(tmp_path) == [EVENTS_FILENAME]
 
     def test_corrupt_checkpoint_loads_none(self, tmp_path):
-        (tmp_path / CHECKPOINT_FILENAME).write_text("{nope")
-        assert load_checkpoint(tmp_path) is None
+        """A checkpoint torn by a kill mid-write is skipped: no metrics."""
+        path = tmp_path / EVENTS_FILENAME
+        stream = EventStream(path, label="t")
+        with path.open("a") as fh:
+            fh.write('{"type": "checkpoint", "metrics": {"a": {"ty')
+        log = load_session(tmp_path)
+        stream.close()
+        assert log.partial
+        assert log.manifest.metrics == {}
 
 
 class TestStreamingSession:
     def test_event_stream_written_and_manifest_links_it(self, tmp_path):
         d, session = _streamed_session(tmp_path)
+        assert _listing(d) == [
+            EVENTS_FILENAME, "run-0001.jsonl", "run-0002.jsonl", "run-0003.jsonl",
+        ]
         events = read_events_jsonl(d / EVENTS_FILENAME)
         types = Counter(e["type"] for e in events)
         assert types["stream-start"] == 1
         assert types["run-complete"] == 3
         assert types["session-close"] == 1
-        manifest = load_session_manifest(d)
-        assert not manifest.partial
-        assert manifest.events_file == EVENTS_FILENAME
-        assert manifest.provenance.get("hostname")
-        assert manifest.provenance.get("python_version")
+        log = load_session(d)
+        assert not log.partial
+        assert log.manifest.provenance.get("hostname")
+        assert log.manifest.provenance.get("python_version")
+        assert log.manifest.metrics == session.manifest.metrics
+        assert log.manifest.wall_seconds == session.manifest.wall_seconds
+        assert [r.as_dict() for r in log.manifest.runs] == [
+            r.as_dict() for r in session.manifest.runs
+        ]
 
     def test_progress_events_streamed(self, tmp_path):
         d, _ = _streamed_session(tmp_path)
@@ -194,20 +215,85 @@ class TestStreamingSession:
         assert stream_progress_totals(events) == {}
 
     def test_spans_from_events_match_recorder(self, tmp_path):
-        d, _ = _streamed_session(tmp_path)
-        rebuilt = spans_from_events(read_events_jsonl(d / EVENTS_FILENAME))
-        recorded = session_spans(d)
-        shape = lambda spans: Counter(  # noqa: E731
-            (sp.kind, sp.name) for sp in spans if sp.kind != "event"
-        )
-        assert shape(rebuilt) == shape(recorded)
+        """The loaded span tree is the recorded one, ids and all — also
+        when the runs (and their protocol tags) come from pool workers."""
+        for workers in (0, 2):
+            d, session = _streamed_session(
+                tmp_path, workers=workers, name=f"w{workers}"
+            )
+            loaded = load_session(d).spans
+            assert [sp.as_dict() for sp in loaded] == [
+                sp.as_dict() for sp in session.spans.spans
+            ]
+            runs = [sp for sp in loaded if sp.kind == "run"]
+            assert len(runs) == 3
+            assert {sp.tags.get("protocol") for sp in runs} == {"TokenFloodNode"}
+            assert [sp for sp in loaded if sp.parent_id is None] == loaded[:1]
 
-    def test_unstreamed_session_writes_no_events(self, tmp_path):
-        d = tmp_path / "plain"
-        with observe(trace_dir=d, stream=False):
-            _token_replicate((1,))
-        assert not (d / EVENTS_FILENAME).exists()
-        assert load_session_manifest(d).events_file is None
+    def test_cut_log_loads_the_closed_prefix(self, tmp_path):
+        """Cut after the third run: the sweep and the open cell never
+        closed, so their closed children are roots, and nothing else is."""
+        from repro.analysis.experiments.protocols import exp_known_d_upper_bounds
+
+        d = tmp_path / "cut"
+        with observe(trace_dir=d, stream=False) as session:
+            exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), workers=0)
+        path = d / EVENTS_FILENAME
+        lines = path.read_text().splitlines(keepends=True)
+        events = [json.loads(line) for line in lines]
+        cut = [i for i, e in enumerate(events) if e["type"] == "run-complete"][2] + 1
+        path.write_text("".join(lines[:cut]))
+        closed = {
+            e["span"]["span_id"] for e in events[:cut] if e["type"] == "span-close"
+        }
+        expected = []
+        for sp in session.spans.spans:
+            if sp.span_id in closed:
+                data = sp.as_dict()
+                if data["parent_id"] not in closed:
+                    data["parent_id"] = None
+                expected.append(data)
+
+        log = load_session(d)
+        assert log.partial
+        assert len(log.manifest.runs) == 3
+        assert [sp.as_dict() for sp in log.spans] == expected
+        roots = [sp for sp in log.spans if sp.parent_id is None]
+        assert [sp.kind for sp in roots] == ["cell", "cell", "run"]
+        profile = profile_session(d)
+        assert profile.partial
+        assert 0.0 < profile.coverage <= 1.0
+
+    def test_unstreamed_session_writes_the_same_log(self, tmp_path):
+        plain, _ = _streamed_session(tmp_path, name="plain", stream=False)
+        streamed, _ = _streamed_session(tmp_path, name="streamed")
+        assert _listing(plain) == _listing(streamed)
+        durable_only = {"checkpoint", "heartbeat"}
+
+        def shape(directory):
+            return [e["type"] for e in read_events_jsonl(directory / EVENTS_FILENAME)
+                    if e["type"] not in durable_only]
+
+        assert shape(plain) == shape(streamed)
+        types = {e["type"] for e in read_events_jsonl(plain / EVENTS_FILENAME)}
+        assert not types & durable_only
+        assert not load_session(plain).partial
+
+    def test_reused_directory_holds_only_the_second_session(self, tmp_path):
+        d = tmp_path / "reused"
+        for label, seeds in (("first", (1, 2, 3)), ("second", (4,))):
+            with observe(trace_dir=d, stream=True, resource_interval=0, label=label):
+                _token_replicate(seeds)
+        events = read_events_jsonl(d / EVENTS_FILENAME)
+        assert Counter(e["type"] for e in events)["stream-start"] == 1
+        log = load_session(d)
+        assert log.manifest.label == "second"
+        assert [r.seed for r in log.manifest.runs] == [4]
+        out = io.StringIO()
+        assert tail_session(d, out, follow=False) == 0
+        text = out.getvalue()
+        assert "session second" in text and "first" not in text
+        assert "tail: 1 runs — closed cleanly" in text
 
     def test_collect_sessions_never_stream(self, tmp_path, monkeypatch):
         from repro.obs.runtime import ObservationSession
@@ -220,10 +306,9 @@ class TestStreamingSession:
     def test_concurrent_checkpoints_never_raise(self, tmp_path):
         """The resource sampler and the main thread both checkpoint.
 
-        They share ``checkpoint.json.tmp``: unserialized, one writer's
-        ``os.replace`` finds the temp file already moved and raises
-        FileNotFoundError.  Half the threads go through the rate-limited
-        path the sampler uses, half through the direct call.
+        Both write through the log's one lock: no exception, every line
+        decodes, and ``seq`` runs 1..N.  Half the threads go through the
+        rate-limited path the sampler uses, half through the direct call.
         """
         from repro.obs.runtime import ObservationSession
 
@@ -257,8 +342,15 @@ class TestStreamingSession:
             session.close()
         assert not any(t.is_alive() for t in threads), "checkpoint threads hung"
         assert errors == []
-        assert load_checkpoint(d) is not None
-        assert not (d / (CHECKPOINT_FILENAME + ".tmp")).exists()
+        events = [json.loads(line)
+                  for line in (d / EVENTS_FILENAME).read_text().splitlines()]
+        assert [e["seq"] for e in events] == list(range(1, len(events) + 1))
+        # every direct call logs; a rate-limited call may see another
+        # thread's newer stamp and skip (the limit is best-effort)
+        direct = threads_n // 2 * calls
+        checkpoints = Counter(e["type"] for e in events)["checkpoint"]
+        assert direct <= checkpoints <= threads_n * calls
+        assert not load_session(d).partial
 
 
 class TestStreamingEquivalence:
@@ -298,9 +390,7 @@ class TestStreamingEquivalence:
 
 
 def _make_partial(directory):
-    """Turn a cleanly closed streamed session into a killed-looking one."""
-    (directory / MANIFEST_FILENAME).unlink()
-    (directory / "spans.jsonl").unlink(missing_ok=True)
+    """Turn a cleanly closed session into a killed-looking one."""
     events = directory / EVENTS_FILENAME
     lines = events.read_text().splitlines()
     assert json.loads(lines[-1])["type"] == "session-close"
@@ -310,14 +400,14 @@ def _make_partial(directory):
 class TestPartialSession:
     def test_detection_and_synthesis(self, tmp_path):
         d, _ = _streamed_session(tmp_path)
-        assert not is_partial_session(d)
+        assert not load_session(d).partial
         _make_partial(d)
-        assert is_partial_session(d)
-        manifest = load_session_manifest(d)
-        assert manifest.partial
-        assert len(manifest.runs) == 3
-        # synthesized manifests are never persisted
-        assert not (d / MANIFEST_FILENAME).exists()
+        before = _listing(d)
+        log = load_session(d)
+        assert log.partial
+        assert len(log.manifest.runs) == 3
+        # loading never writes anything back
+        assert _listing(d) == before
 
     def test_inspect_marks_partial(self, tmp_path):
         d, _ = _streamed_session(tmp_path)
@@ -339,16 +429,17 @@ class TestPartialSession:
     def test_stale_checkpoint_never_shadows_fresher_events(self, tmp_path):
         d, session = _streamed_session(tmp_path)
         _make_partial(d)
-        checkpoint = load_checkpoint(d)
-        # rate limiting means the checkpoint may lag the event stream...
-        assert checkpoint is not None
-        assert checkpoint["runs"] <= session.num_runs
-        # ...but runs are synthesized from events, aggregates from the
-        # checkpoint's last write (recoverable, not zeroed)
-        manifest = synthesize_manifest(d)
-        assert len(manifest.runs) == session.num_runs == 3
-        assert manifest.metrics
-        assert manifest.label == "stream"
+        events = read_events_jsonl(d / EVENTS_FILENAME)
+        checkpoints = [e for e in events if e["type"] == "checkpoint"]
+        # rate limiting means the last checkpoint may lag the runs...
+        assert checkpoints
+        assert checkpoints[-1]["runs"] <= session.num_runs
+        # ...but runs come from run-complete events, aggregates from the
+        # last checkpoint (recoverable, not zeroed)
+        log = load_session(d)
+        assert len(log.manifest.runs) == session.num_runs == 3
+        assert log.manifest.metrics == checkpoints[-1]["metrics"]
+        assert log.manifest.label == "stream"
 
     @pytest.mark.parametrize(
         "field, value",
@@ -357,12 +448,22 @@ class TestPartialSession:
     def test_mistyped_checkpoint_field_read_as_absent(self, tmp_path, field, value):
         d, _ = _streamed_session(tmp_path)
         _make_partial(d)
-        checkpoint = load_checkpoint(d)
-        checkpoint[field] = value
-        write_checkpoint(d, checkpoint)
-        manifest = load_session_manifest(d)
-        assert manifest.partial
-        assert len(manifest.runs) == len(list(d.glob("run-*.jsonl"))) == 3
+        events = read_events_jsonl(d / EVENTS_FILENAME)
+        carriers = [e for e in events if field in e]
+        assert carriers
+        for event in carriers:
+            event[field] = value
+        (d / EVENTS_FILENAME).write_text(
+            "".join(json.dumps(e) + "\n" for e in events)
+        )
+        log = load_session(d)
+        assert log.partial
+        assert len(log.manifest.runs) == len(list(d.glob("run-*.jsonl"))) == 3
+        absent = {"metrics": {}, "provenance": {}, "workers": 0}
+        if field in absent:
+            assert getattr(log.manifest, field) == absent[field]
+        else:  # a cut session's wall clock is its last event's
+            assert log.manifest.wall_seconds == events[-1]["elapsed"]
         assert inspect_session(d).partial
 
     def test_torn_run_file_skipped_with_note(self, tmp_path):
@@ -376,7 +477,9 @@ class TestPartialSession:
 
     def test_empty_dir_still_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_session_manifest(tmp_path / "nothing-here")
+            load_session(tmp_path / "nothing-here")
+        with pytest.raises(ValueError, match="not an observation session"):
+            load_session(tmp_path)
 
 
 class TestResourceSampler:
@@ -385,34 +488,40 @@ class TestResourceSampler:
         assert sample["cpu_seconds"] >= 0
         assert "gc_collections" in sample
 
-    def test_sampler_writes_lines_and_gauges(self, tmp_path):
+    def test_sampler_writes_lines_and_gauges(self):
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
         heartbeats = []
         ticks = []
         sampler = ResourceSampler(
-            tmp_path, registry=registry, interval=10,
+            registry=registry, interval=10,
             emit=lambda **p: heartbeats.append(p), on_tick=lambda: ticks.append(1),
         )
         sampler.sample_once()
         sampler.sample_once()
         sampler.stop()
-        samples = read_resource_jsonl(tmp_path / RESOURCE_FILENAME)
-        assert len(samples) == 2
         assert len(heartbeats) == 2 and len(ticks) == 2
-        summary = summarize_resources(samples)
+        assert set(heartbeats[0]) >= {
+            "rss_bytes", "cpu_seconds", "cpu_percent", "gc_collections",
+            "gc_collected", "gc_counts",
+        }
+        assert registry.gauge("process_cpu_percent").value == heartbeats[-1]["cpu_percent"]
+        summary = summarize_resources(heartbeats)
         assert summary["samples"] == 2
 
-    def test_on_tick_exceptions_swallowed(self, tmp_path):
+    def test_on_tick_exceptions_swallowed(self):
         def boom():
             raise RuntimeError("never takes the sweep down")
 
-        sampler = ResourceSampler(tmp_path, interval=10, on_tick=boom)
+        heartbeats = []
+        sampler = ResourceSampler(
+            interval=10, emit=lambda **p: heartbeats.append(p), on_tick=boom
+        )
         sampler.sample_once()  # must not raise
         sampler.stop()
-        # the sample itself still landed before the tick blew up
-        assert len(read_resource_jsonl(tmp_path / RESOURCE_FILENAME)) == 1
+        # the heartbeat itself still landed before the tick blew up
+        assert len(heartbeats) == 1
 
     def test_resolve_interval(self, monkeypatch):
         from repro.errors import ConfigurationError

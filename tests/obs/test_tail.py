@@ -14,12 +14,19 @@ import pathlib
 import pytest
 
 from repro.obs import observe
-from repro.obs.manifest import MANIFEST_FILENAME
 from repro.obs.stream import EVENTS_FILENAME
 from repro.obs.tail import TailRenderer, iter_event_lines, tail_session
 
 
+#: what the session log's decoder requires of these event types
+_REQUIRED = {
+    "stream-start": {"format_version": 2},
+    "run-complete": {"run": {"seed": 1, "num_nodes": 4, "adversary": "X"}},
+}
+
+
 def _line(type_, seq=0, elapsed=0.0, **payload):
+    payload = {**_REQUIRED.get(type_, {}), **payload}
     return json.dumps({"type": type_, "seq": seq, "elapsed": elapsed, **payload})
 
 
@@ -60,6 +67,12 @@ class TestIterEventLines:
         _write(path, _line("session-close"), _line("never-seen"))
         events = list(iter_event_lines(path, follow=False))
         assert [e["type"] for e in events] == ["session-close"]
+
+    def test_malformed_complete_line_names_the_line(self, tmp_path):
+        path = tmp_path / EVENTS_FILENAME
+        _write(path, _line("stream-start"), _line("span-close", span={"kind": "cell"}))
+        with pytest.raises(ValueError, match="line 2: field 'span.span_id' is missing"):
+            list(iter_event_lines(path, follow=False))
 
     def test_torn_tail_dropped(self, tmp_path):
         path = tmp_path / EVENTS_FILENAME
@@ -128,16 +141,6 @@ class TestIterEventLines:
         ))
         assert [e["type"] for e in events] == ["stream-start", "run-complete"]
 
-    def test_stop_callback_ends_follow(self, tmp_path):
-        path = tmp_path / EVENTS_FILENAME
-        _write(path, _line("stream-start"))
-        timer = FakeTimer()
-        events = list(iter_event_lines(
-            path, follow=True, poll=0.2, timeout=60,
-            clock=timer.clock, sleep=timer.sleep, stop=lambda: True,
-        ))
-        assert [e["type"] for e in events] == ["stream-start"]
-
 
 class TestTailRenderer:
     def test_run_fault_and_close_lines(self):
@@ -158,7 +161,7 @@ class TestTailRenderer:
     def test_degraded_retry_from_span(self):
         r = TailRenderer()
         lines = r.render({
-            "type": "degraded-retry",
+            "type": "span-close",
             "span": {"kind": "event", "name": "degraded-retry",
                      "tags": {"kind": "timeout", "label": "seed=2", "attempt": 1}},
         })
@@ -208,13 +211,13 @@ class TestTailSession:
 
     def test_killed_session_exits_one(self, tmp_path):
         _write(tmp_path / EVENTS_FILENAME,
-               _line("stream-start"), _line("run-complete", seq=1, run={}))
+               _line("stream-start"), _line("run-complete", seq=1))
         out = io.StringIO()
         assert tail_session(tmp_path, out, follow=False) == 1
         assert "no close marker" in out.getvalue()
 
     def test_no_stream_raises_for_exit_two(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="REPRO_STREAM"):
+        with pytest.raises(FileNotFoundError, match=f"no {EVENTS_FILENAME}"):
             tail_session(tmp_path, io.StringIO(), follow=False)
 
     def test_waits_for_stream_to_appear(self, tmp_path):
@@ -230,17 +233,3 @@ class TestTailSession:
             clock=timer.clock, sleep=timer.sleep,
         )
         assert code == 0 and "closed cleanly" in out.getvalue()
-
-    def test_manifest_appearance_stops_follow(self, tmp_path):
-        # writer closed between polls: manifest.json exists, close marker
-        # already in the file — the stop hook ends the follow loop
-        _write(tmp_path / EVENTS_FILENAME,
-               _line("stream-start"), _line("session-close", seq=1))
-        (tmp_path / MANIFEST_FILENAME).write_text("{}")
-        timer = FakeTimer()
-        out = io.StringIO()
-        code = tail_session(
-            tmp_path, out, follow=True, poll=0.2, timeout=30,
-            clock=timer.clock, sleep=timer.sleep,
-        )
-        assert code == 0

@@ -382,7 +382,7 @@ def test_manifest_records_backend(tmp_path):
     backends = [r.backend for r in session.manifest.runs]
     assert backends == ["batch", "reference"]
 
-    from repro.obs.manifest import SessionManifest
+    from repro.obs.stream import load_session
 
-    loaded = SessionManifest.load(out / "manifest.json")
+    loaded = load_session(out).manifest
     assert [r.backend for r in loaded.runs] == ["batch", "reference"]

@@ -7,6 +7,20 @@ import json
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from repro.obs.stream import load_session
+
+
+def _write_log(directory, *events):
+    """A session directory whose log holds a well-formed header and then
+    ``events`` (dicts, or raw lines)."""
+    directory.mkdir(exist_ok=True)
+    head = {"type": "stream-start", "format_version": 2, "seq": 1,
+            "elapsed": 0.0, "label": "x"}
+    (directory / "events.jsonl").write_text(
+        "".join(e if isinstance(e, str) else json.dumps(e) + "\n"
+                for e in (head, *events))
+    )
+    return directory / "events.jsonl"
 
 
 class TestCli:
@@ -96,11 +110,11 @@ class TestCliObservability:
         out_dir = tmp_path / "thm8"
         assert main(["thm8", "--quick", "--trace-out", str(out_dir), "--metrics"]) == 0
         capsys.readouterr()
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["label"] == "thm8"
-        assert manifest["runs"], "at least one engine run persisted"
+        manifest = load_session(out_dir).manifest
+        assert manifest.label == "thm8"
+        assert manifest.runs, "at least one engine run persisted"
         run_files = sorted(out_dir.glob("run-*.jsonl"))
-        assert len(run_files) == len(manifest["runs"])
+        assert len(run_files) == len(manifest.runs)
 
         # acceptance: inspect reports rounds / bits / per-node bits and a
         # phase breakdown summing to within 10% of the run's wall time
@@ -151,26 +165,16 @@ class TestCliEdgeCases:
         assert "not an observation session directory" in err
 
     def test_inspect_partial_session(self, tmp_path, capsys):
-        # manifest.json names a run file that was never written
+        # a closed session's log names a run file that was never written
         session = tmp_path / "partial"
-        session.mkdir()
-        (session / "manifest.json").write_text(
-            json.dumps(
-                {
-                    "label": "x",
-                    "runs": [
-                        {
-                            "seed": 1,
-                            "num_nodes": 4,
-                            "adversary": "x",
-                            "trace_file": "run-0001.jsonl",
-                        }
-                    ],
-                }
-            )
-        )
+        run = {"seed": 1, "num_nodes": 4, "adversary": "x",
+               "trace_file": "run-0001.jsonl"}
+        _write_log(session, {"type": "run-complete", "run": run},
+                   {"type": "session-close", "runs": 1})
         assert main(["inspect", str(session)]) == 2
         err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "run-0001.jsonl is listed in events.jsonl" in err
         assert "partial or truncated session" in err
 
     def test_inspect_malformed_round_line(self, tmp_path, capsys):
@@ -214,15 +218,37 @@ class TestCliEdgeCases:
     @pytest.mark.parametrize("runs", [[5], 5], ids=["list-of-int", "int"])
     def test_malformed_manifest_runs_exit_2(self, tmp_path, capsys, command, runs):
         session = tmp_path / "session"
-        session.mkdir()
-        (session / "manifest.json").write_text(json.dumps({"label": "x", "runs": runs}))
+        log = _write_log(session, {"type": "run-complete", "run": runs})
         argv = [command, str(session)]
         if command == "report":
             argv += ["--out", str(tmp_path / "report.html")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert f"repro {command}:" in err and "'runs' must be a list of objects" in err
+        assert f"repro {command}: {log}: line 2: field 'run' must be an object" in err
+
+    @pytest.mark.parametrize("command", ["inspect", "profile", "report", "baseline"])
+    @pytest.mark.parametrize("event", ["session-close", "checkpoint"])
+    def test_non_object_metrics_entry_read_as_absent(self, tmp_path, capsys,
+                                                     command, event):
+        session = tmp_path / "session"
+        counter = {"type": "counter", "value": 3}
+        _write_log(session, {"type": event, "elapsed": 0.5, "wall_seconds": 0.5,
+                             "metrics": {"rounds_total": 5, "bits_total": counter}})
+        assert load_session(session).manifest.metrics == {"bits_total": counter}
+        out = tmp_path / "report.html"
+        argv = {
+            "inspect": ["inspect", str(session)],
+            "profile": ["profile", str(session)],
+            "report": ["report", str(session), "--out", str(out)],
+            "baseline": ["report", str(session), "--out", str(out),
+                         "--baseline", str(session)],
+        }[command]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        if command == "baseline":
+            assert "bits_total" in out.read_text()
+            assert "rounds_total" not in out.read_text()
 
     @pytest.mark.parametrize("command", ["bench-history", "report"])
     @pytest.mark.parametrize(
@@ -242,8 +268,7 @@ class TestCliEdgeCases:
             argv = ["bench-history", str(hist)]
         else:
             session = tmp_path / "session"
-            session.mkdir()
-            (session / "manifest.json").write_text(json.dumps({"label": "x", "runs": []}))
+            _write_log(session, {"type": "session-close", "runs": 0})
             argv = ["report", str(session), "--out", str(tmp_path / "r.html"),
                     "--baseline", str(hist)]
         assert main(argv) == 2
@@ -254,26 +279,24 @@ class TestCliEdgeCases:
 
     @pytest.mark.parametrize("command", ["profile", "report"])
     @pytest.mark.parametrize(
-        "span",
-        [{"type": "span"}, {"type": "span", "span_id": 1, "tags": 5},
-         {"type": "span", "span_id": "z"}],
+        "span, field",
+        [({"type": "span"}, "'span.span_id' is missing"),
+         ({"type": "span", "span_id": 1, "tags": 5},
+          "'span.tags' must be an object, got int"),
+         ({"type": "span", "span_id": "z"},
+          "'span.span_id' must be an integer, got str")],
         ids=["no-span-id", "tags-not-object", "span-id-not-int"],
     )
-    def test_malformed_span_line_exit_2(self, tmp_path, capsys, command, span):
+    def test_malformed_span_line_exit_2(self, tmp_path, capsys, command, span, field):
         session = tmp_path / "session"
-        session.mkdir()
-        (session / "manifest.json").write_text(json.dumps({"label": "x", "runs": []}))
-        head = {"type": "manifest", "format_version": 3, "label": "x", "spans": 1}
-        (session / "spans.jsonl").write_text(
-            json.dumps(head) + "\n" + json.dumps(span) + "\n"
-        )
+        log = _write_log(session, {"type": "span-close", "span": span})
         argv = [command, str(session)]
         if command == "report":
             argv += ["--out", str(tmp_path / "report.html")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert f"repro {command}: {session / 'spans.jsonl'}: malformed span line (line 2)" in err
+        assert f"repro {command}: {log}: line 2: field {field}" in err
 
     def test_bench_diff_non_object_json(self, tmp_path, capsys):
         old = tmp_path / "old"
@@ -331,17 +354,21 @@ class TestCliStreaming:
         ]
         types = [e["type"] for e in events]
         assert types[0] == "stream-start" and types[-1] == "session-close"
-        assert "run-complete" in types
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["events_file"] == "events.jsonl"
-        assert manifest["provenance"]["hostname"]
+        assert "run-complete" in types and "checkpoint" in types
+        assert events[0]["label"] == "thm6"
+        assert events[0]["provenance"]["hostname"]
+        assert events[-1]["metrics"]
 
     def test_no_stream_overrides_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_STREAM", "1")
         out_dir = tmp_path / "sess"
-        assert main(["fig1", "--trace-out", str(out_dir), "--no-stream"]) == 0
+        assert main(["thm6", "--quick", "--trace-out", str(out_dir),
+                     "--no-stream", "--no-progress"]) == 0
         capsys.readouterr()
-        assert not (out_dir / "events.jsonl").exists()
+        types = {json.loads(line)["type"]
+                 for line in (out_dir / "events.jsonl").read_text().splitlines()}
+        assert "run-complete" in types
+        assert not types & {"checkpoint", "heartbeat"}
 
     def test_inspect_shows_provenance(self, tmp_path, capsys):
         out_dir = tmp_path / "sess"
@@ -352,17 +379,19 @@ class TestCliStreaming:
         assert "provenance:" in out and "host=" in out
 
     def test_tail_closed_session(self, tmp_path, capsys):
-        out_dir = tmp_path / "sess"
-        assert main(["thm6", "--quick", "--trace-out", str(out_dir),
-                     "--stream", "--no-progress"]) == 0
-        capsys.readouterr()
-        assert main(["tail", str(out_dir), "--no-follow"]) == 0
-        out = capsys.readouterr().out
-        assert "closed cleanly" in out
+        for flag in ("--stream", "--no-stream"):
+            out_dir = tmp_path / flag
+            assert main(["thm6", "--quick", "--trace-out", str(out_dir),
+                         flag, "--no-progress"]) == 0
+            capsys.readouterr()
+            assert main(["tail", str(out_dir), "--no-follow"]) == 0
+            out = capsys.readouterr().out
+            assert "closed cleanly" in out
 
     def test_tail_unstreamed_directory_exits_two(self, tmp_path, capsys):
         assert main(["tail", str(tmp_path), "--no-follow"]) == 2
-        assert "REPRO_STREAM" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no events.jsonl" in err
 
     def test_tail_without_path_errors(self, capsys):
         assert main(["tail"]) == 2
