@@ -12,9 +12,11 @@ records paper-claim vs a representative run of these outputs.
 Every write also appends one provenance-stamped record (git SHA,
 hostname, cpu_count, backend, timestamp, timings, summary scalars) to
 the benchmark history store — ``benchmarks/history.jsonl``, or wherever
-``REPRO_BENCH_HISTORY`` points (CI persists it as an artifact) — which
-``repro bench-history`` analyzes for windowed trends.  Set
-``REPRO_BENCH_HISTORY=`` (empty) to disable appending.
+``REPRO_BENCH_HISTORY`` points — which ``repro bench-diff
+benchmarks/history.jsonl`` judges as a windowed trend.  CI does not set
+the variable: it restores and saves the store at the default path
+through ``actions/cache``.  Set ``REPRO_BENCH_HISTORY=`` (empty) to
+disable appending.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ HISTORY_PATH = pathlib.Path(__file__).parent / "history.jsonl"
 
 
 def _history_path() -> pathlib.Path | None:
-    from repro.obs.history import HISTORY_ENV
+    from repro.obs.benchdiff import HISTORY_ENV
 
     raw = os.environ.get(HISTORY_ENV)
     if raw is None:
@@ -43,7 +45,7 @@ def exp_output():
     """Write an ExperimentResult's rendering (.txt) and dump (.json)."""
 
     def write(result) -> str:
-        from repro.obs.history import append_history, record_from_result
+        from repro.obs.benchdiff import append_history, record_from_result
 
         OUT_DIR.mkdir(exist_ok=True)
         text = result.render()

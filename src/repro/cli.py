@@ -13,6 +13,7 @@ Usage::
     python -m repro bench-diff baseline/ benchmarks/out/
     python -m repro bench-diff baseline/ benchmarks/out/ \\
         --fail-on-regression --tolerance wall=0.4
+    python -m repro bench-diff benchmarks/history.jsonl --window 5
     python -m repro profile out/thm8                   # span rollups
     python -m repro report out/thm8 --out report.html  # static HTML page
     python -m repro cache stats                        # result cache
@@ -51,7 +52,10 @@ session directory.
 reduction runs and exits nonzero if any Lemma 3/4 spoil budget or the
 O(s log N) cut-bit envelope was violated.  ``repro bench-diff OLD NEW``
 compares two directories of ``benchmarks/out/EXP-*.json`` sidecars and
-flags result drift and wall-time regressions.
+flags result drift and wall-time regressions; ``repro bench-diff
+HISTORY.jsonl`` judges the benchmark history store's newest record per
+experiment against the median of the previous ``--window K`` the same
+way (a directory baseline is a history of length one).
 
 Spans and progress (PR 6): every experiment records hierarchical spans
 (sweep → cell → run → phase) into the observation session; ``repro
@@ -72,11 +76,9 @@ checkpoints carry the aggregates, so a killed sweep leaves a loadable
 partial session (``inspect``/``profile``/``report`` mark it PARTIAL
 instead of failing).  ``repro tail SESSION-DIR`` attaches to a live
 session and follows its events (done/total, rates, ETA, retries).
-``repro bench-history HISTORY.jsonl`` analyzes the benchmark history
-store for windowed trends (latest vs median-of-last-K) and exits
-nonzero on regressions;
 ``repro report --baseline`` accepts either a baseline session directory
-(metric deltas) or a history file (sparkline trend table).
+(metric deltas) or a history file (the bench-diff table, with trend
+sparklines).
 
 Result cache: ``repro cache stats`` summarizes the
 content-addressed result cache, ``repro cache verify`` re-runs a
@@ -346,31 +348,46 @@ def _run_bench_diff(
     threshold: float,
     tolerance_specs: Optional[Sequence[str]] = None,
     fail_on_regression: bool = False,
+    window: Optional[int] = None,
 ) -> int:
-    if len(paths) != 2:
-        print("usage: repro bench-diff <old-dir> <new-dir>", file=sys.stderr)
+    if len(paths) not in (1, 2):
+        print(
+            "usage: repro bench-diff <old-dir> <new-dir> | <history.jsonl>",
+            file=sys.stderr,
+        )
         return 2
-    from .obs.benchdiff import diff_dirs, parse_tolerances, render_diff
+    from .obs.benchdiff import (
+        DEFAULT_WINDOW,
+        diff_dirs,
+        diff_history,
+        parse_tolerances,
+        read_history,
+        render_diff,
+    )
 
+    if len(paths) == 1 and window is None:
+        window = DEFAULT_WINDOW
     try:
-        tolerances = parse_tolerances(list(tolerance_specs or ()))
-        diffs, code = diff_dirs(
-            paths[0],
-            paths[1],
+        options = dict(
             threshold=threshold,
-            tolerances=tolerances,
+            tolerances=parse_tolerances(list(tolerance_specs or ())),
             fail_on_regression=fail_on_regression,
         )
-    except FileNotFoundError as exc:
-        print(f"repro bench-diff: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        if len(paths) == 2:
+            diffs, code = diff_dirs(paths[0], paths[1], **options)
+        else:
+            diffs, code = diff_history(read_history(paths[0]), window, **options)
+    except (FileNotFoundError, ValueError) as exc:
         print(f"repro bench-diff: {exc}", file=sys.stderr)
         return 2
     if not diffs:
-        print("repro bench-diff: no EXP-*.json files in either directory", file=sys.stderr)
+        empty = (
+            "no EXP-*.json files in either directory" if len(paths) == 2
+            else f"no benchmark records in {paths[0]}"
+        )
+        print(f"repro bench-diff: {empty}", file=sys.stderr)
         return code
-    print(render_diff(diffs, threshold=threshold))
+    print(render_diff(diffs, threshold=threshold, window=window))
     return code
 
 
@@ -446,34 +463,6 @@ def _run_tail(
     except ValueError as exc:
         print(f"repro tail: {exc}", file=sys.stderr)
         return 2
-
-
-def _run_bench_history(paths: Sequence[str], window: int, threshold: float) -> int:
-    if len(paths) != 1:
-        print("usage: repro bench-history <history.jsonl>", file=sys.stderr)
-        return 2
-    import pathlib
-
-    from .obs.history import analyze_history, read_history, render_history
-
-    path = pathlib.Path(paths[0])
-    try:
-        records = read_history(path)
-    except FileNotFoundError:
-        print(f"repro bench-history: no such file: {path}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"repro bench-history: {exc}", file=sys.stderr)
-        return 2
-    trends, code = analyze_history(records, window=window, threshold=threshold)
-    if not trends:
-        print(
-            f"repro bench-history: no benchmark records in {path}",
-            file=sys.stderr,
-        )
-        return code
-    print(render_history(trends, window=window, threshold=threshold))
-    return code
 
 
 def _run_cache(action: str, args: argparse.Namespace) -> int:
@@ -671,9 +660,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=lambda parser, args: _run_audit(args.paths))
 
     sub = subparsers.add_parser(
-        "bench-diff", help="compare two directories of EXP-*.json sidecars"
+        "bench-diff",
+        help="judge benchmark results: two directories of EXP-*.json "
+        "sidecars, or a benchmark history .jsonl",
     )
-    sub.add_argument("paths", nargs="*", default=[], metavar="DIR")
+    sub.add_argument(
+        "paths", nargs="*", default=[], metavar="PATH",
+        help="OLD_DIR NEW_DIR, or one HISTORY.jsonl",
+    )
     sub.add_argument(
         "--threshold",
         type=float,
@@ -693,31 +687,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--fail-on-regression",
         action="store_true",
-        help="gate mode — additionally fail experiments with no committed "
-        "baseline (only-new)",
-    )
-    sub.set_defaults(func=_cmd_bench_diff)
-
-    sub = subparsers.add_parser(
-        "bench-history", help="windowed trend analysis of the benchmark history store"
-    )
-    sub.add_argument("paths", nargs="*", default=[], metavar="HISTORY.jsonl")
-    sub.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="relative wall-time slow-down treated as a regression (default 0.25)",
+        help="gate mode — additionally fail experiments with no baseline "
+        "(only-new)",
     )
     sub.add_argument(
         "--window",
         type=int,
         default=None,
         metavar="K",
-        help="compare the latest record against the median of the previous "
-        "K (default 5)",
+        help="history file only: judge each experiment's newest record "
+        "against the median of the previous K (default 5)",
     )
-    sub.set_defaults(func=_cmd_bench_history)
+    sub.set_defaults(func=_cmd_bench_diff)
 
     sub = subparsers.add_parser("profile", help="roll up a session's spans")
     sub.add_argument("paths", nargs="*", default=[], metavar="SESSION")
@@ -742,7 +723,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="a baseline session directory to render deltas against, or a "
-        "benchmark history .jsonl for a sparkline trend table",
+        "benchmark history .jsonl for the bench-diff table with trend sparklines",
     )
     sub.add_argument(
         "--top",
@@ -846,22 +827,16 @@ def _cmd_list() -> int:
 def _cmd_bench_diff(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from .obs.benchdiff import DEFAULT_THRESHOLD
 
+    if args.window is not None and len(args.paths) == 2:
+        parser.error("bench-diff: --window applies to a history file, not two directories")
     threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
     return _run_bench_diff(
         args.paths,
         threshold,
         tolerance_specs=args.tolerance,
         fail_on_regression=args.fail_on_regression,
+        window=args.window,
     )
-
-
-def _cmd_bench_history(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    from .obs.benchdiff import DEFAULT_THRESHOLD
-    from .obs.history import DEFAULT_WINDOW
-
-    threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    window = args.window if args.window is not None else DEFAULT_WINDOW
-    return _run_bench_history(args.paths, window, threshold)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -29,9 +29,10 @@ The layer every quantitative claim runs through:
     ``repro audit``: replay persisted proof ledgers and fail on any
     Lemma 3/4 or O(s log N) cut-budget violation.
 ``repro.obs.benchdiff``
-    ``repro bench-diff``: compare ``benchmarks/out/EXP-*.json`` sets,
-    flagging result drift and wall-time regressions, with per-metric
-    tolerances and a blocking ``--fail-on-regression`` gate mode.
+    ``repro bench-diff``: judge ``benchmarks/out/EXP-*.json`` sets, or
+    the benchmark history store (newest record vs the median of a
+    window), flagging result drift and wall-time regressions, with
+    per-metric tolerances and a blocking ``--fail-on-regression`` mode.
 ``repro.obs.spans``
     Hierarchical spans (sweep → cell → replicate → run → phase) with
     wall + CPU time, logged as ``span-close`` events; a no-op without

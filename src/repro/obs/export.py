@@ -20,7 +20,9 @@ flavour (:func:`write_ledger_jsonl`: a manifest with ``kind:
 "reduction"``, ledger lines, and a summary carrying the reduction
 outcome — no round lines, since the two-party simulation has no single
 engine trace).  The reader accepts both versions: a version-1 file simply
-yields a :class:`PersistedRun` with an empty ``ledger`` list.
+yields a :class:`PersistedRun` with an empty ``ledger`` list.  A file
+declaring a newer ``format_version`` is refused with a ``ValueError``
+naming the file and the version.
 
 Payloads are arbitrary protocol values, so they are encoded with a small
 tagged codec (:func:`encode_payload` / :func:`decode_payload`) that
@@ -274,6 +276,17 @@ def read_trace_jsonl(path: pathlib.Path) -> PersistedRun:
                 raise ValueError(f"unknown line type {kind!r} in {path}")
     if head is None:
         raise ValueError(f"{path}: no manifest line — not a run JSONL file")
+    version = head.get("format_version", 1)
+    if type(version) is not int:
+        raise ValueError(
+            f"{path}: field 'format_version' must be an integer, "
+            f"got {type(version).__name__}"
+        )
+    if version > FORMAT_VERSION:
+        raise ValueError(
+            f"{path}: format_version {version} is newer than this reader "
+            f"({FORMAT_VERSION})"
+        )
     if "format_version" not in head and (ledger or head.get("kind") == "reduction"):
         # Ledger semantics (budgets, record kinds) are versioned; auditing
         # a ledger whose format is undeclared would check the wrong books.
@@ -297,5 +310,5 @@ def read_trace_jsonl(path: pathlib.Path) -> PersistedRun:
         run_metrics=summary.get("run_metrics"),
         summary=summary,
         ledger=ledger,
-        format_version=head.get("format_version", 1),
+        format_version=version,
     )

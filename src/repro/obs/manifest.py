@@ -49,7 +49,7 @@ def collect_provenance() -> Dict[str, Any]:
     """Where/what produced a session or benchmark record.
 
     The same stamp serves the session manifest (this module) and the
-    benchmark history store (:mod:`repro.obs.history`): enough to tell
+    benchmark history store (:mod:`repro.obs.benchdiff`): enough to tell
     two measurements apart by code version and host shape.
     """
     import os

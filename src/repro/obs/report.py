@@ -16,8 +16,9 @@ artifact next to ``EXP-*.json`` and opened years later.  Sections:
 * deltas — when ``--baseline`` names a *session directory*,
   bench-diff-style relative changes of shared counters and of the
   session wall; when it names a *history file*
-  (``benchmarks/history.jsonl``), a sparkline trend table per
-  experiment metric instead (:mod:`repro.obs.history`).
+  (``benchmarks/history.jsonl``), the ``repro bench-diff`` verdict per
+  experiment with a wall-time sparkline instead
+  (:func:`repro.obs.benchdiff.diff_history`).
 
 The session, and a baseline session directory, are read by
 :func:`repro.obs.stream.load_session`.
@@ -168,33 +169,16 @@ def _delta_rows(
 
 
 def _history_section(path: pathlib.Path) -> str:
-    """A sparkline trend table per experiment metric from a history file."""
-    from .history import analyze_history, read_history, sparkline
+    """The ``repro bench-diff`` table of a benchmark history file."""
+    from .benchdiff import diff_history, diff_table, read_history
 
-    records = read_history(path)
-    trends, _ = analyze_history(records)
+    diffs, _ = diff_history(read_history(path))
     out = [f"<h2>Benchmark history: {_esc(path)}</h2>"]
-    if not trends:
+    if not diffs:
         out.append('<p class="muted">history file holds no records yet</p>')
         return "".join(out)
-    rows = []
-    for t in trends:
-        rows.append([
-            t.exp_id,
-            t.metric,
-            len(t.values),
-            "-" if t.window_median is None else f"{t.window_median:.3f}",
-            "-" if t.latest is None else f"{t.latest:.3f}",
-            "-" if t.change is None else f"{t.change:+.0%}",
-            sparkline(t.values),
-            t.status,
-        ])
-    out.append(_table(
-        ["experiment", "metric", "n", "median", "latest", "delta",
-         "trend", "status"],
-        rows,
-        numeric_from=2,
-    ))
+    headers, rows = diff_table(diffs)
+    out.append(_table(headers, rows, numeric_from=2))
     return "".join(out)
 
 

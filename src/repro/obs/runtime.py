@@ -147,6 +147,10 @@ class ObservationSession:
         if not persisting:
             return
         self.trace_dir.mkdir(parents=True, exist_ok=True)
+        # a reused directory holds this session only: the log is
+        # truncated below, and an earlier session's run files go with it
+        for stale in self.trace_dir.glob("run-*.jsonl"):
+            stale.unlink()
         self.manifest.provenance = collect_provenance()
         self.stream = EventStream(
             self.trace_dir / EVENTS_FILENAME,

@@ -268,10 +268,12 @@ class SessionLog:
     format_version: int = STREAM_FORMAT_VERSION
 
     def run_files(self) -> List[pathlib.Path]:
-        """The run files the log names, else every ``run-*.jsonl``."""
-        files = [self.directory / r.trace_file for r in self.manifest.runs
-                 if r.trace_file]
-        return files or sorted(self.directory.glob("run-*.jsonl"))
+        """The run files the log names; every ``run-*.jsonl`` only in a
+        directory with no log."""
+        if not (self.directory / EVENTS_FILENAME).is_file():
+            return sorted(self.directory.glob("run-*.jsonl"))
+        return [self.directory / r.trace_file for r in self.manifest.runs
+                if r.trace_file]
 
 
 def _runs_from_files(directory: pathlib.Path) -> List[RunManifest]:

@@ -80,7 +80,8 @@ class TestBenchDiff:
         )
         diffs, code = diff_dirs(tmp_path / "old", tmp_path / "new")
         assert code == 0
-        assert [d.status for d in diffs] == ["ok", "ok"]
+        assert [d.status for d in diffs] == ["improved", "ok"]
+        assert diffs[0].details == ["wall: 2.000s -> 1.000s (-50%)"]
 
     def test_threshold_is_respected(self, tmp_path):
         _write_dir(tmp_path / "old", [_exp_json("EXP-X1", [[1]], wall=1.0)])
@@ -208,6 +209,14 @@ class TestCliIntegration:
         capsys.readouterr()
         assert main(["audit", str(trace)]) == 2
         assert "nothing to audit" in capsys.readouterr().out
+        # reused after a thm6 session: its reduction runs are gone too
+        reused = tmp_path / "reused"
+        assert main(["thm6", "--quick", "--trace-out", str(reused)]) == 0
+        assert main(["fig1", "--trace-out", str(reused)]) == 0
+        assert [p.name for p in reused.iterdir()] == ["events.jsonl"]
+        capsys.readouterr()
+        assert main(["audit", str(reused)]) == 2
+        assert "nothing to audit" in capsys.readouterr().out
 
     def test_audit_missing_path_exits_2(self, tmp_path, capsys):
         assert main(["audit", str(tmp_path / "nope")]) == 2
@@ -243,21 +252,26 @@ class TestCliIntegration:
         assert main(["bench-diff", "just-one"]) == 2
 
     @pytest.mark.parametrize(
-        "field,value",
-        [("rows", 5), ("rows", [5]), ("headers", "ab"), ("headers", [1]),
-         ("summary", [1]), ("timings", 3)],
+        "field,value,named",
+        [("rows", 5, "rows"), ("rows", [5], "rows"), ("headers", "ab", "headers"),
+         ("headers", [1], "headers"), ("summary", [1], "summary"),
+         ("timings", 3, "timings"),
+         ("timings", {"wall_seconds": "2.0"}, "timings.wall_seconds"),
+         ("timings", {"phase_seconds": ["actions"]}, "timings.phase_seconds"),
+         ("timings", {"speedup": "3x"}, "timings.speedup")],
         ids=["rows-int", "rows-flat", "headers-str", "headers-ints",
-             "summary-list", "timings-int"],
+             "summary-list", "timings-int", "wall-str", "phases-list", "speedup-str"],
     )
-    def test_bench_diff_malformed_field_exits_2(self, tmp_path, capsys, field, value):
+    def test_bench_diff_malformed_field_exits_2(self, tmp_path, capsys, field, value,
+                                                named):
         bad = _exp_json("EXP-X1", [[1, 2]])
         bad[field] = value
-        _write_dir(tmp_path / "old", [_exp_json("EXP-X1", [[1, 2]])])
+        _write_dir(tmp_path / "old", [_exp_json("EXP-X1", [[1, 2]], wall=1.0)])
         _write_dir(tmp_path / "new", [bad])
         assert main(["bench-diff", str(tmp_path / "old"), str(tmp_path / "new")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "EXP-X1.json" in err and f"field {field!r}" in err
+        assert "EXP-X1.json" in err and f"field {named!r}" in err
 
     def test_paths_rejected_for_experiments(self):
         with pytest.raises(SystemExit):

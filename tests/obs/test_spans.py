@@ -471,6 +471,17 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "speedup comparison skipped" in out
         assert "cpu_count 4 -> 1" in out
+        # a history whose newest record ran on a 1-CPU host skips it too
+        hist = tmp_path / "history.jsonl"
+        hist.write_text("".join(
+            json.dumps(dict(base, unix_time=t, provenance={"cpu_count": cpus},
+                            timings={"wall_seconds": 1.0, "speedup": speedup})) + "\n"
+            for t, (cpus, speedup) in enumerate([(4, 3.0), (4, 3.1), (4, 2.9), (1, 1.0)])
+        ))
+        assert main(["bench-diff", str(hist)]) == 0
+        out = capsys.readouterr().out
+        assert "speedup comparison skipped" in out
+        assert "cpu_count 4 -> 1" in out
 
 
 class TestParseTolerances:

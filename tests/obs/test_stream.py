@@ -13,8 +13,9 @@ The load-bearing properties:
 * **crash-safety** — a log cut anywhere before ``session-close`` loads
   under ``inspect``/``profile`` as a PARTIAL session holding the
   closed prefix;
-* **trend analysis** — ``bench-history`` flags the injected regression
-  against a median-of-last-K window and nothing else.
+* **trend analysis** — ``bench-diff`` over a history file flags the
+  injected regression against a median-of-last-K window and nothing
+  else.
 """
 
 from __future__ import annotations
@@ -31,17 +32,17 @@ from hypothesis import strategies as st
 
 from repro.network.adversaries import RandomConnectedAdversary
 from repro.obs import observe
-from repro.obs.export import read_trace_jsonl
-from repro.obs.history import (
+from repro.obs.benchdiff import (
     DEFAULT_WINDOW,
     MIN_ENTRIES,
-    analyze_history,
     append_history,
+    diff_history,
     read_history,
     record_from_result,
-    render_history,
+    render_diff,
     sparkline,
 )
+from repro.obs.export import read_trace_jsonl
 from repro.obs.inspect import inspect_session
 from repro.obs.manifest import collect_provenance
 from repro.obs.profile import profile_session, render_profile
@@ -294,6 +295,8 @@ class TestStreamingSession:
         text = out.getvalue()
         assert "session second" in text and "first" not in text
         assert "tail: 1 runs — closed cleanly" in text
+        # the first session's run-0002/0003 went with its log
+        assert sorted(p.name for p in d.iterdir()) == [EVENTS_FILENAME, "run-0001.jsonl"]
 
     def test_collect_sessions_never_stream(self, tmp_path, monkeypatch):
         from repro.obs.runtime import ObservationSession
@@ -574,57 +577,58 @@ class TestHistory:
 
     def test_insufficient_entries_pass(self):
         records = [_history_record(t=i) for i in range(MIN_ENTRIES - 1)]
-        trends, code = analyze_history(records)
+        diffs, code = diff_history(records)
         assert code == 0
-        assert all(t.status == "insufficient" for t in trends)
+        assert [d.status for d in diffs] == ["insufficient"]
 
     def test_steady_history_is_ok(self):
         records = [_history_record(wall=1.0, t=i) for i in range(6)]
-        trends, code = analyze_history(records)
+        diffs, code = diff_history(records)
         assert code == 0
-        wall = next(t for t in trends if t.metric == "wall")
-        assert wall.status == "ok" and wall.window_median == 1.0
+        assert diffs[0].status == "ok" and diffs[0].old_wall == 1.0
+        assert diffs[0].baseline == DEFAULT_WINDOW
 
     def test_regression_flags_exit_1(self):
         records = [_history_record(wall=1.0, t=i) for i in range(5)]
         records.append(_history_record(wall=2.0, t=5))
-        trends, code = analyze_history(records)
+        diffs, code = diff_history(records)
         assert code == 1
-        assert next(t for t in trends if t.metric == "wall").status == "regression"
+        assert diffs[0].status == "regression"
+        assert diffs[0].details == ["wall: 1.000s -> 2.000s (+100%)"]
 
     def test_window_limits_comparison(self):
         # old slowness outside the window must not mask a regression
         records = [_history_record(wall=5.0, t=0)]
         records += [_history_record(wall=1.0, t=i) for i in range(1, 7)]
         records.append(_history_record(wall=2.0, t=7))
-        trends, code = analyze_history(records, window=3)
+        diffs, code = diff_history(records, window=3)
         assert code == 1
 
     def test_improvement_is_not_a_regression(self):
         records = [_history_record(wall=2.0, t=i) for i in range(5)]
         records.append(_history_record(wall=1.0, t=5))
-        trends, code = analyze_history(records)
+        diffs, code = diff_history(records)
         assert code == 0
-        assert next(t for t in trends if t.metric == "wall").status == "improved"
+        assert diffs[0].status == "improved"
 
     def test_summary_drift_flags(self):
         records = [_history_record(t=i, rows=7) for i in range(4)]
         records.append(_history_record(t=4, rows=8))
-        trends, code = analyze_history(records)
+        diffs, code = diff_history(records)
         assert code == 1
-        drifted = next(t for t in trends if t.metric == "summary[rows]")
-        assert drifted.status == "drift"
+        assert diffs[0].status == "drift"
+        assert diffs[0].details == ["summary[rows]: 7 -> 8"]
 
     def test_experiments_trend_independently(self):
         records = [_history_record(exp="EXP-A", wall=1.0, t=i) for i in range(4)]
         records += [_history_record(exp="EXP-B", wall=3.0, t=i) for i in range(4)]
-        trends, code = analyze_history(records)
+        diffs, code = diff_history(records)
         assert code == 0
-        assert {t.exp_id for t in trends} == {"EXP-A", "EXP-B"}
+        assert {d.exp_id for d in diffs} == {"EXP-A", "EXP-B"}
 
     def test_empty_history_exit_2(self):
-        trends, code = analyze_history([])
-        assert trends == [] and code == 2
+        diffs, code = diff_history([])
+        assert diffs == [] and code == 2
 
     def test_sparkline(self):
         line = sparkline([0.0, 1.0, 2.0, 3.0])
@@ -634,6 +638,7 @@ class TestHistory:
 
     def test_render_names_the_window(self):
         records = [_history_record(wall=1.0, t=i) for i in range(6)]
-        trends, _ = analyze_history(records, window=DEFAULT_WINDOW)
-        text = render_history(trends, window=DEFAULT_WINDOW, threshold=0.25)
+        diffs, _ = diff_history(records, window=DEFAULT_WINDOW)
+        text = render_diff(diffs, threshold=0.25, window=DEFAULT_WINDOW)
         assert "EXP-X" in text and "wall" in text
+        assert f"median of the last {DEFAULT_WINDOW} records" in text

@@ -207,6 +207,18 @@ class TestCliEdgeCases:
         assert main(["audit", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "format_version" in err
+        # a version this reader does not know, or cannot compare, is refused too
+        for version, message in (
+            ("99", "format_version 99 is newer than this reader (2)"),
+            ('"2"', "field 'format_version' must be an integer, got str"),
+        ):
+            other = tmp_path / "run-0002.jsonl"
+            other.write_text(bad.read_text().replace(
+                '"kind"', f'"format_version": {version}, "kind"', 1))
+            assert main(["audit", str(other)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert f"{other}: {message}" in err
 
     def test_audit_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "run-0001.jsonl"
@@ -250,22 +262,27 @@ class TestCliEdgeCases:
             assert "bits_total" in out.read_text()
             assert "rounds_total" not in out.read_text()
 
-    @pytest.mark.parametrize("command", ["bench-history", "report"])
+    @pytest.mark.parametrize("command", ["bench-diff", "report"])
     @pytest.mark.parametrize(
         "record, field",
         [
-            ({"timings": 5}, "'timings'"),
-            ({"timings": {"phase_seconds": 5}}, "'timings.phase_seconds'"),
-            ({"summary": [1]}, "'summary'"),
+            ({"timings": 5}, "'timings' must be an object"),
+            ({"timings": {"phase_seconds": 5}}, "'timings.phase_seconds' must be an object"),
+            ({"summary": [1]}, "'summary' must be an object"),
+            ({"timings": {"wall_seconds": "2.0"}}, "'timings.wall_seconds' must be a number"),
+            ({"timings": {"phase_seconds": ["actions"]}},
+             "'timings.phase_seconds' must be an object"),
+            ({"provenance": "host"}, "'provenance' must be an object"),
         ],
-        ids=["timings", "phase_seconds", "summary"],
+        ids=["timings", "phase_seconds", "summary", "wall-str", "phases-list",
+             "provenance-str"],
     )
     def test_malformed_history_record_exit_2(self, tmp_path, capsys, command, record, field):
         hist = tmp_path / "history.jsonl"
         hist.write_text(_history_line(1.0, 0) + "\n"
                         + json.dumps({"exp_id": "EXP-X", **record}) + "\n")
-        if command == "bench-history":
-            argv = ["bench-history", str(hist)]
+        if command == "bench-diff":
+            argv = ["bench-diff", str(hist)]
         else:
             session = tmp_path / "session"
             _write_log(session, {"type": "session-close", "runs": 0})
@@ -275,7 +292,7 @@ class TestCliEdgeCases:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"repro {command}:" in err
-        assert f"{hist}: line 2: field {field} must be an object" in err
+        assert f"{hist}: line 2: field {field}" in err
 
     @pytest.mark.parametrize("command", ["profile", "report"])
     @pytest.mark.parametrize(
@@ -336,7 +353,7 @@ class TestCliEdgeCases:
 
 
 class TestCliStreaming:
-    """PR 7 surface: --stream, tail, and bench-history."""
+    """The streaming surface: --stream, tail, and bench-diff's --window."""
 
     def test_stream_requires_trace_out(self, capsys):
         with pytest.raises(SystemExit):
@@ -397,10 +414,20 @@ class TestCliStreaming:
         assert main(["tail"]) == 2
         assert "usage" in capsys.readouterr().err
 
-    def test_window_rejected_off_bench_history(self, capsys):
+    def test_window_rejected_with_two_directories(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["thm6", "--window", "3"])
         assert "--window" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["bench-diff", str(tmp_path), str(tmp_path), "--window", "3"])
+        assert "--window applies to a history file" in capsys.readouterr().err
+
+    def test_bench_history_command_is_gone(self, tmp_path, capsys):
+        # a history file is judged by bench-diff itself
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-history", str(tmp_path / "history.jsonl")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench-history'" in capsys.readouterr().err
 
 
 def _history_line(wall, t):
@@ -412,19 +439,31 @@ def _history_line(wall, t):
 
 
 class TestCliBenchHistory:
+    """``repro bench-diff HISTORY.jsonl``: the history input shape."""
+
     def test_steady_history_exits_zero(self, tmp_path, capsys):
         hist = tmp_path / "history.jsonl"
         hist.write_text("\n".join(_history_line(1.0, t) for t in range(5)) + "\n")
-        assert main(["bench-history", str(hist)]) == 0
+        assert main(["bench-diff", str(hist)]) == 0
         out = capsys.readouterr().out
         assert "EXP-X" in out and "ok" in out
+        # EXP-SUB's measured speedup moving within tolerance is no drift
+        hist.write_text("".join(
+            json.dumps({"exp_id": "EXP-SUB", "unix_time": t, "provenance": {"cpu_count": 2},
+                        "timings": {"wall_seconds": 25.0},
+                        "summary": {"max_speedup": speedup, "cells": 9}}) + "\n"
+            for t, speedup in enumerate((4.67, 4.51, 4.80, 4.40))
+        ))
+        assert main(["bench-diff", str(hist)]) == 0
+        out = capsys.readouterr().out
+        assert "EXP-SUB" in out and "drift" not in out
 
     def test_injected_regression_exits_one(self, tmp_path, capsys):
         hist = tmp_path / "history.jsonl"
         lines = [_history_line(1.0, t) for t in range(3)]
         lines.append(_history_line(2.0, 3))  # synthetic 2x slow-down
         hist.write_text("\n".join(lines) + "\n")
-        assert main(["bench-history", str(hist)]) == 1
+        assert main(["bench-diff", str(hist)]) == 1
         out = capsys.readouterr().out
         assert "regression" in out
 
@@ -433,16 +472,16 @@ class TestCliBenchHistory:
         lines = [_history_line(1.0, t) for t in range(3)]
         lines.append(_history_line(2.0, 3))
         hist.write_text("\n".join(lines) + "\n")
-        assert main(["bench-history", str(hist), "--threshold", "1.5"]) == 0
+        assert main(["bench-diff", str(hist), "--threshold", "1.5"]) == 0
 
     def test_empty_history_exits_two(self, tmp_path, capsys):
         hist = tmp_path / "history.jsonl"
         hist.write_text("")
-        assert main(["bench-history", str(hist)]) == 2
+        assert main(["bench-diff", str(hist)]) == 2
         assert "no benchmark records" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
-        assert main(["bench-history", str(tmp_path / "nope.jsonl")]) == 2
+        assert main(["bench-diff", str(tmp_path / "nope.jsonl")]) == 2
         capsys.readouterr()
 
     def test_report_baseline_accepts_history_file(self, tmp_path, capsys):
