@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..sim.config import RunConfig, check_config
+
 __all__ = ["cartesian_sweep"]
 
 
@@ -105,9 +107,7 @@ def _open_cell_cache(cfg: Any, fn: Callable[..., Mapping[str, Any]]) -> Optional
 def cartesian_sweep(
     params: Mapping[str, Sequence[Any]],
     fn: Callable[..., Mapping[str, Any]],
-    config: Any = None,
-    *legacy_args: Any,
-    **legacy_kwargs: Any,
+    config: Optional[RunConfig] = None,
 ) -> List[Dict[str, Any]]:
     """Run ``fn(**cell)`` for every cell of the parameter grid.
 
@@ -121,9 +121,7 @@ def cartesian_sweep(
     order regardless of completion order, and a failing cell re-raises
     with that cell's parameters in the message.  ``fn`` must be
     picklable (a module-level function) to parallelize; otherwise the
-    sweep runs inline.  The legacy ``workers=`` argument was removed —
-    it raises :class:`~repro.errors.ConfigurationError` naming the
-    ``RunConfig(workers=...)`` replacement.
+    sweep runs inline.
 
     With ``RunConfig(cache="rw"|"ro")`` (or ``$REPRO_CACHE``) every cell
     is one content-addressed cache entry keyed on the semantic config
@@ -148,9 +146,8 @@ def cartesian_sweep(
     """
     from ..obs.progress import report_advance, report_begin, report_finish
     from ..obs.spans import span
-    from ..sim.config import coerce_config
 
-    cfg = coerce_config("cartesian_sweep", ("workers",), config, legacy_args, legacy_kwargs)
+    cfg = check_config("cartesian_sweep", config)
 
     names = list(params)
     cells: List[Dict[str, Any]] = [

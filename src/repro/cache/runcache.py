@@ -219,7 +219,6 @@ def build_cached_run(payload: Dict[str, Any]) -> Any:
         terminated=payload["terminated"],
         rounds=payload["rounds"],
         outputs=outputs,
-        metrics={},
         backend=manifest["backend"],
         representation=manifest.get("representation"),
         cached=True,

@@ -35,10 +35,7 @@ through the vectorized batch backend (bit-identical; see
 ``docs/PERFORMANCE.md``), ``--workers N`` fans seed sweeps over a
 process pool, and ``--cache rw|ro|off`` consults the content-addressed
 result cache (``docs/CACHE.md``; default: the ``REPRO_CACHE``
-environment variable, else off).  Passing the legacy individual
-keyword arguments to the library entry points was removed in PR 10 —
-it raises :class:`~repro.errors.ConfigurationError` naming the exact
-``RunConfig`` replacement.
+environment variable, else off).
 
 Observability (see ``docs/OBSERVABILITY.md``): ``--metrics`` collects
 engine counters and per-phase wall-clock timings and appends them to the
@@ -617,7 +614,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parent.add_argument(
         "--metrics",
         action="store_true",
-        help="instrument engine runs and print aggregate metrics/timings",
+        help="observe engine runs and print aggregate metrics/timings",
     )
     run_parent.add_argument(
         "--trace-out",

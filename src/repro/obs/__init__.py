@@ -1,12 +1,10 @@
-"""Observability: metrics, instrumentation, proof ledgers, export, audit.
+"""Observability: metrics, sessions, proof ledgers, export, audit.
 
 The layer every quantitative claim runs through:
 
 ``repro.obs.metrics``
-    Counter/gauge/histogram registry with a no-op null sink, plus
-    OpenMetrics text exposition (``--metrics-out``).
-``repro.obs.instrumentation``
-    Per-run phase timing (the engine's five round phases) and counters.
+    Counter/gauge/histogram registry, plus OpenMetrics text exposition
+    (``--metrics-out``).
 ``repro.obs.ledger``
     The proof ledger: per-round spoiled-node counts vs the Lemma 3/4
     budget curve, cut-crossing bit attribution, adversary divergence.
@@ -19,9 +17,9 @@ The layer every quantitative claim runs through:
     Lossless JSONL persistence of execution traces and reduction ledgers
     (``format_version 2``; the reader accepts version-1 files).
 ``repro.obs.runtime``
-    Ambient :func:`observe` sessions that capture every engine run and
-    every two-party reduction in a scope without threading arguments
-    through experiment code.
+    Ambient :func:`observe` sessions that capture every engine run (its
+    counters and stage timings) and every two-party reduction in a
+    scope without threading arguments through experiment code.
 ``repro.obs.inspect``
     ``repro inspect``: summarize a persisted run (rounds, bits, phase
     timing, realized dynamic diameter) or a whole session directory.
@@ -69,17 +67,9 @@ from .inspect import (
     inspect_session,
     realized_diameter,
 )
-from .instrumentation import PHASES, Instrumentation
 from .ledger import ProofLedger, lemma_number, spoiled_budget_curve
 from .manifest import RunManifest, SessionManifest
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import SessionProfile, profile_session, render_profile
 from .progress import (
     ProgressReporter,
@@ -98,10 +88,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "PHASES",
-    "Instrumentation",
     "ProofLedger",
     "lemma_number",
     "spoiled_budget_curve",

@@ -12,8 +12,8 @@ One run = one JSONL file:
   budget, cut-crossing bit charges, adversary divergence rounds — as
   emitted by :class:`~repro.obs.ledger.ProofLedger`;
 * last line — ``{"type": "summary", ...}``: termination round, outputs,
-  totals, and (when the run was instrumented) wall time and the
-  per-phase timing breakdown.
+  totals, and (for runs an observation session recorded) ``run_metrics``:
+  the run's counters, wall time and per-stage timing breakdown.
 
 ``format_version 2`` adds the ``ledger`` line type and the reduction-run
 flavour (:func:`write_ledger_jsonl`: a manifest with ``kind:
@@ -41,6 +41,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..sim.trace import ExecutionTrace, RoundRecord
 from .manifest import RunManifest
+from .stream import _check_fields
 
 __all__ = [
     "encode_payload",
@@ -235,6 +236,27 @@ class PersistedRun:
         return self.manifest.wall_seconds
 
 
+def _check_run_metrics(summary: dict) -> None:
+    """Refuse a summary whose ``run_metrics`` readers cannot use.
+
+    ``run_metrics`` must be an object, its ``wall_seconds`` a number and
+    its ``phase_seconds`` an object of numbers; the :class:`ValueError`
+    names the first field that is not.
+    """
+    if "run_metrics" not in summary:
+        return
+    _check_fields(summary, {"run_metrics": "object"}, ())
+    metrics = summary["run_metrics"]
+    _check_fields(
+        metrics, {"wall_seconds": "number", "phase_seconds": "object"}, (),
+        prefix="run_metrics.",
+    )
+    phases = metrics.get("phase_seconds", {})
+    _check_fields(
+        phases, dict.fromkeys(phases, "number"), (), prefix="run_metrics.phase_seconds."
+    )
+
+
 def read_trace_jsonl(path: pathlib.Path) -> PersistedRun:
     """Load a persisted run; inverse of :func:`write_trace_jsonl`."""
     path = pathlib.Path(path)
@@ -243,7 +265,7 @@ def read_trace_jsonl(path: pathlib.Path) -> PersistedRun:
     records: List[RoundRecord] = []
     ledger: List[dict] = []
     with path.open() as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             raw = raw.strip()
             if not raw:
                 continue
@@ -271,6 +293,10 @@ def read_trace_jsonl(path: pathlib.Path) -> PersistedRun:
             elif kind == "ledger":
                 ledger.append(line)
             elif kind == "summary":
+                try:
+                    _check_run_metrics(line)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
                 summary = line
             else:
                 raise ValueError(f"unknown line type {kind!r} in {path}")

@@ -3,8 +3,8 @@
 Reads one ``run-*.jsonl`` file back into an
 :class:`~repro.sim.trace.ExecutionTrace` and reports the quantities the
 paper's claims are stated in — rounds, termination, CONGEST bits total
-and per node — plus the instrumentation extras (per-phase wall-clock
-breakdown) and the *realized dynamic diameter* of the adversary's
+and per node — plus the run's stage timings (the engine's stage clock)
+and the *realized dynamic diameter* of the adversary's
 recorded schedule, computed with the vectorized causality pass in
 :mod:`repro.network.causality`.  Reduction runs (``kind: "reduction"``,
 format_version 2) have no engine trace, so their report is drawn from
@@ -24,8 +24,8 @@ from ..analysis.tables import render_table
 from ..network.causality import dynamic_diameter
 from ..network.dynamic import DynamicSchedule
 from ..network.topology import RoundTopology
+from ..sim.engine import ROUND_STAGES
 from .export import PersistedRun, read_trace_jsonl
-from .instrumentation import PHASES
 from .stream import EVENTS_FILENAME, load_session
 
 __all__ = [
@@ -155,12 +155,9 @@ class RunReport:
         if self.wall_seconds is not None and self.phase_seconds:
             wall = self.wall_seconds
             rows = []
-            for phase in PHASES:
+            for phase in ROUND_STAGES:
                 sec = self.phase_seconds.get(phase, 0.0)
                 rows.append([phase, f"{sec * 1e3:.3f}", f"{sec / wall:.1%}" if wall else "-"])
-            accounted = sum(self.phase_seconds.values())
-            rows.append(["(engine)", f"{(wall - accounted) * 1e3:.3f}",
-                         f"{(wall - accounted) / wall:.1%}" if wall else "-"])
             lines.append("")
             lines.append(render_table(
                 ["phase", "ms", "of wall"], rows,

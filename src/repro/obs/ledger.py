@@ -38,7 +38,7 @@ import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .._util import bit_size
-from .metrics import MetricsRegistry, NULL_REGISTRY
+from .metrics import MetricsRegistry
 
 __all__ = ["ProofLedger", "lemma_number", "spoiled_budget_curve"]
 
@@ -100,11 +100,11 @@ class ProofLedger:
         Optional shared :class:`MetricsRegistry`; the ledger maintains
         ``spoiled_nodes{party=...}`` and ``adversary_divergence_round
         {pair=...}`` gauges and the ``cut_bits_total`` counter on it.
-        Defaults to the null sink (records still collected).
+        Defaults to a private registry.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry if registry is not None else NULL_REGISTRY
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.records: List[dict] = []
         self.violations: int = 0
         self.divergence_rounds: Dict[str, Optional[int]] = {}

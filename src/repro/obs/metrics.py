@@ -5,16 +5,10 @@ bits on the air, topology churn, wall-clock per engine phase — so the
 observability layer keeps them as first-class metrics instead of ad-hoc
 post-processing of an in-memory trace.  The design follows the usual
 client-library shape (Prometheus et al.): a *registry* owns named
-metrics, each metric may carry a frozen label set, and instruments are
-cheap enough to update inside the engine's round loop.
-
-Two sinks exist:
-
-* :class:`MetricsRegistry` — the real thing, dict-backed, O(1) updates;
-* :class:`NullRegistry` — a no-op sink whose instruments discard every
-  update, so instrumented call sites cost ~nothing when observability is
-  disabled (the engine additionally skips its hook block entirely when
-  it has no instrumentation at all).
+metrics, each metric may carry a frozen label set, and updates are
+O(1).  Engine runs fold into the registry once per run, when an
+observation session records them
+(:meth:`repro.obs.runtime.ObservationSession.run_finished`).
 
 Everything is plain Python with no dependencies; values are exported via
 :meth:`MetricsRegistry.snapshot` as JSON-ready dicts.
@@ -30,8 +24,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "DEFAULT_TIME_BUCKETS",
 ]
 
@@ -174,8 +166,7 @@ class MetricsRegistry:
     """Owns named metrics; get-or-create semantics per (name, labels).
 
     Instruments are cached on first use, so hot paths should hold the
-    instrument object rather than re-resolving it every update (the
-    engine's :class:`~repro.obs.instrumentation.Instrumentation` does).
+    instrument object rather than re-resolving it every update.
     """
 
     def __init__(self) -> None:
@@ -279,61 +270,3 @@ class MetricsRegistry:
                     lines.append(f"{name}{_render_labels(metric.labels)} {metric.value}")
         lines.append("# EOF")
         return "\n".join(lines) + "\n"
-
-
-class _NullInstrument:
-    """Discards every update; one shared instance serves all names."""
-
-    __slots__ = ()
-    name = ""
-    labels: Labels = ()
-    value = 0
-    count = 0
-    sum = 0.0
-    min = None
-    max = None
-    mean = 0.0
-
-    def inc(self, amount=1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def observe(self, value) -> None:
-        pass
-
-    def merge_from(self, other) -> None:
-        pass
-
-    def as_dict(self) -> dict:
-        return {"type": "null"}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry(MetricsRegistry):
-    """A sink that accepts the full registry API and records nothing."""
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def counter(self, name, labels=None):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name, labels=None):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name, labels=None, buckets=DEFAULT_TIME_BUCKETS):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def merge(self, other) -> None:  # type: ignore[override]
-        pass
-
-    def snapshot(self) -> dict:
-        return {}
-
-
-#: Shared no-op sink: pass as ``registry=`` to instrument a path for free.
-NULL_REGISTRY = NullRegistry()

@@ -8,18 +8,18 @@ through every call signature.  Instead, a scope opts in::
         exp_thm8_leader_election()          # any number of engine runs
     # out/run/ now holds events.jsonl + run-0001.jsonl, run-0002.jsonl, ...
 
-While a session is active, every engine constructed without an explicit
-``instrumentation=`` picks one up from the session (one fresh
-:class:`~repro.obs.instrumentation.Instrumentation` per engine, all
-feeding the session's shared registry); when each run ends the session
-persists its trace as JSONL and logs a :class:`RunManifest` to the
-session log, ``events.jsonl`` (:mod:`repro.obs.stream`).  Every
+While a session is active, every engine constructed in its scope hands
+its finished run to :meth:`ObservationSession.run_finished` (from
+:meth:`~repro.sim.engine.RoundDriver.finish`).  The session derives the
+run's counters from its trace and its stage clock, folds them into the
+session's registry, persists the trace as JSONL, and logs a
+:class:`RunManifest` to the session log, ``events.jsonl``
+(:mod:`repro.obs.stream`).  Every
 :class:`~repro.core.simulation.TwoPartyReduction` likewise picks up a
 fresh :class:`~repro.obs.ledger.ProofLedger` and hands it back via
 :meth:`ObservationSession.record_reduction`, persisted as a
-``format_version 2`` ledger run.  With no active session the lookups
-return ``None`` and both the engine and the reduction run on the
-zero-cost uninstrumented path.
+``format_version 2`` ledger run.  With no active session nothing is
+recorded; the engines run the same loop either way.
 
 Sessions nest (a stack); the innermost wins.  This is deliberately a
 plain module-global stack, matching the simulator's single-threaded
@@ -35,10 +35,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .export import write_ledger_jsonl, write_trace_jsonl
-from .instrumentation import Instrumentation
 from .ledger import ProofLedger
 from .manifest import RunManifest, SessionManifest, collect_provenance
-from .metrics import MetricsRegistry, NULL_REGISTRY
+from .metrics import MetricsRegistry
 from .resource import ResourceSampler, resolve_interval
 from .spans import Span, SpanRecorder
 from .stream import EVENTS_FILENAME, EventStream, resolve_stream
@@ -47,13 +46,43 @@ __all__ = [
     "ObservationSession",
     "observe",
     "current_session",
-    "instrument_engine",
     "CapturedRun",
     "WorkerObservations",
     "worker_capture",
 ]
 
 _SESSIONS: List["ObservationSession"] = []
+
+
+def _run_metrics(engine: Any) -> Dict[str, Any]:
+    """A finished engine run's summary: the run file's ``run_metrics``.
+
+    The counters are derived from the trace; ``phase_seconds`` is the
+    engine's stage clock, and ``wall_seconds`` is its sum — a lockstep
+    replica has no wall span of its own.  Batch runs add their
+    adjacency ``representation``.
+    """
+    trace = engine.trace
+    bits = delivered = changes = 0
+    last_edges = None
+    for record in trace:
+        bits += record.total_bits
+        delivered += sum(record.delivered.values())
+        if record.edges != last_edges:
+            changes += 1
+        last_edges = record.edges
+    phase_seconds = dict(engine.stage_seconds)
+    metrics: Dict[str, Any] = {
+        "rounds": trace.rounds,
+        "bits_sent": bits,
+        "messages_delivered": delivered,
+        "topology_changes": changes,
+        "wall_seconds": sum(phase_seconds.values()),
+        "phase_seconds": phase_seconds,
+    }
+    if engine.backend == "batch":
+        metrics["representation"] = engine.representation
+    return metrics
 
 
 @dataclass
@@ -96,9 +125,6 @@ class ObservationSession:
         Directory for the session log ``events.jsonl`` + one
         ``run-NNNN.jsonl`` per engine run.  ``None`` collects metrics
         only.
-    metrics:
-        When False, per-run timing still works but nothing aggregates
-        into the shared registry (it is the null sink).
     label:
         Free-form tag (e.g. the experiment name) stored in the log.
     stream:
@@ -118,13 +144,12 @@ class ObservationSession:
     def __init__(
         self,
         trace_dir: Optional[pathlib.Path] = None,
-        metrics: bool = True,
         label: Optional[str] = None,
         collect: bool = False,
         stream: Optional[bool] = None,
         resource_interval: Optional[float] = None,
     ):
-        self.registry: MetricsRegistry = MetricsRegistry() if metrics else NULL_REGISTRY
+        self.registry = MetricsRegistry()
         self.trace_dir = pathlib.Path(trace_dir) if trace_dir is not None else None
         self.manifest = SessionManifest(label=label)
         #: collect mode (pool workers): runs are buffered as
@@ -217,52 +242,48 @@ class ObservationSession:
         self._emit("progress", phase=phase, label=label, depth=depth, **extra)
 
     # -- engine integration --------------------------------------------
-    def instrument(self, engine: Any = None) -> Instrumentation:
-        """A fresh per-run instrumentation feeding this session."""
-        return Instrumentation(registry=self.registry, on_run_end=self._run_ended)
+    def run_finished(self, engine: Any) -> None:
+        """Account for and record one finished engine run.
 
-    @staticmethod
-    def _engine_protocol(engine: Any) -> Optional[str]:
-        """Protocol class name, derived from the engine's node set."""
-        nodes = getattr(engine, "nodes", None)
-        if not nodes:
-            return None
-        return type(next(iter(nodes.values()))).__name__
-
-    def _run_ended(self, instr: Instrumentation, engine: Any) -> None:
-        if self.collect and engine is not None:
-            run_manifest = RunManifest.from_engine(engine)
-            run_manifest.wall_seconds = instr.wall_seconds
-            self.spans.record_run(
-                run_manifest, instr, protocol=self._engine_protocol(engine)
-            )
+        Called by :meth:`~repro.sim.engine.RoundDriver.finish`.  The
+        run's counters and stage seconds fold into the registry once per
+        run; the run becomes a ``run`` span with one ``phase`` child per
+        stage, and (when persisting) a run file plus a ``run-complete``
+        event.
+        """
+        metrics = _run_metrics(engine)
+        reg = self.registry
+        reg.counter("runs_total").inc()
+        reg.counter("rounds_total").inc(metrics["rounds"])
+        reg.counter("bits_sent_total").inc(metrics["bits_sent"])
+        reg.counter("messages_delivered_total").inc(metrics["messages_delivered"])
+        reg.counter("topology_changes_total").inc(metrics["topology_changes"])
+        for stage, seconds in metrics["phase_seconds"].items():
+            reg.histogram("phase_seconds", {"phase": stage}).observe(seconds)
+        run_manifest = RunManifest.from_engine(engine)
+        run_manifest.wall_seconds = metrics["wall_seconds"]
+        protocol = type(next(iter(engine.nodes.values()))).__name__ if engine.nodes else None
+        self.spans.record_run(run_manifest, metrics["phase_seconds"], protocol=protocol)
+        if self.collect:
             self._captured.append(
                 CapturedRun(
                     kind="engine",
                     manifest=run_manifest,
                     trace=engine.trace,
                     node_ids=list(engine.node_ids),
-                    run_metrics=instr.run_metrics(),
+                    run_metrics=metrics,
                 )
             )
             return
         self._run_index += 1
-        if engine is not None:
-            run_manifest = RunManifest.from_engine(engine)
-        else:  # pragma: no cover - engines always pass themselves
-            run_manifest = RunManifest(seed=None, num_nodes=0, adversary="?")
-        run_manifest.wall_seconds = instr.wall_seconds
-        self.spans.record_run(
-            run_manifest, instr, protocol=self._engine_protocol(engine)
-        )
-        if self.trace_dir is not None and engine is not None:
+        if self.trace_dir is not None:
             name = f"run-{self._run_index:04d}.jsonl"
             write_trace_jsonl(
                 engine.trace,
                 self.trace_dir / name,
                 manifest=run_manifest,
                 node_ids=engine.node_ids,
-                run_metrics=instr.run_metrics(),
+                run_metrics=metrics,
             )
             run_manifest.trace_file = name
         self.manifest.runs.append(run_manifest)
@@ -299,7 +320,7 @@ class ObservationSession:
             )
         else:
             summary.update(rounds=None, diverged=True)
-        self.spans.record_run(run_manifest, None)
+        self.spans.record_run(run_manifest)
         if self.collect:
             self._captured.append(
                 CapturedRun(
@@ -409,16 +430,9 @@ def current_session() -> Optional[ObservationSession]:
     return _SESSIONS[-1] if _SESSIONS else None
 
 
-def instrument_engine(engine: Any) -> Optional[Instrumentation]:
-    """Hook for the engine: instrumentation from the active session, if any."""
-    session = current_session()
-    return session.instrument(engine) if session is not None else None
-
-
 @contextmanager
 def observe(
     trace_dir: Optional[pathlib.Path] = None,
-    metrics: bool = True,
     label: Optional[str] = None,
     stream: Optional[bool] = None,
     resource_interval: Optional[float] = None,
@@ -426,7 +440,6 @@ def observe(
     """Activate an :class:`ObservationSession` for the ``with`` scope."""
     session = ObservationSession(
         trace_dir=trace_dir,
-        metrics=metrics,
         label=label,
         stream=stream,
         resource_interval=resource_interval,

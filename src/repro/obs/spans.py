@@ -15,14 +15,13 @@ active :class:`~repro.obs.runtime.ObservationSession`.
 Three ways spans come into existence:
 
 * :func:`span` — a context manager around any scope.  With no active
-  session it is a no-op whose entire cost is one list lookup (the same
-  bounded-overhead contract as the engine's instrumentation hooks).
+  session it is a no-op whose entire cost is one list lookup.
 * :func:`span_event` — a zero-duration marker (degraded retry, tape
   stats) attached to the current position in the tree.
 * synthesized run/phase spans — when an engine run ends under a
-  session, the session converts the run's instrumentation summary into
-  one ``run`` span with five ``phase`` children, so engine time is
-  attributed without adding a single clock read to the round loop.
+  session, the session converts the engine's stage clock into one
+  ``run`` span with five ``phase`` children, so engine time is
+  attributed without a span per round.
 
 **Merge algebra.**  Pool workers record spans into a collecting
 session (:func:`repro.obs.runtime.worker_capture`); the parent ingests
@@ -72,7 +71,7 @@ class Span:
     tags: Dict[str, Any] = field(default_factory=dict)
     wall_seconds: float = 0.0
     #: CPU (process) time, when the span was timed in-process; synthesized
-    #: run/phase spans carry None — their clock is the instrumentation's
+    #: run/phase spans carry None — their clock is the engine's stage clock
     cpu_seconds: Optional[float] = None
     status: str = "ok"
 
@@ -179,14 +178,19 @@ class SpanRecorder:
             self.on_record(sp)
         return sp
 
-    def record_run(self, manifest: Any, instr: Any, protocol: Optional[str] = None) -> Span:
-        """Synthesize one ``run`` span (+ ``phase`` children) from a
-        finished run's instrumentation summary.
+    def record_run(
+        self,
+        manifest: Any,
+        phase_seconds: Optional[Dict[str, float]] = None,
+        protocol: Optional[str] = None,
+    ) -> Span:
+        """Synthesize one ``run`` span (+ ``phase`` children) for a
+        finished run.
 
-        No extra clocks: the wall time is the instrumentation's own, and
-        the five phase children re-use its per-phase totals — so the run
-        subtree is identical whether the run happened here or inside a
-        pool worker.
+        No extra clocks: the wall time is the manifest's, and the phase
+        children re-use the run's per-stage totals — so the run subtree
+        is identical whether the run happened here or inside a pool
+        worker.
         """
         tags: Dict[str, Any] = {
             "adversary": manifest.adversary,
@@ -199,15 +203,9 @@ class SpanRecorder:
         representation = getattr(manifest, "representation", None)
         if representation is not None:  # batch runs: attribute the kernel
             tags["representation"] = representation
-        wall = 0.0
-        phase_seconds: Dict[str, float] = {}
-        if instr is not None:
-            wall = getattr(instr, "wall_seconds", 0.0) or 0.0
-            phase_seconds = dict(getattr(instr, "phase_seconds", {}) or {})
-        elif manifest.wall_seconds is not None:
-            wall = manifest.wall_seconds
+        wall = manifest.wall_seconds or 0.0
         run_span = self.add("run", manifest.adversary, tags=tags, wall_seconds=wall)
-        for phase, seconds in phase_seconds.items():
+        for phase, seconds in (phase_seconds or {}).items():
             self.add(
                 "phase",
                 phase,

@@ -42,7 +42,8 @@ This module removes the redundancy without touching semantics:
   vectorized stages — it sees the identical
   :class:`~repro.sim.engine.AdversaryView` the reference engine would
   build.
-* :func:`run_batch_replicas` runs K same-cell replicas in lockstep.
+* :func:`run_batch_replicas` runs K same-cell replicas in lockstep,
+  observed or not.
   Oblivious replicas share one tape (and one adversary instance), so
   :func:`~repro.sim.runner.replicate` amortizes schedule materialization
   across seeds within a worker; adaptive replicas each get a fresh
@@ -81,16 +82,15 @@ from .actions import Receive, Send
 from .coins import Coins, CoinSource
 from .encoding import EncodingMemo
 from .engine import (
-    ROUND_STAGES,
     AdversaryView,
-    StageEvent,
+    RoundDriver,
     _is_connected,
     _normalize_edges,
     _RoundState,
 )
-from .messages import DEFAULT_BANDWIDTH_FACTOR, congest_budget
+from .messages import DEFAULT_BANDWIDTH_FACTOR
 from .node import ProtocolNode
-from .trace import ExecutionTrace, RoundRecord
+from .trace import RoundRecord
 
 __all__ = [
     "ScheduleTape",
@@ -561,18 +561,19 @@ def _csr_delivery(
     return counts, rkv[order].tolist()
 
 
-class BatchEngine:
+class BatchEngine(RoundDriver):
     """Drop-in vectorized engine — oblivious *and* adaptive adversaries.
 
-    Same constructor shape, ``step()``/``step_stages()``/``run()``
-    surface, trace, error types, and instrumentation hooks as
-    :class:`~repro.sim.engine.SynchronousEngine`; see that class for the
-    model semantics.  Extra parameters: ``tape``, a shared
-    :class:`ScheduleTape` (one is built from the adversary when absent:
-    a replay tape for oblivious adversaries, an incremental one for
-    adaptive adversaries); and ``dense_node_limit``, forwarded to that
-    implicit tape (ignored when ``tape`` is given — a shared tape
-    already fixed its representation policy).
+    Same constructor shape, trace, error types and stage clock as
+    :class:`~repro.sim.engine.SynchronousEngine`, and the same
+    ``step()``/``step_stages()``/``run()``/``finish()`` drivers, which
+    both inherit from :class:`~repro.sim.engine.RoundDriver`; see the
+    reference engine for the model semantics.  Extra parameters:
+    ``tape``, a shared :class:`ScheduleTape` (one is built from the
+    adversary when absent: a replay tape for oblivious adversaries, an
+    incremental one for adaptive adversaries); and ``dense_node_limit``,
+    forwarded to that implicit tape (ignored when ``tape`` is given — a
+    shared tape already fixed its representation policy).
 
     Adaptive mode runs the identical five-stage round: the actions stage
     additionally materializes the committed-actions mapping, the
@@ -593,19 +594,10 @@ class BatchEngine:
         coin_source: CoinSource,
         bandwidth_factor: int = DEFAULT_BANDWIDTH_FACTOR,
         check_connected: bool = True,
-        instrumentation: Optional[Any] = None,
         tape: Optional[ScheduleTape] = None,
         dense_node_limit: Optional[int] = None,
     ):
-        self.nodes = dict(nodes)
-        self.node_ids = frozenset(self.nodes)
-        self.adversary = adversary
-        self.coin_source = coin_source
-        self.bandwidth_factor = bandwidth_factor
-        self.budget = congest_budget(len(self.nodes), bandwidth_factor)
-        self.check_connected = check_connected
-        self.trace = ExecutionTrace(num_nodes=len(self.nodes))
-        self.round = 0
+        super().__init__(nodes, adversary, coin_source, bandwidth_factor, check_connected)
         if tape is None:
             tape = ScheduleTape(
                 adversary,
@@ -639,16 +631,6 @@ class BatchEngine:
             )
         else:  # pragma: no cover - exotic uid ranges
             self._h_seed_uid = None
-        if instrumentation is None:
-            from ..obs.runtime import instrument_engine
-
-            instrumentation = instrument_engine(self)
-        self.instrumentation = instrumentation
-        #: (stage name, bound stage method) in ROUND_STAGES order — the
-        #: same staged round protocol as the reference engine
-        self._stages = tuple(
-            (name, getattr(self, f"_stage_{name}")) for name in ROUND_STAGES
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -863,81 +845,6 @@ class BatchEngine:
                 self.trace.termination_round = state.round
                 self.trace.outputs = dict(zip(self._uids, outs))
 
-    # -- drivers (same shape as the reference engine's) ----------------
-
-    def step(self) -> RoundRecord:
-        """Execute one round and return its record (reference semantics)."""
-        self.round += 1
-        state = _RoundState(self.round)
-        instr = self.instrumentation
-        if instr is None:
-            for _name, method in self._stages:
-                method(state)
-            return state.record
-        instr.run_started()
-        clock = instr.clock
-        t_phase = clock()
-        for name, method in self._stages:
-            method(state)
-            now = clock()
-            instr.observe_phase(name, now - t_phase)
-            t_phase = now
-        instr.round_finished(state.record)
-        return state.record
-
-    def step_stages(self) -> Iterator[StageEvent]:
-        """One round stage by stage, yielding after each stage.
-
-        Mirrors :meth:`~repro.sim.engine.SynchronousEngine.step_stages`
-        exactly; the ``actions`` field of the yielded events is ``None``
-        on the fused oblivious path (the mapping is never materialized)
-        and populated in adaptive mode.
-        """
-        self.round += 1
-        state = _RoundState(self.round)
-        instr = self.instrumentation
-        if instr is not None:
-            instr.run_started()
-            clock = instr.clock
-        for name, method in self._stages:
-            if instr is not None:
-                t0 = clock()
-                method(state)
-                instr.observe_phase(name, clock() - t0)
-            else:
-                method(state)
-            yield StageEvent(
-                stage=name,
-                round=state.round,
-                actions=state.actions,
-                edges=state.edges,
-                record=state.record,
-            )
-        if instr is not None:
-            instr.round_finished(state.record)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        max_rounds: int,
-        stop: Optional[Callable[[Dict[int, ProtocolNode]], bool]] = None,
-        stop_on_termination: bool = True,
-    ) -> ExecutionTrace:
-        """Run until termination, a custom stop predicate, or ``max_rounds``."""
-        while self.round < max_rounds:
-            self.step()
-            if stop_on_termination and self.trace.termination_round is not None:
-                break
-            if stop is not None and stop(self.nodes):
-                break
-        self.trace.outputs = {uid: node.output() for uid, node in self.nodes.items()}
-        if self.instrumentation is not None:
-            extra = getattr(self.instrumentation, "extra", None)
-            if extra is not None:
-                extra["representation"] = self.representation
-            self.instrumentation.run_finished(self)
-        return self.trace
-
 
 def build_engine(
     nodes: Dict[int, ProtocolNode],
@@ -945,7 +852,6 @@ def build_engine(
     coin_source: CoinSource,
     bandwidth_factor: int = DEFAULT_BANDWIDTH_FACTOR,
     check_connected: bool = True,
-    instrumentation: Optional[Any] = None,
     backend: str = "reference",
     tape: Optional[ScheduleTape] = None,
     dense_node_limit: Optional[int] = None,
@@ -968,7 +874,6 @@ def build_engine(
             coin_source,
             bandwidth_factor=bandwidth_factor,
             check_connected=check_connected,
-            instrumentation=instrumentation,
             tape=tape,
             dense_node_limit=dense_node_limit,
         )
@@ -980,7 +885,6 @@ def build_engine(
         coin_source,
         bandwidth_factor=bandwidth_factor,
         check_connected=check_connected,
-        instrumentation=instrumentation,
     )
 
 
@@ -992,8 +896,6 @@ def run_batch_replicas(
     max_rounds: int,
     bandwidth_factor: int = DEFAULT_BANDWIDTH_FACTOR,
     check_connected: bool = True,
-    instrument: bool = False,
-    registry: Optional[Any] = None,
     dense_node_limit: Optional[int] = None,
 ) -> List[Any]:
     """Run one cell's replicas on the batch engine; list of ``ProtocolRun``.
@@ -1005,14 +907,15 @@ def run_batch_replicas(
     fresh adversary (``make_adversary()``) and its own incremental tape,
     because an adaptive adversary may carry per-run state and its
     per-round decisions depend on that run's view — exactly matching the
-    reference ``replicate`` semantics.  In both modes uninstrumented
-    replicas advance in lockstep — round 1 of every replica, then round
-    2 — so a shared tape materializes each round at most once even when
-    replicas terminate at different times; traces are finalized in seed
-    order afterwards.  Instrumented replicas (explicit or via an ambient
-    observation session) run sequentially instead, keeping each run's
-    wall-clock span meaningful and the session's run numbering ordered.
-    ``dense_node_limit`` shapes every tape's adjacency representation.
+    reference ``replicate`` semantics.  In both modes the replicas
+    advance in lockstep — round 1 of every replica, then round 2 — so a
+    shared tape materializes each round at most once even when replicas
+    terminate at different times.  Under an observation session too:
+    each engine's stage clock times its own stages, so the measured
+    loop is the one every sweep runs.  The engines are finished in
+    seed order afterwards, which keeps the session's run numbering and
+    span tree in seed order.  ``dense_node_limit`` shapes every tape's
+    adjacency representation.
     """
     from .runner import ProtocolRun
 
@@ -1027,11 +930,6 @@ def run_batch_replicas(
     )
     engines: List[BatchEngine] = []
     for seed in seeds:
-        instrumentation = None
-        if instrument:
-            from ..obs.instrumentation import Instrumentation
-
-            instrumentation = Instrumentation(registry=registry)
         if oblivious:
             adv, tape = adversary, shared_tape
         else:
@@ -1046,7 +944,6 @@ def run_batch_replicas(
                 CoinSource(seed),
                 bandwidth_factor=bandwidth_factor,
                 check_connected=check_connected,
-                instrumentation=instrumentation,
                 tape=tape,
             )
         )
@@ -1054,29 +951,18 @@ def run_batch_replicas(
     from ..obs.spans import span_event
 
     reporter = current_reporter()
-    if any(engine.instrumentation is not None for engine in engines):
-        for engine, seed in zip(engines, seeds):
-            engine.run(max_rounds)
-            if reporter is not None:
-                reporter.advance(label=f"seed={seed}")
-    else:
-        active = list(engines) if max_rounds > 0 else []
-        while active:
-            still_running: List[BatchEngine] = []
-            for engine in active:
-                engine.step()
-                if (
-                    engine.trace.termination_round is None
-                    and engine.round < max_rounds
-                ):
-                    still_running.append(engine)
-                elif reporter is not None:
-                    reporter.advance()
-            active = still_running
-        for engine in engines:  # finalize in seed order, like run() would
-            engine.trace.outputs = {
-                uid: node.output() for uid, node in engine.nodes.items()
-            }
+    active = list(engines) if max_rounds > 0 else []
+    while active:
+        still_running: List[BatchEngine] = []
+        for engine in active:
+            engine.step()
+            if engine.trace.termination_round is None and engine.round < max_rounds:
+                still_running.append(engine)
+            elif reporter is not None:
+                reporter.advance()
+        active = still_running
+    for engine in engines:  # seed order: the session numbers runs as it sees them
+        engine.finish()
     # How well the tape(s) amortized: one event span per chunk, so
     # `repro profile` can report interning effectiveness per cell.  For
     # adaptive cells the per-engine incremental tapes are aggregated.
@@ -1110,17 +996,12 @@ def run_batch_replicas(
         trace = engine.trace
         terminated = trace.termination_round is not None
         rounds = trace.termination_round if terminated else trace.rounds
-        metrics: Dict[str, Any] = {}
-        inst = engine.instrumentation
-        if inst is not None and hasattr(inst, "run_metrics"):
-            metrics = inst.run_metrics()
         runs.append(
             ProtocolRun(
                 trace=trace,
                 terminated=terminated,
                 rounds=rounds,
                 outputs=trace.outputs,
-                metrics=metrics,
                 backend="batch",
                 representation=engine.representation,
             )

@@ -1,22 +1,18 @@
 """The run-configuration facade shared by every execution entry point.
 
 ``run_protocol``/``replicate``/``cartesian_sweep`` and the CLI
-experiment drivers used to triplicate the same seven keyword arguments
-(seed, rounds, bandwidth, connectivity checking, instrumentation,
-registry, workers).  :class:`RunConfig` collapses them into one frozen
-value object and adds the one new axis this facade was built for:
-``backend`` selects between the reference engine
+experiment drivers share one frozen value object, :class:`RunConfig`,
+for everything that shapes an execution (seed, rounds, bandwidth,
+connectivity checking, workers, backend, cache).  ``backend`` selects
+between the reference engine
 (:class:`~repro.sim.engine.SynchronousEngine`) and the vectorized batch
 backend (:class:`~repro.sim.batch.BatchEngine`), which is verified
 bit-identical and exists purely for throughput.
 
-The config-first migration is complete: the drivers accept *only*
-``config=RunConfig(...)``.  The legacy individual-argument call styles
-(``run_protocol(mn, ma, 3, 30)``, ``replicate(..., max_rounds=200)``)
-deprecation-warned through PR 9 and are now a hard
-:class:`~repro.errors.ConfigurationError` naming the exact
-``RunConfig(...)`` replacement (:func:`coerce_config` remains as the
-guard that produces that error).
+The drivers take ``config=RunConfig(...)`` and nothing else: a
+``config`` of any other type is a :class:`~repro.errors.ConfigurationError`
+(:func:`check_config`), and stray arguments are Python's own
+``TypeError``.
 
 Backend resolution mirrors the worker resolution of
 :mod:`repro.sim.parallel`: an explicit ``backend=`` wins, otherwise the
@@ -30,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
 from .messages import DEFAULT_BANDWIDTH_FACTOR
@@ -41,7 +37,7 @@ __all__ = [
     "BACKEND_ENV",
     "CACHE_MODES",
     "CACHE_ENV",
-    "coerce_config",
+    "check_config",
     "resolve_backend",
     "resolve_cache",
 ]
@@ -110,10 +106,6 @@ class RunConfig:
     check_connected:
         Enforce per-round connectivity (the model constraint); the
         lower-bound subnetworks legitimately turn this off.
-    instrument:
-        Attach per-run instrumentation (phase timings, counters).
-    registry:
-        Metrics registry the instrumentation feeds (fresh one if None).
     workers:
         Process-pool width for ``replicate``/``cartesian_sweep``
         (``None`` defers to ``$REPRO_WORKERS``, 0 is sequential).
@@ -128,8 +120,8 @@ class RunConfig:
         ``"ro"`` only reads, ``"off"`` disables it (``None`` defers to
         ``$REPRO_CACHE``, then off).  Cache keys hash only the
         result-shaping fields (seed, max_rounds, bandwidth_factor,
-        check_connected) plus the cell identity — never workers,
-        backend, or instrumentation.
+        check_connected) plus the cell identity — never workers or
+        backend.
     cache_dir:
         Cache root directory (``None`` defers to ``$REPRO_CACHE_DIR``,
         then ``~/.cache/repro``).
@@ -139,8 +131,6 @@ class RunConfig:
     max_rounds: Optional[int] = None
     bandwidth_factor: int = DEFAULT_BANDWIDTH_FACTOR
     check_connected: bool = True
-    instrument: bool = False
-    registry: Optional[Any] = None
     workers: Optional[int] = None
     backend: Optional[str] = None
     cache: Optional[str] = None
@@ -173,7 +163,7 @@ class RunConfig:
         return replace(self, **changes)
 
     def as_dict(self) -> Dict[str, Any]:
-        """Field dict (shallow; the registry object rides along as-is)."""
+        """Field dict."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
@@ -184,64 +174,16 @@ class RunConfig:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
-def coerce_config(
-    fn_name: str,
-    legacy_order: Sequence[str],
-    config: Optional[Any],
-    legacy_args: Tuple[Any, ...],
-    legacy_kwargs: Dict[str, Any],
-) -> RunConfig:
-    """Guard a driver's ``config`` slot against the removed legacy styles.
+def check_config(fn_name: str, config: Optional[RunConfig]) -> RunConfig:
+    """The driver's config: ``RunConfig()`` for ``None``, else ``config``.
 
-    The drivers are declared as ``fn(..., config=None, *legacy_args,
-    **legacy_kwargs)``: current code passes a :class:`RunConfig` (or
-    nothing) in the ``config`` slot.  The pre-RunConfig call styles —
-    individual values positionally or by keyword — deprecation-warned
-    for four PRs and are now removed; this guard
-
-    * treats a non-``RunConfig`` value in the ``config`` slot as the
-      first legacy positional (so ``run_protocol(mn, ma, 3, 30)`` is
-      still *recognized*, and rejected with its exact replacement),
-    * maps remaining positionals onto ``legacy_order`` and accepts
-      legacy keywords whose names are ``RunConfig`` fields, purely to
-      name the fields in the error, and
-    * raises :class:`~repro.errors.ConfigurationError` spelling out the
-      ``config=RunConfig(...)`` call that replaces the rejected one.
-
-    Unknown keywords and positional overflow raise :class:`TypeError`,
-    like any Python call.
+    Anything that is not a :class:`RunConfig` raises
+    :class:`~repro.errors.ConfigurationError` naming its type.
     """
-    legacy: Dict[str, Any] = {}
-    if config is not None and not isinstance(config, RunConfig):
-        legacy_args = (config,) + tuple(legacy_args)
-        config = None
-    if len(legacy_args) > len(legacy_order):
-        raise TypeError(
-            f"{fn_name}() takes at most {len(legacy_order)} positional "
-            f"configuration arguments ({', '.join(legacy_order)}); "
-            f"got {len(legacy_args)}"
-        )
-    for name, value in zip(legacy_order, legacy_args):
-        legacy[name] = value
-    allowed = {f.name for f in fields(RunConfig)}
-    for name, value in legacy_kwargs.items():
-        if name not in allowed:
-            raise TypeError(
-                f"{fn_name}() got an unexpected keyword argument {name!r}"
-            )
-        if name in legacy:
-            raise TypeError(f"{fn_name}() got multiple values for argument {name!r}")
-        legacy[name] = value
-    if not legacy:
-        return config if config is not None else RunConfig()
-    if config is not None:
+    if config is None:
+        return RunConfig()
+    if not isinstance(config, RunConfig):
         raise ConfigurationError(
-            f"{fn_name}: pass either config=RunConfig(...) or the legacy "
-            f"individual arguments, not both (got both config= and "
-            f"{sorted(legacy)})"
+            f"{fn_name}: config must be a RunConfig, got {type(config).__name__}"
         )
-    replacement = ", ".join(f"{k}={legacy[k]!r}" for k in sorted(legacy))
-    raise ConfigurationError(
-        f"{fn_name}: passing configuration as individual arguments was "
-        f"removed; use {fn_name}(..., config=RunConfig({replacement}))"
-    )
+    return config

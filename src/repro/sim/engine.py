@@ -18,19 +18,26 @@ budget, edges within the node set) and records a full
 
 Rounds execute as the fixed stage sequence :data:`ROUND_STAGES`
 (actions → adversary → validation → delivery → termination), each stage
-a method over a shared per-round state.  :meth:`SynchronousEngine.step`
-drives all five inline; :meth:`SynchronousEngine.step_stages` exposes
-the same methods as a generator yielding a :class:`StageEvent` after
-each stage, so a caller can interpose between the committed actions and
-the adversary's decision.  The batch backend
-(:mod:`repro.sim.batch`) runs the identical stage sequence with the
-within-stage work vectorized — which is how adaptive adversaries batch:
-their per-round decision sits between vectorized stages.
+a method over a shared per-round state.  One driver,
+:class:`RoundDriver`, runs them for both engines: :meth:`~RoundDriver.step`
+drives all five inline; :meth:`~RoundDriver.step_stages` exposes the
+same methods as a generator yielding a :class:`StageEvent` after each
+stage, so a caller can interpose between the committed actions and the
+adversary's decision.  The batch backend (:mod:`repro.sim.batch`)
+supplies the identical stage sequence with the within-stage work
+vectorized — which is how adaptive adversaries batch: their per-round
+decision sits between vectorized stages.
+
+The driver always times each stage (one ``perf_counter`` read per stage
+boundary, never per node) into ``engine.stage_seconds``, summed over the
+run; :meth:`~RoundDriver.finish` hands the finished run to the
+observation session the engine was built under, if any.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any, Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
 
 from .._util import bit_size, canonical_encoding
@@ -51,6 +58,7 @@ __all__ = [
     "ROUND_STAGES",
     "StageEvent",
     "AdversaryView",
+    "RoundDriver",
     "SynchronousEngine",
 ]
 
@@ -59,11 +67,11 @@ Edge = Tuple[int, int]
 #: The five stages of one synchronous round, in execution order.  They
 #: match the numbered steps of the module docstring (coins+actions are
 #: one stage: a node's action is a deterministic function of its state
-#: and coins, so there is no observable point between them) and the
-#: instrumentation phases (:data:`repro.obs.instrumentation.PHASES`)
-#: one-to-one.  Both engines — reference and batch — run exactly this
-#: sequence; the batch backend vectorizes *within* stages, which is what
-#: lets an adaptive adversary's per-round decision sit between
+#: and coins, so there is no observable point between them) and key the
+#: stage clock (``engine.stage_seconds``) and the ``phase_seconds``
+#: metrics one-to-one.  Both engines — reference and batch — run exactly
+#: this sequence; the batch backend vectorizes *within* stages, which is
+#: what lets an adaptive adversary's per-round decision sit between
 #: vectorized coin folds and vectorized delivery.
 ROUND_STAGES = ("actions", "adversary", "validation", "delivery", "termination")
 
@@ -180,7 +188,124 @@ def _is_connected(node_ids: FrozenSet[int], edges: FrozenSet[Edge]) -> bool:
     return components == 1
 
 
-class SynchronousEngine:
+class RoundDriver:
+    """The timed round driver both engines share.
+
+    An engine supplies the five stage methods ``_stage_<name>`` of
+    :data:`ROUND_STAGES`; the driver owns the model parameters every
+    engine carries, the trace, the round counter, and the drivers
+    :meth:`step`, :meth:`step_stages`, :meth:`run` and :meth:`finish`.
+    Both backends run rounds through this one loop, which is what
+    guarantees an adaptive adversary sees the identical per-round view
+    on either backend.
+
+    The stage clock is always on: each stage of each round is timed
+    with ``time.perf_counter`` into :attr:`stage_seconds`, never per
+    node, so a run's stage timings come from the same loop whether or
+    not anything observes it.  The observation session active when the
+    engine is built (:func:`repro.obs.runtime.observe`) receives the
+    run from :meth:`finish`.
+    """
+
+    def __init__(
+        self,
+        nodes: Dict[int, ProtocolNode],
+        adversary: Any,
+        coin_source: CoinSource,
+        bandwidth_factor: int = DEFAULT_BANDWIDTH_FACTOR,
+        check_connected: bool = True,
+    ):
+        self.nodes = dict(nodes)
+        self.node_ids = frozenset(self.nodes)
+        self.adversary = adversary
+        self.coin_source = coin_source
+        self.bandwidth_factor = bandwidth_factor
+        self.budget = congest_budget(len(self.nodes), bandwidth_factor)
+        self.check_connected = check_connected
+        self.trace = ExecutionTrace(num_nodes=len(self.nodes))
+        self.round = 0
+        #: seconds spent in each stage, summed over the run so far
+        self.stage_seconds: Dict[str, float] = dict.fromkeys(ROUND_STAGES, 0.0)
+        #: (stage name, bound stage method) in ROUND_STAGES order —
+        #: resolved once so the per-round driver loop is attribute-free
+        self._stages = tuple(
+            (name, getattr(self, f"_stage_{name}")) for name in ROUND_STAGES
+        )
+        # Lazy import: obs depends on sim.trace, so importing it at
+        # module scope would be cyclic.  One list lookup per engine.
+        from ..obs.runtime import current_session
+
+        self._session = current_session()
+
+    def step(self) -> RoundRecord:
+        """Execute one round and return its record."""
+        self.round += 1
+        state = _RoundState(self.round)
+        seconds = self.stage_seconds
+        t0 = perf_counter()
+        for name, method in self._stages:
+            method(state)
+            t1 = perf_counter()
+            seconds[name] += t1 - t0
+            t0 = t1
+        return state.record
+
+    def step_stages(self) -> Iterator[StageEvent]:
+        """Execute one round stage by stage, yielding after each stage.
+
+        The generator face of the round protocol: the same five stage
+        methods :meth:`step` drives, but control returns to the caller
+        after every stage with a :class:`StageEvent` describing what
+        just completed.  The stage clock times only the engine's work —
+        the consumer's time between ``next()`` calls is charged to no
+        stage — and the round counter advances when the generator
+        starts, so a partially consumed round leaves the engine
+        mid-round: drive each round's generator to exhaustion before
+        calling :meth:`step` or starting another.
+        """
+        self.round += 1
+        state = _RoundState(self.round)
+        seconds = self.stage_seconds
+        for name, method in self._stages:
+            t0 = perf_counter()
+            method(state)
+            seconds[name] += perf_counter() - t0
+            yield StageEvent(
+                stage=name,
+                round=state.round,
+                actions=state.actions,
+                edges=state.edges,
+                record=state.record,
+            )
+
+    def run(
+        self,
+        max_rounds: int,
+        stop: Optional[Callable[[Dict[int, ProtocolNode]], bool]] = None,
+        stop_on_termination: bool = True,
+    ) -> ExecutionTrace:
+        """Run until termination, a custom stop predicate, or ``max_rounds``."""
+        while self.round < max_rounds:
+            self.step()
+            if stop_on_termination and self.trace.termination_round is not None:
+                break
+            if stop is not None and stop(self.nodes):
+                break
+        return self.finish()
+
+    def finish(self) -> ExecutionTrace:
+        """End the run: record final outputs, hand it to the session.
+
+        :meth:`run` calls this; a caller that drives :meth:`step`
+        itself (lockstep replicas) calls it once per engine when done.
+        """
+        self.trace.outputs = {uid: node.output() for uid, node in self.nodes.items()}
+        if self._session is not None:
+            self._session.run_finished(self)
+        return self.trace
+
+
+class SynchronousEngine(RoundDriver):
     """Runs a protocol over an adversary-controlled dynamic network.
 
     This is the *reference* backend: the executable definition of the
@@ -206,12 +331,6 @@ class SynchronousEngine:
         Validate per-round connectivity (the model constraint).  On by
         default; the lower-bound *subnetworks* are legitimately
         disconnected in isolation and turn this off.
-    instrumentation:
-        Optional :class:`~repro.obs.instrumentation.Instrumentation`:
-        times each of the five round phases and maintains run counters.
-        When omitted, an ambient :func:`repro.obs.runtime.observe`
-        session (if one is active) supplies it; otherwise the engine
-        runs the uninstrumented path — no clocks, no counters.
     """
 
     #: which execution backend produced this engine's traces (manifests
@@ -225,42 +344,18 @@ class SynchronousEngine:
         coin_source: CoinSource,
         bandwidth_factor: int = DEFAULT_BANDWIDTH_FACTOR,
         check_connected: bool = True,
-        instrumentation: Optional[Any] = None,
     ):
-        self.nodes = dict(nodes)
-        self.node_ids = frozenset(self.nodes)
-        self.adversary = adversary
-        self.coin_source = coin_source
-        self.bandwidth_factor = bandwidth_factor
-        self.budget = congest_budget(len(self.nodes), bandwidth_factor)
-        self.check_connected = check_connected
-        self.trace = ExecutionTrace(num_nodes=len(self.nodes))
-        self.round = 0
+        super().__init__(nodes, adversary, coin_source, bandwidth_factor, check_connected)
         # payload -> (payload, canonical_encoding) memo (payloads repeat
         # heavily across rounds; unhashable ones fall through to direct
         # encoding).  The stored payload guards against equal-but-
         # differently-encoded keys (True == 1, 0.0 == -0.0).
         self._enc_cache: Dict[Any, Tuple[Any, bytes]] = {}
-        if instrumentation is None:
-            # Lazy import: obs depends on sim.trace, so importing it at
-            # module scope would be cyclic.  One dict lookup per engine.
-            from ..obs.runtime import instrument_engine
-
-            instrumentation = instrument_engine(self)
-        self.instrumentation = instrumentation
-        #: (stage name, bound stage method) in ROUND_STAGES order —
-        #: resolved once so the per-round driver loop is attribute-free
-        self._stages = self._stage_methods()
 
     # -- the staged round protocol -------------------------------------
     #
     # One round is the fixed stage sequence ROUND_STAGES; each stage is
-    # a method over the round's _RoundState.  step() drives all five
-    # inline (the hot path); step_stages() exposes the same methods as a
-    # generator so a caller — a test harness, a recording stub, a future
-    # churn controller — can interpose between stages.  Both engines
-    # share this driver shape, which is what guarantees an adaptive
-    # adversary sees the identical per-round view on either backend.
+    # a method over the round's _RoundState, driven by RoundDriver.
 
     def _stage_actions(self, state: _RoundState) -> None:
         """(1)+(2): coins and committed actions, in deterministic id order."""
@@ -364,82 +459,3 @@ class SynchronousEngine:
             if all(out is not None for out in outputs.values()):
                 self.trace.termination_round = state.round
                 self.trace.outputs = outputs
-
-    def _stage_methods(self):
-        return tuple((name, getattr(self, f"_stage_{name}")) for name in ROUND_STAGES)
-
-    # ------------------------------------------------------------------
-    def step(self) -> RoundRecord:
-        """Execute one round and return its record."""
-        self.round += 1
-        state = _RoundState(self.round)
-        instr = self.instrumentation
-        if instr is None:
-            for _name, method in self._stages:
-                method(state)
-            return state.record
-        instr.run_started()
-        clock = instr.clock
-        t_phase = clock()
-        for name, method in self._stages:
-            method(state)
-            now = clock()
-            instr.observe_phase(name, now - t_phase)
-            t_phase = now
-        instr.round_finished(state.record)
-        return state.record
-
-    def step_stages(self) -> Iterator[StageEvent]:
-        """Execute one round stage by stage, yielding after each stage.
-
-        The callback/generator face of the round protocol: the same five
-        stage methods :meth:`step` drives, but control returns to the
-        caller after every stage with a :class:`StageEvent` describing
-        what just completed.  Instrumentation times only the engine's
-        work — the consumer's time between ``next()`` calls is not
-        charged to any phase — and the round counter advances when the
-        generator starts, so a partially consumed round leaves the
-        engine mid-round: drive each round's generator to exhaustion
-        before calling :meth:`step` or starting another.
-        """
-        self.round += 1
-        state = _RoundState(self.round)
-        instr = self.instrumentation
-        if instr is not None:
-            instr.run_started()
-            clock = instr.clock
-        for name, method in self._stages:
-            if instr is not None:
-                t0 = clock()
-                method(state)
-                instr.observe_phase(name, clock() - t0)
-            else:
-                method(state)
-            yield StageEvent(
-                stage=name,
-                round=state.round,
-                actions=state.actions,
-                edges=state.edges,
-                record=state.record,
-            )
-        if instr is not None:
-            instr.round_finished(state.record)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        max_rounds: int,
-        stop: Optional[Callable[[Dict[int, ProtocolNode]], bool]] = None,
-        stop_on_termination: bool = True,
-    ) -> ExecutionTrace:
-        """Run until termination, a custom stop predicate, or ``max_rounds``."""
-        while self.round < max_rounds:
-            self.step()
-            if stop_on_termination and self.trace.termination_round is not None:
-                break
-            if stop is not None and stop(self.nodes):
-                break
-        self.trace.outputs = {uid: node.output() for uid, node in self.nodes.items()}
-        if self.instrumentation is not None:
-            self.instrumentation.run_finished(self)
-        return self.trace

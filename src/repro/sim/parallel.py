@@ -16,8 +16,8 @@ keeping the three guarantees that make the sweeps auditable:
 * **merged observability** — when an ambient
   :func:`repro.obs.runtime.observe` session is active in the parent,
   each worker task runs under its own *collecting* session (fresh
-  :class:`~repro.obs.metrics.MetricsRegistry`, per-run instrumentation,
-  per-reduction :class:`~repro.obs.ledger.ProofLedger`) whose captured
+  :class:`~repro.obs.metrics.MetricsRegistry`, per-run counters and
+  stage timings, per-reduction :class:`~repro.obs.ledger.ProofLedger`) whose captured
   runs and metrics are shipped back and merged into the parent session
   in task order — counters add, gauges keep the last-task value,
   histograms merge, and traces/ledgers persist with the same

@@ -15,23 +15,18 @@ The config selects the execution backend: ``"reference"`` is the
 readable one-loop-per-round :class:`~repro.sim.engine.SynchronousEngine`;
 ``"batch"`` is the vectorized :class:`~repro.sim.batch.BatchEngine`,
 bit-identical on oblivious *and* adaptive adversaries (the latter via an
-incremental schedule tape).  The legacy call styles — individual
-seed/max_rounds/... arguments — were removed; passing them raises a
-:class:`~repro.errors.ConfigurationError` naming the ``RunConfig``
-replacement.
+incremental schedule tape).  A ``config`` that is not a ``RunConfig``
+raises :class:`~repro.errors.ConfigurationError`.
 
 Both drivers consult the content-addressed result cache
 (:mod:`repro.cache`) when ``RunConfig(cache="rw"|"ro")`` or
 ``$REPRO_CACHE`` enables it: a hit returns a served
 :class:`ProtocolRun` (``cached=True``, stored trace fingerprint,
-aggregate-only trace) without executing; instrumented runs
-(``instrument=True``) always execute and are never cached.
+aggregate-only trace) without executing.
 
-Both drivers thread observability through: ``RunConfig(instrument=True)``
-(or an ambient :func:`repro.obs.runtime.observe` session) gives every
-run a per-phase wall-clock breakdown and counters in
-``ProtocolRun.metrics``; a replication aggregates them in
-``ReplicationSummary``.
+Observability is ambient: under a :func:`repro.obs.runtime.observe`
+session every executed run is handed to the session when it finishes,
+with its stage timings and counters (see :mod:`repro.obs.runtime`).
 
 Replication is embarrassingly parallel — every run is deterministic in
 its seed — so ``RunConfig(workers=4)`` fans the seeds out over a process
@@ -46,14 +41,14 @@ with a warning rather than failing.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import mean, median
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .._util import require
 from .batch import build_engine, run_batch_replicas
 from .coins import CoinSource
-from .config import RunConfig, coerce_config
+from .config import RunConfig, check_config
 from .node import ProtocolNode
 from .trace import ExecutionTrace
 
@@ -61,18 +56,6 @@ __all__ = ["ProtocolRun", "run_protocol", "replicate", "ReplicationSummary"]
 
 NodeFactory = Callable[[], Dict[int, ProtocolNode]]
 AdversaryFactory = Callable[[], Any]
-
-#: Legacy positional orders of the pre-RunConfig signatures; the shim
-#: maps stray positionals onto these names so the hard error can name
-#: the exact ``RunConfig(...)`` replacement.
-_RUN_PROTOCOL_LEGACY = (
-    "seed", "max_rounds", "bandwidth_factor", "check_connected",
-    "instrument", "registry",
-)
-_REPLICATE_LEGACY = (
-    "max_rounds", "bandwidth_factor", "check_connected",
-    "instrument", "registry", "workers",
-)
 
 
 @dataclass
@@ -83,9 +66,6 @@ class ProtocolRun:
     terminated: bool
     rounds: int
     outputs: Dict[int, Any]
-    #: per-run instrumentation summary (wall_seconds, phase_seconds,
-    #: counters) when the run was instrumented; {} otherwise
-    metrics: Dict[str, Any] = field(default_factory=dict)
     #: which engine produced this run ("reference" or "batch")
     backend: str = "reference"
     #: batch runs only: the adjacency representation the schedule tape
@@ -104,43 +84,28 @@ class ProtocolRun:
     def total_bits(self) -> int:
         return self.trace.total_bits()
 
-    @property
-    def wall_seconds(self) -> Optional[float]:
-        return self.metrics.get("wall_seconds")
-
 
 def run_protocol(
     make_nodes: NodeFactory,
     make_adversary: AdversaryFactory,
     config: Optional[RunConfig] = None,
-    *legacy_args: Any,
-    **legacy_kwargs: Any,
 ) -> ProtocolRun:
     """Run one protocol execution to termination (or ``max_rounds``).
 
     Configuration comes as ``RunConfig(seed=..., max_rounds=..., ...)``;
-    ``seed`` and ``max_rounds`` are required.  The legacy individual
-    arguments (``run_protocol(mn, ma, seed, max_rounds, ...)``) were
-    removed and raise :class:`~repro.errors.ConfigurationError`.
+    ``seed`` and ``max_rounds`` are required.
 
     With ``RunConfig(cache="rw"|"ro")`` (or ``$REPRO_CACHE``) the
     result cache is consulted first: a hit returns a ``cached=True``
     run carrying the stored fingerprint and aggregates; on ``"rw"`` a
-    computed run is stored for next time.  Instrumented runs bypass
-    the cache entirely.
-
-    ``RunConfig(instrument=True)`` attaches a fresh
-    :class:`~repro.obs.instrumentation.Instrumentation` (feeding
-    ``config.registry`` if given) and stores its summary on the returned
-    run.  ``RunConfig(backend="batch")`` runs the vectorized backend.
+    computed run is stored for next time.  ``RunConfig(backend="batch")``
+    runs the vectorized backend.
     """
-    cfg = coerce_config(
-        "run_protocol", _RUN_PROTOCOL_LEGACY, config, legacy_args, legacy_kwargs
-    )
+    cfg = check_config("run_protocol", config)
     require(cfg.seed is not None, "run_protocol requires RunConfig(seed=...)")
     require(cfg.max_rounds is not None, "run_protocol requires RunConfig(max_rounds=...)")
     cache_key = cache = cache_mode = None
-    if not cfg.instrument and cfg.resolved_cache() != "off":
+    if cfg.resolved_cache() != "off":
         from ..cache.runcache import lookup_run
 
         cache_key, cache, cache_mode, served = lookup_run(
@@ -148,33 +113,22 @@ def run_protocol(
         )
         if served is not None:
             return served
-    instrumentation = None
-    if cfg.instrument:
-        from ..obs.instrumentation import Instrumentation
-
-        instrumentation = Instrumentation(registry=cfg.registry)
     engine = build_engine(
         make_nodes(),
         make_adversary(),
         CoinSource(cfg.seed),
         bandwidth_factor=cfg.bandwidth_factor,
         check_connected=cfg.check_connected,
-        instrumentation=instrumentation,
         backend=cfg.resolved_backend(),
     )
     trace = engine.run(cfg.max_rounds)
     terminated = trace.termination_round is not None
     rounds = trace.termination_round if terminated else trace.rounds
-    metrics: Dict[str, Any] = {}
-    inst = engine.instrumentation
-    if inst is not None and hasattr(inst, "run_metrics"):
-        metrics = inst.run_metrics()
     run = ProtocolRun(
         trace=trace,
         terminated=terminated,
         rounds=rounds,
         outputs=trace.outputs,
-        metrics=metrics,
         backend=engine.backend,
         representation=getattr(engine, "representation", None),
     )
@@ -215,22 +169,6 @@ class ReplicationSummary:
     def mean_bits(self) -> float:
         return mean(r.total_bits for r in self.runs)
 
-    @property
-    def total_wall_seconds(self) -> Optional[float]:
-        """Summed run wall time, when every run was instrumented."""
-        walls = [r.wall_seconds for r in self.runs]
-        if not walls or any(w is None for w in walls):
-            return None
-        return sum(walls)  # type: ignore[arg-type]
-
-    def phase_seconds(self) -> Dict[str, float]:
-        """Per-phase wall clock summed over instrumented runs."""
-        totals: Dict[str, float] = {}
-        for run in self.runs:
-            for phase, sec in run.metrics.get("phase_seconds", {}).items():
-                totals[phase] = totals.get(phase, 0.0) + sec
-        return totals
-
     def error_rate(self, correct: Callable[[ProtocolRun], bool]) -> float:
         """Fraction of runs whose outcome fails the ``correct`` predicate."""
         return sum(not correct(r) for r in self.runs) / max(1, len(self.runs))
@@ -243,21 +181,9 @@ def _replicate_task(
     max_rounds: int,
     bandwidth_factor: int,
     check_connected: bool,
-    instrument: bool,
-) -> Tuple[ProtocolRun, Optional[Any]]:
-    """One seed's run inside a pool worker: the run plus its registry.
-
-    With ``instrument=True`` the worker builds its own registry (there
-    is no shared one across processes); the parent merges the returned
-    registries in seed order, reproducing the sequential shared-registry
-    aggregate.
-    """
-    registry = None
-    if instrument:
-        from ..obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-    run = run_protocol(
+) -> ProtocolRun:
+    """One seed's run inside a pool worker."""
+    return run_protocol(
         make_nodes,
         make_adversary,
         RunConfig(
@@ -265,8 +191,6 @@ def _replicate_task(
             max_rounds=max_rounds,
             bandwidth_factor=bandwidth_factor,
             check_connected=check_connected,
-            instrument=instrument,
-            registry=registry,
             # the parent already resolved the backend; never let a
             # worker re-resolve $REPRO_BACKEND differently
             backend="reference",
@@ -275,7 +199,6 @@ def _replicate_task(
             cache="off",
         ),
     )
-    return run, registry
 
 
 def _replicate_batch_task(
@@ -285,30 +208,20 @@ def _replicate_batch_task(
     max_rounds: int,
     bandwidth_factor: int,
     check_connected: bool,
-    instrument: bool,
-) -> Tuple[List[ProtocolRun], Optional[Any]]:
+) -> List[ProtocolRun]:
     """One contiguous seed chunk on the batch backend, inside a worker.
 
     The chunk shares a single schedule tape (that is what the chunking
-    buys); the worker's registry rides back for in-order merging
-    exactly like :func:`_replicate_task`.
+    buys).
     """
-    registry = None
-    if instrument:
-        from ..obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-    runs = run_batch_replicas(
+    return run_batch_replicas(
         make_nodes,
         make_adversary,
         seeds,
         max_rounds=max_rounds,
         bandwidth_factor=bandwidth_factor,
         check_connected=check_connected,
-        instrument=instrument,
-        registry=registry,
     )
-    return runs, registry
 
 
 def _chunk_seeds(seeds: Sequence[int], n_workers: int) -> List[Tuple[int, ...]]:
@@ -331,15 +244,12 @@ def replicate(
     make_adversary: AdversaryFactory,
     seeds: Sequence[int],
     config: Optional[RunConfig] = None,
-    *legacy_args: Any,
-    **legacy_kwargs: Any,
 ) -> ReplicationSummary:
     """Run the same cell under each seed and aggregate.
 
     Configuration comes as ``RunConfig(max_rounds=..., ...)``
     (``max_rounds`` required; ``config.seed`` is ignored — the explicit
-    ``seeds`` sequence governs).  The legacy individual arguments were
-    removed and raise :class:`~repro.errors.ConfigurationError`.
+    ``seeds`` sequence governs).
 
     With caching enabled (``RunConfig(cache=...)`` / ``$REPRO_CACHE``)
     a whole replication is one cache entry keyed on the semantic config
@@ -348,14 +258,9 @@ def replicate(
     ``run_protocol`` calls inside run with the cache off — the
     replication entry is the unit here.
 
-    With ``instrument=True`` all runs share ``config.registry`` (a fresh
-    one by default), so cross-seed counters aggregate while each run
-    keeps its own phase breakdown.
-
     ``workers`` > 0 runs the seeds on a process pool (``None`` defers to
     the ``REPRO_WORKERS`` environment variable, 0 stays sequential); the
-    returned summary is identical to the sequential one, and instrumented
-    metrics merge back in seed order.  Factories that cannot be pickled
+    returned summary is identical to the sequential one.  Factories that cannot be pickled
     (closures over local state) fall back to inline execution with a
     :class:`UserWarning`.
 
@@ -368,12 +273,10 @@ def replicate(
     from ..obs.spans import span
     from .parallel import ensure_picklable, resolve_workers
 
-    cfg = coerce_config(
-        "replicate", _REPLICATE_LEGACY, config, legacy_args, legacy_kwargs
-    )
+    cfg = check_config("replicate", config)
     require(cfg.max_rounds is not None, "replicate requires RunConfig(max_rounds=...)")
     cache_key = cache = cache_mode = None
-    if not cfg.instrument and cfg.resolved_cache() != "off":
+    if cfg.resolved_cache() != "off":
         from ..cache.runcache import lookup_replicate
 
         cache_key, cache, cache_mode, served = lookup_replicate(
@@ -424,7 +327,6 @@ def _replicate_impl(
     from .parallel import ParallelExecutor
 
     max_rounds = cfg.max_rounds
-    registry = cfg.registry
     if n_workers > 0 and backend == "batch":
         chunks = _chunk_seeds(seeds, n_workers)
         report_begin(len(chunks), unit="chunks", label="replicate")
@@ -439,7 +341,6 @@ def _replicate_impl(
                         max_rounds,
                         cfg.bandwidth_factor,
                         cfg.check_connected,
-                        cfg.instrument,
                     )
                     for chunk in chunks
                 ],
@@ -447,12 +348,9 @@ def _replicate_impl(
             )
         finally:
             report_finish()
-        runs: List[ProtocolRun] = []
-        for chunk_runs, worker_registry in results:
-            if registry is not None and worker_registry is not None:
-                registry.merge(worker_registry)
-            runs.extend(chunk_runs)
-        return ReplicationSummary(runs=runs)
+        return ReplicationSummary(
+            runs=[run for chunk_runs in results for run in chunk_runs]
+        )
     if n_workers > 0:
         report_begin(len(seeds), unit="runs", label="replicate")
         try:
@@ -466,7 +364,6 @@ def _replicate_impl(
                         max_rounds,
                         cfg.bandwidth_factor,
                         cfg.check_connected,
-                        cfg.instrument,
                     )
                     for seed in seeds
                 ],
@@ -474,17 +371,8 @@ def _replicate_impl(
             )
         finally:
             report_finish()
-        runs = []
-        for run, worker_registry in results:
-            if registry is not None and worker_registry is not None:
-                registry.merge(worker_registry)
-            runs.append(run)
-        return ReplicationSummary(runs=runs)
+        return ReplicationSummary(runs=list(results))
 
-    if cfg.instrument and registry is None:
-        from ..obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
     if backend == "batch":
         return ReplicationSummary(
             runs=run_batch_replicas(
@@ -494,8 +382,6 @@ def _replicate_impl(
                 max_rounds=max_rounds,
                 bandwidth_factor=cfg.bandwidth_factor,
                 check_connected=cfg.check_connected,
-                instrument=cfg.instrument,
-                registry=registry,
             )
         )
     report_begin(len(seeds), unit="runs", label="replicate")
@@ -511,8 +397,6 @@ def _replicate_impl(
                         max_rounds=max_rounds,
                         bandwidth_factor=cfg.bandwidth_factor,
                         check_connected=cfg.check_connected,
-                        instrument=cfg.instrument,
-                        registry=registry,
                         backend="reference",  # already resolved above
                         cache="off",  # the replication entry is the cache unit
                     ),

@@ -6,8 +6,8 @@ plus the tokenized cell parts — and of nothing else.  Hypothesis pins
 the three halves of that contract: stability (``as_dict``/``from_dict``
 round-trips and dict insertion order do not move the key), sensitivity
 (every semantic field flip moves it), and blindness (every execution
-knob — backend, workers, instrumentation, the cache settings
-themselves — leaves it alone, which is what lets reference and batch
+knob — backend, workers, the cache settings themselves — leaves it
+alone, which is what lets reference and batch
 runs share entries).
 """
 
@@ -99,18 +99,16 @@ class TestKeyBlindness:
         cfg=semantic_configs(),
         backend=st.sampled_from([None, "reference", "batch"]),
         workers=st.one_of(st.none(), st.integers(0, 8)),
-        instrument=st.booleans(),
         cache=st.sampled_from([None, "rw", "ro", "off"]),
     )
     @settings(max_examples=40)
     def test_execution_knobs_never_move_the_key(
-        self, cfg, backend, workers, instrument, cache
+        self, cfg, backend, workers, cache
     ):
         base = cache_key("run", cfg, {"p": 1})
         knobbed = cfg.evolve(
             backend=backend,
             workers=workers,
-            instrument=instrument,
             cache=cache,
             cache_dir="/tmp/somewhere-else",
         )

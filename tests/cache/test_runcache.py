@@ -80,15 +80,6 @@ class TestRunProtocolCaching:
         assert delta["store"] == 0
         assert delta["miss"] == 1
 
-    def test_instrumented_runs_bypass_the_cache(self, tmp_path):
-        run_protocol(_make_nodes, _make_adv, _cfg(tmp_path))  # warm the entry
-        before = cache_counters()
-        run = run_protocol(_make_nodes, _make_adv, _cfg(tmp_path, instrument=True))
-        delta = _delta(before, cache_counters())
-        assert not run.cached
-        assert delta["hit"] == 0  # instrumented runs want the real trace
-        assert run.trace.records  # and got one
-
     def test_different_seed_misses(self, tmp_path):
         run_protocol(_make_nodes, _make_adv, _cfg(tmp_path))
         other = run_protocol(

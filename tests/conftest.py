@@ -68,3 +68,33 @@ def fig1_instance() -> DisjointnessInstance:
 @pytest.fixture
 def small_ids():
     return list(range(1, 9))
+
+
+#: the counters a finished engine run adds to its observation session
+SESSION_COUNTERS = (
+    "rounds_total",
+    "bits_sent_total",
+    "messages_delivered_total",
+    "topology_changes_total",
+    "runs_total",
+)
+
+
+def session_counters(session) -> dict:
+    """The :data:`SESSION_COUNTERS` values of an observation session."""
+    return {name: session.registry.counter(name).value for name in SESSION_COUNTERS}
+
+
+def counters_from_traces(traces) -> dict:
+    """The :data:`SESSION_COUNTERS`, recomputed from the traces alone."""
+    totals = dict.fromkeys(SESSION_COUNTERS, 0)
+    for trace in traces:
+        totals["runs_total"] += 1
+        totals["rounds_total"] += trace.rounds
+        totals["bits_sent_total"] += trace.total_bits()
+        last_edges = None
+        for record in trace:
+            totals["messages_delivered_total"] += sum(record.delivered.values())
+            totals["topology_changes_total"] += record.edges != last_edges
+            last_edges = record.edges
+    return totals

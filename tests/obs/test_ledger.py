@@ -64,6 +64,8 @@ class TestCutBitAccounting:
         out = red.run()
         # every frame bit the parties charged is attributed in the ledger
         assert ledger.total_cut_bits == out.total_bits
+        # outside a session the ledger keeps its metrics in a private registry
+        assert ledger.registry.counter("cut_bits_total").value == out.total_bits
         assert ledger.cut_bits_of("alice") == out.bits_alice_to_bob
         assert ledger.cut_bits_of("bob") == out.bits_bob_to_alice
         by_node = ledger.summary()["cut_bits_by_node"]

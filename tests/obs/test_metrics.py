@@ -1,16 +1,10 @@
-"""Tests for the metrics registry (counters, gauges, histograms, null sink)."""
+"""Tests for the metrics registry (counters, gauges, histograms)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-)
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 
 class TestRegistry:
@@ -79,20 +73,6 @@ class TestHistogram:
 
 
 class TestNullSink:
-    def test_null_registry_discards_everything(self):
-        reg = NullRegistry()
-        reg.counter("rounds_total").inc(100)
-        reg.gauge("g").set(5)
-        reg.histogram("h").observe(1.0)
-        assert reg.snapshot() == {}
-        assert len(reg) == 0
-
-    def test_shared_null_registry_is_a_null_registry(self):
-        assert isinstance(NULL_REGISTRY, NullRegistry)
-        # updates are accepted and dropped, never raising
-        NULL_REGISTRY.counter("x").inc()
-        assert NULL_REGISTRY.snapshot() == {}
-
     def test_real_counter_standalone(self):
         c = Counter("n")
         c.inc()

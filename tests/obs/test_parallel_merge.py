@@ -19,13 +19,7 @@ import pytest
 
 from repro.analysis.experiments.reductions import exp_thm6_reduction
 from repro.obs.audit import audit_path
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.runtime import observe
 from repro.obs.stream import load_session
 
@@ -100,13 +94,6 @@ class TestRegistryMerge:
             worker.gauge("last_seed").set(task)
             parent.merge(worker)
         assert parent.snapshot() == sequential.snapshot()
-
-    def test_null_registry_merge_is_noop(self):
-        null = NullRegistry()
-        worker = MetricsRegistry()
-        worker.counter("bits").inc(9)
-        null.merge(worker)
-        assert null.snapshot() == {}
 
     def test_merging_empty_registry_changes_nothing(self):
         parent = MetricsRegistry()

@@ -5,7 +5,7 @@ adversary's per-round decision between its vectorized stages, committing
 each topology to an incremental :class:`~repro.sim.batch.ScheduleTape`.
 The contract is the same as for oblivious cells: **bit-identical to the
 reference engine** — trace fingerprints, total bits, outputs, error
-ordering and messages, and instrumentation counters.  A Hypothesis
+ordering and messages, and session counters.  A Hypothesis
 property sweeps protocol × adaptive-adversary × seed cells; directed
 tests pin lockstep ``run_batch_replicas`` equivalence, the
 first-divergence-round oracle, the engine-backed two-party reduction
@@ -29,7 +29,7 @@ from repro.network.adversaries import (
     first_divergence_round,
 )
 from repro.network.generators import line_edges
-from repro.obs.instrumentation import Instrumentation
+from repro.obs import observe
 from repro.obs.manifest import RunManifest
 from repro.protocols.cflood import cflood_factory
 from repro.protocols.flooding import GossipMaxNode, TokenFloodNode
@@ -37,9 +37,10 @@ from repro.sim import RunConfig, replicate, run_protocol
 from repro.sim.batch import BatchEngine, ScheduleTape, build_engine
 from repro.sim.coins import CoinSource
 from repro.sim.engine import SynchronousEngine
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.factories import BoundNode, NodeSet
 from repro.sim.trace import trace_fingerprint
+
+from ..conftest import counters_from_traces, session_counters
 
 ADAPTIVE = ("blocking-flood", "blocking-gossip", "rotating-adaptive")
 PROTOCOLS = ("token-flood", "gossip", "cflood-conservative")
@@ -137,20 +138,17 @@ def test_adaptive_instrumentation_counters_match():
     ids = tuple(range(6))
     make_nodes = _node_factory("gossip", ids)
     make_adv = _adversary_factory("blocking-gossip", ids)
-    reg_ref, reg_bat = MetricsRegistry(), MetricsRegistry()
-    ref = run_protocol(make_nodes, make_adv, RunConfig(
-        seed=11, max_rounds=40, instrument=True, registry=reg_ref,
-        backend="reference"))
-    bat = run_protocol(make_nodes, make_adv, RunConfig(
-        seed=11, max_rounds=40, instrument=True, registry=reg_bat,
-        backend="batch"))
+    with observe() as ref_session:
+        ref = run_protocol(make_nodes, make_adv, RunConfig(
+            seed=11, max_rounds=40, backend="reference"))
+    with observe() as bat_session:
+        bat = run_protocol(make_nodes, make_adv, RunConfig(
+            seed=11, max_rounds=40, backend="batch"))
     _assert_identical(ref, bat)
-    ref_snap = reg_ref.snapshot()
-    bat_snap = reg_bat.snapshot()
-    assert set(ref_snap) == set(bat_snap)
-    for key, metric in ref_snap.items():
-        if metric["type"] == "counter":
-            assert bat_snap[key]["value"] == metric["value"], key
+    counters = session_counters(ref_session)
+    assert session_counters(bat_session) == counters
+    assert counters == counters_from_traces([ref.trace])
+    assert set(ref_session.manifest.metrics) == set(bat_session.manifest.metrics)
 
 
 def test_adaptive_error_parity_through_run_protocol():

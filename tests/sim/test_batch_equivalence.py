@@ -6,7 +6,8 @@ exactly: the :func:`~repro.sim.trace.trace_fingerprint` (a sha256
 over every round record and output), total bits, termination round, and
 outputs.  A Hypothesis property sweeps (protocol × oblivious-adversary ×
 seed) cells; directed tests pin the edges — error semantics, adaptive
-adversaries, lockstep replication, instrumentation, parallel workers,
+adversaries, lockstep replication (observed or not), session counters,
+parallel workers,
 and the schedule tape's interning behaviour.
 """
 
@@ -35,8 +36,11 @@ from repro.sim.batch import BatchEngine, ScheduleTape, build_engine, run_batch_r
 from repro.sim.coins import CoinSource
 from repro.sim.engine import SynchronousEngine
 from repro.sim.factories import BoundNode, Constant, NodeSet
+from repro.obs import observe, read_trace_jsonl
 from repro.sim.node import ProtocolNode
 from repro.sim.trace import trace_fingerprint
+
+from ..conftest import counters_from_traces, session_counters
 
 ADVERSARIES = ("static-line", "schedule", "random", "shifting-line",
                "rotating-star", "overlap-stars", "t-interval")
@@ -162,40 +166,75 @@ def test_parallel_workers_batch_is_bit_identical(monkeypatch):
 
 
 def test_instrumented_replicas_match_lockstep():
-    """Instrumented replicas run one after another; same bits as lockstep."""
+    """Observed replicas produce the same bits as unobserved ones."""
     ids = tuple(range(8))
     make_nodes = _make_node_factory("gossip", ids)
     make_adv = Constant(TIntervalAdversary(list(ids), seed=2, interval=2))
     seeds = [4, 5]
     plain = run_batch_replicas(make_nodes, make_adv, seeds, max_rounds=20)
-    instrumented = run_batch_replicas(
-        make_nodes, make_adv, seeds, max_rounds=20, instrument=True
-    )
-    assert all(run.metrics for run in instrumented)
-    for a, b in zip(plain, instrumented):
+    with observe() as session:
+        observed = run_batch_replicas(make_nodes, make_adv, seeds, max_rounds=20)
+    for a, b in zip(plain, observed):
         assert trace_fingerprint(a.trace) == trace_fingerprint(b.trace)
+    assert session_counters(session) == counters_from_traces(
+        run.trace for run in observed
+    )
+
+
+def test_observed_replicas_step_in_lockstep(tmp_path, monkeypatch):
+    """An observed cohort runs the same round-major loop as any other."""
+    steps = []
+    step = BatchEngine.step
+
+    def recording_step(engine):
+        record = step(engine)
+        steps.append((engine.coin_source.seed, engine.round))
+        return record
+
+    monkeypatch.setattr(BatchEngine, "step", recording_step)
+    ids = list(range(12))
+    seeds = [1, 2, 3]
+    with observe(trace_dir=tmp_path) as session:
+        summary = replicate(
+            NodeSet(ids, BoundNode(TokenFloodNode, source=0)),
+            Constant(StaticAdversary(ids, line_edges(ids))),
+            seeds,
+            RunConfig(max_rounds=40, backend="batch", workers=0, cache="off"),
+        )
+    rounds = {seed: run.trace.rounds for seed, run in zip(seeds, summary.runs)}
+    assert min(rounds.values()) > 1
+    assert steps == [
+        (seed, r)
+        for r in range(1, max(rounds.values()) + 1)
+        for seed in seeds
+        if r <= rounds[seed]
+    ]
+    # the session still numbers the runs in seed order
+    assert [run.seed for run in session.manifest.runs] == seeds
+    for i, seed in enumerate(seeds, 1):
+        run = read_trace_jsonl(tmp_path / f"run-{i:04d}.jsonl")
+        assert run.manifest.seed == seed
+        assert run.wall_seconds > 0
+        assert sum(run.phase_seconds.values()) == pytest.approx(run.wall_seconds)
 
 
 def test_instrumented_runs_match_and_count(monkeypatch):
-    from repro.obs.metrics import MetricsRegistry
-
-    reg_ref = MetricsRegistry()
-    reg_bat = MetricsRegistry()
     ids = tuple(range(7))
     make_nodes = _make_node_factory("token-flood", ids)
     make_adv = Constant(OverlappingStarsAdversary(list(ids)))
-    ref = run_protocol(make_nodes, make_adv, RunConfig(
-        seed=11, max_rounds=40, instrument=True, registry=reg_ref,
-        backend="reference"))
-    bat = run_protocol(make_nodes, make_adv, RunConfig(
-        seed=11, max_rounds=40, instrument=True, registry=reg_bat, backend="batch"))
+    with observe() as ref_session:
+        ref = run_protocol(make_nodes, make_adv, RunConfig(
+            seed=11, max_rounds=40, backend="reference"))
+    with observe() as bat_session:
+        bat = run_protocol(make_nodes, make_adv, RunConfig(
+            seed=11, max_rounds=40, backend="batch"))
     _assert_identical(ref, bat)
-    ref_snap = reg_ref.snapshot()
-    bat_snap = reg_bat.snapshot()
+    counters = session_counters(ref_session)
+    assert session_counters(bat_session) == counters
+    assert counters == counters_from_traces([ref.trace])
+    ref_snap = ref_session.manifest.metrics
+    bat_snap = bat_session.manifest.metrics
     assert set(ref_snap) == set(bat_snap)
-    for key, metric in ref_snap.items():
-        if metric["type"] == "counter":
-            assert bat_snap[key]["value"] == metric["value"], key
 
 
 # -- adaptive and function adversaries -----------------------------------

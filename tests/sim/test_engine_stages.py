@@ -11,6 +11,8 @@ engines.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.errors import (
@@ -21,7 +23,7 @@ from repro.errors import (
 )
 from repro.network.adversaries import Adversary, FunctionAdversary, StaticAdversary
 from repro.network.generators import line_edges
-from repro.obs.instrumentation import PHASES, Instrumentation
+from repro.obs import observe
 from repro.protocols.flooding import TokenFloodNode
 from repro.sim import ROUND_STAGES, StageEvent
 from repro.sim.actions import Receive, Send
@@ -73,7 +75,18 @@ class RecordingAdversary(Adversary):
 
 class TestStageOrdering:
     def test_round_stages_matches_instrumentation_phases(self):
-        assert ROUND_STAGES == PHASES
+        # the stage clock and the session's phase metrics are keyed by
+        # exactly the round's stages
+        with observe() as session:
+            eng = SynchronousEngine(_nodes(), _line_adv(), CoinSource(5))
+            eng.run(2, stop_on_termination=False)
+        assert tuple(eng.stage_seconds) == ROUND_STAGES
+        phases = sorted(
+            key[len("phase_seconds{phase="):-1]
+            for key in session.manifest.metrics
+            if key.startswith("phase_seconds{")
+        )
+        assert phases == sorted(ROUND_STAGES)
 
     @pytest.mark.parametrize("engine_cls", [SynchronousEngine, BatchEngine])
     def test_both_engines_declare_the_same_stages(self, engine_cls):
@@ -132,13 +145,31 @@ class TestStageOrdering:
 
     @pytest.mark.parametrize("engine_cls", [SynchronousEngine, BatchEngine])
     def test_instrumentation_observes_every_stage(self, engine_cls):
-        instr = Instrumentation()
-        eng = engine_cls(_nodes(), _line_adv(), CoinSource(5), instrumentation=instr)
-        list(eng.step_stages())
-        eng.step()
-        assert instr.rounds == 2
+        with observe() as session:
+            eng = engine_cls(_nodes(), _line_adv(), CoinSource(5))
+            list(eng.step_stages())
+            eng.step()
+            eng.finish()
+        assert session.registry.counter("rounds_total").value == 2
         for phase in ROUND_STAGES:
-            assert instr.phase_seconds[phase] >= 0.0
+            assert eng.stage_seconds[phase] > 0.0
+            hist = session.registry.histogram("phase_seconds", {"phase": phase})
+            assert hist.sum == eng.stage_seconds[phase]
+
+    @pytest.mark.parametrize("engine_cls", [SynchronousEngine, BatchEngine])
+    def test_stage_clock_runs_without_a_session(self, engine_cls):
+        eng = engine_cls(_nodes(), _line_adv(), CoinSource(5))
+        eng.run(5, stop_on_termination=False)
+        assert eng.trace.rounds == 5
+        assert tuple(eng.stage_seconds) == ROUND_STAGES
+        assert all(sec > 0.0 for sec in eng.stage_seconds.values())
+
+    @pytest.mark.parametrize("engine_cls", [SynchronousEngine, BatchEngine])
+    def test_step_stages_charges_no_consumer_time(self, engine_cls):
+        eng = engine_cls(_nodes(), _line_adv(), CoinSource(5))
+        for _event in eng.step_stages():
+            time.sleep(0.02)  # the consumer's work between stages
+        assert sum(eng.stage_seconds.values()) < 0.02
 
 
 class TestAdversaryView:

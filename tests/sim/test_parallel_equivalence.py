@@ -3,8 +3,8 @@
 Hypothesis draws random (protocol, adversary, seed list, worker count)
 combinations and asserts the parallel run is run-for-run identical to
 the sequential one — rounds, total bits, outputs — and that the merged
-metrics registry agrees with the sequential shared-registry aggregate on
-every deterministic (non-timing) metric.
+session metrics agree with the sequential session's on every
+deterministic (non-timing) metric.
 
 The pool is expensive to spin up, so ``max_examples`` is deliberately
 small; the deadline is disabled for the same reason.
@@ -22,12 +22,14 @@ from repro.network.adversaries import (
     StaticAdversary,
 )
 from repro.network.generators import line_edges
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import observe
 from repro.protocols.cflood import cflood_factory
 from repro.protocols.flooding import TokenFloodNode
 from repro.sim.config import RunConfig
 from repro.sim.factories import BoundNode, Constant, NodeSet
 from repro.sim.runner import replicate
+
+from ..conftest import counters_from_traces, session_counters
 
 
 def _make_adversary(kind: str, ids, seed: int):
@@ -80,18 +82,16 @@ def test_parallel_replicate_equals_sequential(case):
     make_adv = Constant(_make_adversary(adversary, ids, adv_seed))
     max_rounds = 12 * len(ids)
 
-    seq_registry = MetricsRegistry()
-    par_registry = MetricsRegistry()
-    seq = replicate(
-        make_nodes, make_adv, seeds,
-        RunConfig(max_rounds=max_rounds, instrument=True,
-                  registry=seq_registry, workers=0),
-    )
-    par = replicate(
-        make_nodes, make_adv, seeds,
-        RunConfig(max_rounds=max_rounds, instrument=True,
-                  registry=par_registry, workers=workers),
-    )
+    with observe() as seq_session:
+        seq = replicate(
+            make_nodes, make_adv, seeds,
+            RunConfig(max_rounds=max_rounds, workers=0),
+        )
+    with observe() as par_session:
+        par = replicate(
+            make_nodes, make_adv, seeds,
+            RunConfig(max_rounds=max_rounds, workers=workers),
+        )
 
     assert [r.rounds for r in seq.runs] == [r.rounds for r in par.runs]
     assert [r.terminated for r in seq.runs] == [r.terminated for r in par.runs]
@@ -101,10 +101,14 @@ def test_parallel_replicate_equals_sequential(case):
         r.trace.edge_schedule() for r in par.runs
     ]
 
-    # merged counters equal the sequential shared-registry aggregate;
-    # histogram *counts* (not their timing-valued sums) agree too
-    seq_snap = seq_registry.snapshot()
-    par_snap = par_registry.snapshot()
+    # merged counters equal the sequential session's, and the totals
+    # recomputed from the traces; histogram *counts* (not their
+    # timing-valued sums) agree too
+    counters = session_counters(seq_session)
+    assert session_counters(par_session) == counters
+    assert counters == counters_from_traces(r.trace for r in seq.runs)
+    seq_snap = seq_session.manifest.metrics
+    par_snap = par_session.manifest.metrics
     assert set(seq_snap) == set(par_snap)
     for key, metric in seq_snap.items():
         if metric["type"] == "counter":

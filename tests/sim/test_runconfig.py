@@ -1,11 +1,10 @@
-"""RunConfig facade: round-trips, backend resolution, the removed shim.
+"""RunConfig facade: round-trips, backend resolution, the config slot.
 
 The facade's contract is twofold: (a) a ``RunConfig`` threads identically
-through ``run_protocol``/``replicate``/``cartesian_sweep``, and (b) the
-pre-RunConfig call styles — individual values positionally or by keyword,
-which deprecation-warned for four PRs — are now *removed*: they raise
-:class:`~repro.errors.ConfigurationError` naming the exact
-``config=RunConfig(...)`` replacement.  Both halves are pinned here.
+through ``run_protocol``/``replicate``/``cartesian_sweep``, and (b) those
+drivers take nothing else: a ``config`` of another type is a
+:class:`~repro.errors.ConfigurationError` naming that type, and stray
+arguments are Python's own ``TypeError``.  Both halves are pinned here.
 """
 
 from __future__ import annotations
@@ -53,11 +52,11 @@ class TestRunConfig:
         assert cfg == RunConfig(seed=1, max_rounds=2)
 
     def test_from_dict_ignores_dropped_fields(self):
-        """Configs recorded when vector_replicas/dense_node_limit were
-        RunConfig fields still load."""
+        """Configs recorded when vector_replicas/dense_node_limit/
+        instrument/registry were RunConfig fields still load."""
         cfg = RunConfig.from_dict(
             {"seed": 1, "max_rounds": 2, "vector_replicas": True,
-             "dense_node_limit": 64}
+             "dense_node_limit": 64, "instrument": True, "registry": None}
         )
         assert cfg == RunConfig(seed=1, max_rounds=2)
 
@@ -94,10 +93,55 @@ class TestRunConfig:
         assert BACKENDS == ("reference", "batch")
 
 
-# -- the removed legacy call styles ----------------------------------------
+# -- the config slot --------------------------------------------------------
+
+
+def _cell(a):
+    return {"b": a + 1}
+
+
+#: each driver with its cell bound, and a config it runs under
+DRIVERS = {
+    "run_protocol": (
+        lambda *args, **kw: run_protocol(_make_nodes, _make_adv, *args, **kw),
+        RunConfig(seed=3, max_rounds=30),
+    ),
+    "replicate": (
+        lambda *args, **kw: replicate(_make_nodes, _make_adv, [1, 2], *args, **kw),
+        RunConfig(max_rounds=30, workers=0),
+    ),
+    "cartesian_sweep": (
+        lambda *args, **kw: cartesian_sweep({"a": [1, 2]}, _cell, *args, **kw),
+        RunConfig(workers=0),
+    ),
+}
+
+
+class TestConfigSlot:
+    @pytest.mark.parametrize("driver", list(DRIVERS))
+    def test_drivers_accept_only_a_run_config(self, driver):
+        call, config = DRIVERS[driver]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            call(config)
+        with pytest.raises(ConfigurationError, match=f"^{driver}: .* got int$"):
+            call(3)
+        with pytest.raises(ConfigurationError, match="got dict"):
+            call(config.as_dict())
+        with pytest.raises(TypeError, match="positional argument"):
+            call(config, 30)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'max_rounds'"):
+            call(config, max_rounds=30)
 
 
 class TestLegacyShim:
+    """The call styles removed in favour of ``RunConfig`` stay rejected.
+
+    No shim spells out a replacement call any more: a non-config in the
+    config slot is a ``ConfigurationError`` that names ``RunConfig``, and
+    every other old style is an ordinary argument ``TypeError``.
+    """
+
     def test_run_protocol_config_style_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -107,53 +151,40 @@ class TestLegacyShim:
         assert run.terminated
 
     def test_run_protocol_legacy_positional_raises_with_replacement(self):
-        with pytest.raises(ConfigurationError, match="was.*removed") as exc:
+        with pytest.raises(
+            ConfigurationError,
+            match="^run_protocol: config must be a RunConfig, got int$",
+        ):
+            run_protocol(_make_nodes, _make_adv, 3)
+        with pytest.raises(TypeError, match="positional argument"):
             run_protocol(_make_nodes, _make_adv, 3, 30)
-        # the error spells out the exact RunConfig replacement
-        assert "run_protocol" in str(exc.value)
-        assert "config=RunConfig(max_rounds=30, seed=3)" in str(exc.value)
 
     def test_run_protocol_legacy_keywords_raise_with_replacement(self):
-        with pytest.raises(ConfigurationError, match="was.*removed") as exc:
+        with pytest.raises(TypeError, match="unexpected keyword argument 'seed'"):
             run_protocol(
                 _make_nodes, _make_adv, seed=3, max_rounds=30, bandwidth_factor=48
             )
-        assert (
-            "config=RunConfig(bandwidth_factor=48, max_rounds=30, seed=3)"
-            in str(exc.value)
-        )
-
-    def test_replicate_legacy_keywords_raise_with_replacement(self):
-        with pytest.raises(ConfigurationError, match="was.*removed") as exc:
-            replicate(_make_nodes, _make_adv, [1, 2], max_rounds=30)
-        assert "replicate" in str(exc.value)
-        assert "config=RunConfig(max_rounds=30)" in str(exc.value)
-
-    def test_cartesian_sweep_legacy_workers_raises_with_replacement(self):
-        def cell(a):
-            return {"b": a + 1}
-
-        with pytest.raises(ConfigurationError, match="was.*removed") as exc:
-            cartesian_sweep({"a": [1, 2]}, cell, workers=0)
-        assert "cartesian_sweep" in str(exc.value)
-        assert "config=RunConfig(workers=0)" in str(exc.value)
 
     def test_config_plus_legacy_is_ambiguous(self):
-        with pytest.raises(ConfigurationError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'max_rounds'"):
             run_protocol(
                 _make_nodes, _make_adv, RunConfig(seed=3), max_rounds=30
             )
 
     def test_unknown_keyword_raises_type_error(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
-            run_protocol(_make_nodes, _make_adv, seed=3, max_rounds=30, turbo=True)
+            run_protocol(
+                _make_nodes, _make_adv, RunConfig(seed=3, max_rounds=30), turbo=True
+            )
 
     def test_duplicate_positional_and_keyword_raises(self):
         with pytest.raises(TypeError, match="multiple values"):
-            run_protocol(_make_nodes, _make_adv, 3, seed=4, max_rounds=30)
+            run_protocol(
+                _make_nodes, _make_adv, RunConfig(seed=3), config=RunConfig(seed=4)
+            )
 
     def test_too_many_positionals_raises(self):
-        with pytest.raises(TypeError, match="at most"):
+        with pytest.raises(TypeError, match="positional arguments but 10 were given"):
             run_protocol(_make_nodes, _make_adv, 3, 30, 24, True, False, None, 0, 99)
 
 

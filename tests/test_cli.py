@@ -226,6 +226,47 @@ class TestCliEdgeCases:
         assert main(["audit", str(bad)]) == 2
         assert "repro audit:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["file", "dir"])
+    @pytest.mark.parametrize(
+        "patch, field",
+        [
+            (lambda m: 5, "'run_metrics' must be an object, got int"),
+            (lambda m: dict(m, phase_seconds=[1, 2]),
+             "'run_metrics.phase_seconds' must be an object, got list"),
+            (lambda m: dict(m, phase_seconds={"actions": "x"}),
+             "'run_metrics.phase_seconds.actions' must be a number, got str"),
+            (lambda m: dict(m, wall_seconds="x"),
+             "'run_metrics.wall_seconds' must be a number, got str"),
+        ],
+        ids=["int", "phase-list", "phase-str", "wall-str"],
+    )
+    def test_inspect_malformed_run_metrics(self, tmp_path, capsys, patch, field, target):
+        from repro.network.adversaries import StaticAdversary
+        from repro.network.generators import line_edges
+        from repro.obs import observe
+        from repro.protocols.flooding import TokenFloodNode
+        from repro.sim import CoinSource, SynchronousEngine
+
+        ids = [0, 1, 2]
+        session = tmp_path / "session"
+        with observe(trace_dir=session):
+            SynchronousEngine(
+                {u: TokenFloodNode(u, source=0) for u in ids},
+                StaticAdversary(ids, line_edges(ids)),
+                CoinSource(1),
+            ).run(3, stop_on_termination=False)
+        run_file = session / "run-0001.jsonl"
+        lines = run_file.read_text().splitlines()
+        summary = json.loads(lines[-1])
+        summary["run_metrics"] = patch(summary["run_metrics"])
+        lines[-1] = json.dumps(summary)
+        run_file.write_text("\n".join(lines) + "\n")
+        path = run_file if target == "file" else session
+        assert main(["inspect", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"repro inspect: {run_file}: line {len(lines)}: field {field}" in err
+
     @pytest.mark.parametrize("command", ["inspect", "audit", "profile", "report"])
     @pytest.mark.parametrize("runs", [[5], 5], ids=["list-of-int", "int"])
     def test_malformed_manifest_runs_exit_2(self, tmp_path, capsys, command, runs):
