@@ -37,23 +37,19 @@ def exp_scope(exp_id: str, total: int, unit: str = "runs", **tags: Any) -> Itera
 
     Opens a ``sweep`` span named after the experiment (a no-op without
     an ambient observation session) and a progress scope of ``total``
-    work items (a no-op without an installed
-    :class:`~repro.obs.progress.ProgressReporter`); the driver's
-    :class:`~repro.sim.parallel.ParallelExecutor` advances the reporter
-    one step per task, inline or pooled.
+    work items (see :mod:`repro.obs.progress`); the driver's
+    :class:`~repro.sim.parallel.ParallelExecutor` advances it one step
+    per task, inline or pooled.
     """
-    from ...obs.progress import current_reporter
+    from ...obs.progress import report_begin, report_finish
     from ...obs.spans import span
 
     with span("sweep", exp_id, **tags):
-        reporter = current_reporter()
-        if reporter is not None:
-            reporter.begin(total, unit=unit, label=exp_id)
+        report_begin(total, unit=unit, label=exp_id)
         try:
             yield
         finally:
-            if reporter is not None:
-                reporter.finish()
+            report_finish()
 
 
 def _jsonable(value: Any) -> Any:

@@ -140,9 +140,9 @@ def cartesian_sweep(
     Under an ambient observation session every cell is timed as a
     ``cell`` span beneath one ``sweep`` span (identical tree whether the
     cells ran inline or on the pool); cache activity shows up as
-    ``cache-hit``/``cache-store`` span events; an installed
-    :class:`~repro.obs.progress.ProgressReporter` sees cells done/total
-    as they complete, cached or computed.
+    ``cache-hit``/``cache-store`` span events; the progress scope
+    (:mod:`repro.obs.progress`) counts cells done/total as they
+    complete, cached or computed.
     """
     from ..obs.progress import report_advance, report_begin, report_finish
     from ..obs.spans import span

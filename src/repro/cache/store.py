@@ -23,7 +23,7 @@ into a traceback, and never serve an entry it cannot fully validate.
 Counters (hit/miss/store/corrupt/uncacheable) accumulate in a
 process-local snapshot (:func:`cache_counters`) and mirror into the
 ambient observation session's metrics registry plus zero-duration span
-events, so ``repro profile``/``tail`` show cache behaviour per cell.
+events, so ``repro report``/``tail`` show cache behaviour per cell.
 """
 
 from __future__ import annotations

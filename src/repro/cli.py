@@ -6,17 +6,17 @@ Usage::
     python -m repro fig1
     python -m repro thm6 --quick
     python -m repro thm8 --quick --trace-out out/thm8 --metrics
-    python -m repro thm8 --quick --cache rw       # result cache (PR 10)
+    python -m repro thm8 --quick --cache rw       # result cache
     python -m repro inspect out/thm8/run-0001.jsonl
-    python -m repro inspect out/thm8              # whole-session table
-    python -m repro audit out/thm6                # proof-ledger checks
+    python -m repro report out/thm8                # session summary
+    python -m repro report out/thm8 --html report.html --baseline out/old
+    python -m repro tail out/thm8                  # follow a live session
+    python -m repro audit out/thm6                 # proof-ledger checks
     python -m repro bench-diff baseline/ benchmarks/out/
     python -m repro bench-diff baseline/ benchmarks/out/ \\
         --fail-on-regression --tolerance wall=0.4
     python -m repro bench-diff benchmarks/history.jsonl --window 5
-    python -m repro profile out/thm8                   # span rollups
-    python -m repro report out/thm8 --out report.html  # static HTML page
-    python -m repro cache stats                        # result cache
+    python -m repro cache stats                    # result cache
     python -m repro cache verify --sample 3
     python -m repro cache gc --max-bytes 100000000 --max-age-days 30
     python -m repro all --quick --progress
@@ -28,54 +28,42 @@ figure commands (``fig1``/``fig2``/``fig3``) regenerate fixed paper
 constructions with no parameter grid, so ``--quick`` is accepted but
 changes nothing there.
 
-Execution options (PR 10: one shared option group, resolved into a
-single :class:`~repro.sim.config.RunConfig` by
-:func:`config_from_args`): ``--backend batch`` routes engine runs
-through the vectorized batch backend (bit-identical; see
-``docs/PERFORMANCE.md``), ``--workers N`` fans seed sweeps over a
-process pool, and ``--cache rw|ro|off`` consults the content-addressed
-result cache (``docs/CACHE.md``; default: the ``REPRO_CACHE``
-environment variable, else off).
+Execution options (one shared option group, resolved into a single
+:class:`~repro.sim.config.RunConfig` by :func:`config_from_args`):
+``--backend batch`` routes engine runs through the vectorized batch
+backend (bit-identical; see ``docs/PERFORMANCE.md``), ``--workers N``
+fans seed sweeps over a process pool, and ``--cache rw|ro|off``
+consults the content-addressed result cache (``docs/CACHE.md``;
+default: the ``REPRO_CACHE`` environment variable, else off).
 
 Observability (see ``docs/OBSERVABILITY.md``): ``--metrics`` collects
-engine counters and per-phase wall-clock timings and appends them to the
-output; ``--trace-out DIR`` additionally persists every engine run as
-``run-NNNN.jsonl`` plus the session log ``events.jsonl``;
-``--metrics-out FILE`` writes the session registry in OpenMetrics text
-format.  ``repro inspect PATH`` summarizes one persisted run (rounds,
-bits by node, phase timing, realized dynamic diameter) or a whole
-session directory.
-``repro audit PATH`` replays the proof-ledger records of persisted
-reduction runs and exits nonzero if any Lemma 3/4 spoil budget or the
-O(s log N) cut-bit envelope was violated.  ``repro bench-diff OLD NEW``
-compares two directories of ``benchmarks/out/EXP-*.json`` sidecars and
-flags result drift and wall-time regressions; ``repro bench-diff
+engine counters and per-stage seconds and appends the metrics table to
+the output; ``--trace-out DIR`` additionally persists every engine run
+as ``run-NNNN.jsonl`` plus the session log ``events.jsonl`` — runs,
+spans, progress and aggregates, one line each as they happen.
+``--stream`` (with ``--trace-out``; or ``REPRO_STREAM=1``) makes the
+log durable: every line is fsync'd, a background thread logs RSS/CPU/GC
+heartbeats, and rate-limited checkpoints carry the aggregates, so a
+killed sweep leaves a loadable partial session.  ``--progress`` streams
+a live done/total + rate + ETA line to stderr (default: on for a TTY).
+
+``repro report SESSION`` is the one human summary of a session: runs,
+span rollups by kind/protocol/adversary/backend, the per-stage rollup,
+the hottest cells, metrics, span coverage and, with ``--baseline DIR``,
+deltas against another session; ``--html FILE`` writes the same as one
+self-contained page.  A partial session is reported as PARTIAL instead
+of failing.  ``repro inspect RUN`` summarizes one persisted run
+(rounds, bits by node, phase timing, realized dynamic diameter), and
+``repro tail SESSION`` follows a live session's log.  ``repro audit
+PATH`` replays the proof-ledger records of persisted reduction runs and
+exits nonzero if any Lemma 3/4 spoil budget or the O(s log N) cut-bit
+envelope was violated.  ``repro bench-diff OLD NEW`` compares two
+directories of ``benchmarks/out/EXP-*.json`` sidecars and flags result
+drift and wall-time regressions (``--fail-on-regression`` for CI,
+repeatable ``--tolerance NAME=FRAC``); ``repro bench-diff
 HISTORY.jsonl`` judges the benchmark history store's newest record per
 experiment against the median of the previous ``--window K`` the same
-way (a directory baseline is a history of length one).
-
-Spans and progress (PR 6): every experiment records hierarchical spans
-(sweep → cell → run → phase) into the observation session; ``repro
-profile SESSION`` rolls them up (self/total by kind, protocol,
-adversary, backend; hottest cells) and ``repro report SESSION --out
-report.html`` renders one self-contained HTML page.  ``--progress``
-streams a live done/total + rate + ETA line to stderr (default: on for
-a TTY; ``--no-progress`` disables).  ``repro bench-diff`` grows
-``--fail-on-regression`` (CI gate mode) and repeatable ``--tolerance
-NAME=FRAC`` per-metric thresholds.
-
-Session log: every persisting session writes one ``events.jsonl``
-next to its run files — runs, spans, progress and aggregates, one line
-each as they happen.  ``--stream`` (with ``--trace-out``; or
-``REPRO_STREAM=1``) makes it durable: every line is fsync'd, a
-background thread logs RSS/CPU/GC heartbeats, and rate-limited
-checkpoints carry the aggregates, so a killed sweep leaves a loadable
-partial session (``inspect``/``profile``/``report`` mark it PARTIAL
-instead of failing).  ``repro tail SESSION-DIR`` attaches to a live
-session and follows its events (done/total, rates, ETA, retries).
-``repro report --baseline`` accepts either a baseline session directory
-(metric deltas) or a history file (the bench-diff table, with trend
-sparklines).
+way.
 
 Result cache: ``repro cache stats`` summarizes the
 content-addressed result cache, ``repro cache verify`` re-runs a
@@ -206,7 +194,7 @@ EXPERIMENTS: Dict[str, tuple] = {
 
 
 # --------------------------------------------------------------------------
-# shared execution options (PR 10): every command that runs engine work
+# shared execution options: every command that runs engine work
 # declares the same flags through this one helper and resolves them into
 # a single RunConfig through config_from_args — no per-command copies.
 # --------------------------------------------------------------------------
@@ -252,8 +240,8 @@ def add_execution_options(parser: argparse.ArgumentParser) -> argparse.ArgumentP
         dest="progress",
         action="store_true",
         default=None,
-        help="stream live progress (done/total, rate, ETA, retry events) "
-        "to stderr; default: on when stderr is a TTY",
+        help="stream live progress (done/total, rate, ETA) to stderr; "
+        "default: on when stderr is a TTY",
     )
     group.add_argument(
         "--no-progress",
@@ -289,31 +277,23 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _render_metrics(session) -> str:
-    """A compact text dump of a closed session's aggregate metrics."""
-    lines = ["-- metrics --"]
-    for key, metric in sorted(session.manifest.metrics.items()):
-        if metric.get("type") in ("counter", "gauge"):
-            lines.append(f"  {key:<40} {metric['value']}")
-        elif metric.get("type") == "histogram":
-            lines.append(
-                f"  {key:<40} count={metric['count']} sum={metric['sum']:.4f}s "
-                f"mean={metric['mean'] * 1e3:.3f}ms"
-            )
-    lines.append(f"  engine runs: {session.num_runs}")
-    return "\n".join(lines)
-
-
 def _run_inspect(paths: Sequence[str]) -> int:
     if len(paths) != 1:
-        print("usage: repro inspect <run.jsonl | session-dir>", file=sys.stderr)
+        print("usage: repro inspect <run.jsonl>", file=sys.stderr)
         return 2
-    from .obs.inspect import inspect_path
+    import pathlib
 
+    from .obs.inspect import inspect_run
+
+    path = pathlib.Path(paths[0])
+    if path.is_dir():
+        print(f"repro inspect: {path} is a directory; summarize a session "
+              f"with `repro report {path}`", file=sys.stderr)
+        return 2
     try:
-        report = inspect_path(paths[0])
+        report = inspect_run(path)
     except FileNotFoundError:
-        print(f"repro inspect: no such file or directory: {paths[0]}", file=sys.stderr)
+        print(f"repro inspect: no such file: {path}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"repro inspect: {exc}", file=sys.stderr)
@@ -388,50 +368,29 @@ def _run_bench_diff(
     return code
 
 
-def _run_profile(paths: Sequence[str], top: int) -> int:
-    if len(paths) != 1:
-        print("usage: repro profile <session-dir>", file=sys.stderr)
-        return 2
-    from .obs.profile import profile_session, render_profile
-
-    try:
-        profile = profile_session(paths[0], top_k=top)
-    except FileNotFoundError as exc:
-        print(f"repro profile: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"repro profile: {exc}", file=sys.stderr)
-        return 2
-    print(render_profile(profile, top_k=top))
-    return 0
-
-
 def _run_report(
-    paths: Sequence[str], out: Optional[str], baseline: Optional[str], top: int
+    paths: Sequence[str], html: Optional[str], baseline: Optional[str], top: int
 ) -> int:
-    if len(paths) != 1 or out is None:
-        print(
-            "usage: repro report <session-dir> --out report.html "
-            "[--baseline DIR]",
-            file=sys.stderr,
-        )
+    if len(paths) != 1:
+        print("usage: repro report <session-dir> [--html FILE] [--baseline DIR]",
+              file=sys.stderr)
         return 2
     import pathlib
 
-    from .obs.report import write_report
+    from .obs.report import build_report
 
     try:
-        out_path = pathlib.Path(out)
-        if out_path.parent != pathlib.Path("."):
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-        written = write_report(paths[0], out_path, baseline=baseline, top_k=top)
-    except FileNotFoundError as exc:
+        report = build_report(paths[0], baseline=baseline, top_k=top)
+        if html is None:
+            print(report.render())
+            return 0
+        out = pathlib.Path(html)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(report.render_html())
+    except (OSError, ValueError) as exc:
         print(f"repro report: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"repro report: {exc}", file=sys.stderr)
-        return 2
-    print(f"report: {written}")
+    print(f"report: {out}")
     return 0
 
 
@@ -523,21 +482,12 @@ def _run_cache_verify(cache, sample: int) -> int:
     return 1 if counts["mismatch"] else 0
 
 
-def _write_metrics_out(session, path: str) -> None:
-    import pathlib
-
-    out = pathlib.Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(session.registry.render_openmetrics())
-    print(f"metrics: OpenMetrics exposition -> {out}")
-
-
 def _run_experiments(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """Run one experiment (or 'all') under the parsed execution options."""
     if args.stream and args.trace_out is None:
         parser.error("--stream requires --trace-out (streaming needs a session dir)")
 
-    observing = args.metrics or args.trace_out is not None or args.metrics_out is not None
+    observing = args.metrics or args.trace_out is not None
     run_config = config_from_args(args)
     names = sorted(EXPERIMENTS) if args.exp_names is None else args.exp_names
 
@@ -552,7 +502,7 @@ def _run_experiments(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             return runner(args.quick, config=config)
         from .obs.progress import StderrTicker, progress_scope
 
-        with progress_scope(StderrTicker(sys.stderr, label=name)):
+        with progress_scope(StderrTicker(sys.stderr)):
             return runner(args.quick, config=config)
 
     for name in names:
@@ -570,18 +520,11 @@ def _run_experiments(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             result.attach_session(session)
             print(result.render())
             if args.metrics:
-                print(_render_metrics(session))
+                from .obs.report import metrics_section, render_text
+
+                print(render_text([metrics_section(session.manifest.metrics)]))
             if trace_dir is not None:
                 print(f"traces: {session.num_runs} run(s) -> {trace_dir}/")
-            if args.metrics_out is not None:
-                # one file per experiment when running several
-                out = args.metrics_out
-                if len(names) > 1:
-                    import pathlib as _pathlib
-
-                    p = _pathlib.Path(out)
-                    out = str(p.with_name(f"{p.stem}-{name}{p.suffix or '.prom'}"))
-                _write_metrics_out(session, out)
         else:
             result = _run(name, runner, run_config)
             print(result.render())
@@ -597,6 +540,17 @@ def _run_experiments(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -605,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    # shared flag groups, declared once (PR 10)
+    # shared flag groups, declared once
     exec_parent = add_execution_options(argparse.ArgumentParser(add_help=False))
     run_parent = argparse.ArgumentParser(add_help=False)
     run_parent.add_argument(
@@ -623,13 +577,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="persist every engine run as JSONL (plus the events.jsonl "
         "session log) under DIR",
     )
-    run_parent.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        default=None,
-        help="write the session's metrics registry as OpenMetrics text "
-        "(implies --metrics; per-experiment suffixes under 'all')",
-    )
 
     for name in sorted(EXPERIMENTS):
         sub = subparsers.add_parser(
@@ -644,9 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("list", help="enumerate the experiment commands")
     sub.set_defaults(func=lambda parser, args: _cmd_list())
 
-    sub = subparsers.add_parser(
-        "inspect", help="summarize a persisted run file or session directory"
-    )
+    sub = subparsers.add_parser("inspect", help="summarize one persisted run file")
     sub.add_argument("paths", nargs="*", default=[], metavar="PATH")
     sub.set_defaults(func=lambda parser, args: _run_inspect(args.paths))
 
@@ -697,41 +642,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub.set_defaults(func=_cmd_bench_diff)
 
-    sub = subparsers.add_parser("profile", help="roll up a session's spans")
-    sub.add_argument("paths", nargs="*", default=[], metavar="SESSION")
-    sub.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        metavar="K",
-        help="how many hottest cells to show (default 10)",
-    )
-    sub.set_defaults(func=lambda parser, args: _run_profile(args.paths, args.top))
-
     sub = subparsers.add_parser(
-        "report", help="render a session as one self-contained HTML page"
+        "report", help="summarize a session: runs, span and stage rollups, "
+        "metrics, baseline deltas"
     )
     sub.add_argument("paths", nargs="*", default=[], metavar="SESSION")
     sub.add_argument(
-        "--out", metavar="FILE", default=None, help="the HTML output file (required)"
+        "--html", metavar="FILE", default=None,
+        help="write the report as one self-contained HTML page instead of "
+        "printing text",
     )
     sub.add_argument(
         "--baseline",
         metavar="DIR",
         default=None,
-        help="a baseline session directory to render deltas against, or a "
-        "benchmark history .jsonl for the bench-diff table with trend sparklines",
+        help="a baseline session directory to report deltas against",
     )
     sub.add_argument(
         "--top",
-        type=int,
+        type=_positive_int,
         default=10,
         metavar="K",
         help="how many hottest cells to show (default 10)",
     )
     sub.set_defaults(
         func=lambda parser, args: _run_report(
-            args.paths, args.out, args.baseline, args.top
+            args.paths, args.html, args.baseline, args.top
         )
     )
 

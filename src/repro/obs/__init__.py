@@ -3,8 +3,8 @@
 The layer every quantitative claim runs through:
 
 ``repro.obs.metrics``
-    Counter/gauge/histogram registry, plus OpenMetrics text exposition
-    (``--metrics-out``).
+    Counter/gauge/histogram registry; a histogram keeps the count and
+    sum of its observations.
 ``repro.obs.ledger``
     The proof ledger: per-round spoiled-node counts vs the Lemma 3/4
     budget curve, cut-crossing bit attribution, adversary divergence.
@@ -21,8 +21,8 @@ The layer every quantitative claim runs through:
     counters and stage timings) and every two-party reduction in a
     scope without threading arguments through experiment code.
 ``repro.obs.inspect``
-    ``repro inspect``: summarize a persisted run (rounds, bits, phase
-    timing, realized dynamic diameter) or a whole session directory.
+    ``repro inspect``: summarize one persisted run (rounds, bits, phase
+    timing, realized dynamic diameter).
 ``repro.obs.audit``
     ``repro audit``: replay persisted proof ledgers and fail on any
     Lemma 3/4 or O(s log N) cut-budget violation.
@@ -36,15 +36,16 @@ The layer every quantitative claim runs through:
     wall + CPU time, logged as ``span-close`` events; a no-op without
     an active session.
 ``repro.obs.progress``
-    :class:`ProgressReporter` callback protocol + the stderr ticker
-    behind ``--progress``: cells done/total, rate, ETA, and
-    degraded-retry events.
-``repro.obs.profile``
-    ``repro profile``: self/total rollups of a session's spans by
-    kind/protocol/adversary/backend plus the top-K hottest cells.
+    ``report_begin``/``report_advance``/``report_finish``: one progress
+    event each, handed to the session log and to the stderr ticker
+    behind ``--progress``; the ticker and ``repro tail`` draw it with
+    one :class:`ProgressRenderer` (done/total, rate, ETA).
 ``repro.obs.report``
-    ``repro report``: one self-contained static HTML page per session
-    (span treemap, metrics snapshot, run table, baseline deltas).
+    ``repro report``: the one human summary of a session — runs, span
+    and stage rollups, hottest cells, metrics, coverage and baseline
+    deltas — as text or one self-contained HTML page.
+``repro.obs.tail``
+    ``repro tail``: follow a live session's log.
 
 See ``docs/OBSERVABILITY.md`` for the metrics catalogue and schemas.
 """
@@ -59,26 +60,12 @@ from .export import (
     write_ledger_jsonl,
     write_trace_jsonl,
 )
-from .inspect import (
-    RunReport,
-    SessionReport,
-    inspect_path,
-    inspect_run,
-    inspect_session,
-    realized_diameter,
-)
+from .inspect import RunReport, inspect_run, realized_diameter
 from .ledger import ProofLedger, lemma_number, spoiled_budget_curve
 from .manifest import RunManifest, SessionManifest
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profile import SessionProfile, profile_session, render_profile
-from .progress import (
-    ProgressReporter,
-    StderrTicker,
-    current_reporter,
-    progress_scope,
-    report_event,
-)
-from .report import render_report, write_report
+from .progress import ProgressRenderer, StderrTicker, progress_scope
+from .report import Report, build_report
 from .runtime import ObservationSession, current_session, observe
 from .spans import Span, SpanRecorder, current_span, span, span_event
 from .stream import SessionLog, load_session
@@ -103,10 +90,7 @@ __all__ = [
     "observe",
     "current_session",
     "RunReport",
-    "SessionReport",
     "inspect_run",
-    "inspect_session",
-    "inspect_path",
     "realized_diameter",
     "AuditReport",
     "audit_run",
@@ -123,14 +107,9 @@ __all__ = [
     "current_span",
     "SessionLog",
     "load_session",
-    "ProgressReporter",
+    "ProgressRenderer",
     "StderrTicker",
-    "current_reporter",
     "progress_scope",
-    "report_event",
-    "SessionProfile",
-    "profile_session",
-    "render_profile",
-    "render_report",
-    "write_report",
+    "Report",
+    "build_report",
 ]

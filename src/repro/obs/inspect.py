@@ -10,9 +10,8 @@ recorded schedule, computed with the vectorized causality pass in
 format_version 2) have no engine trace, so their report is drawn from
 the run summary and the proof-ledger rollup instead.
 
-``repro inspect`` also accepts a whole session directory and renders one
-table summarizing every run (:class:`SessionReport`); per-run detail
-stays one ``repro inspect <run.jsonl>`` away.
+A whole session directory is summarized by ``repro report``
+(:mod:`repro.obs.report`), whose runs table has one row per run file.
 """
 
 from __future__ import annotations
@@ -26,16 +25,8 @@ from ..network.dynamic import DynamicSchedule
 from ..network.topology import RoundTopology
 from ..sim.engine import ROUND_STAGES
 from .export import PersistedRun, read_trace_jsonl
-from .stream import EVENTS_FILENAME, load_session
 
-__all__ = [
-    "RunReport",
-    "SessionReport",
-    "inspect_run",
-    "inspect_session",
-    "inspect_path",
-    "realized_diameter",
-]
+__all__ = ["RunReport", "inspect_run", "realized_diameter"]
 
 #: Above this many recorded rounds the all-starts diameter pass is
 #: quadratic enough to hurt; inspect then probes start round 0 only.
@@ -170,105 +161,3 @@ def inspect_run(path: pathlib.Path) -> RunReport:
     """Load and summarize one persisted run JSONL file."""
     path = pathlib.Path(path)
     return RunReport(path, read_trace_jsonl(path))
-
-
-class SessionReport:
-    """One table summarizing every run of an observation session.
-
-    Partial sessions — killed or still running, their log has no
-    ``session-close`` (see :mod:`repro.obs.stream`) — load too: the
-    report is marked PARTIAL, and run files the kill tore mid-write are
-    skipped with a note instead of failing the whole report.
-    """
-
-    def __init__(self, directory: pathlib.Path):
-        self.directory = pathlib.Path(directory)
-        log = load_session(self.directory)
-        self.manifest = log.manifest
-        self.partial = log.partial
-        self.files = log.run_files()
-        self.runs: List[Tuple[pathlib.Path, PersistedRun]] = []
-        #: run files named but unreadable (torn by a kill, or deleted)
-        self.skipped: List[str] = []
-        for path in self.files:
-            try:
-                self.runs.append((path, read_trace_jsonl(path)))
-            except FileNotFoundError:
-                if self.partial:
-                    self.skipped.append(f"{path.name}: missing")
-                    continue
-                raise ValueError(
-                    f"{path.name} is listed in {EVENTS_FILENAME} but "
-                    f"missing from {self.directory} — partial or truncated "
-                    f"session"
-                ) from None
-            except ValueError as exc:
-                if self.partial:
-                    self.skipped.append(f"{path.name}: unreadable ({exc})")
-                    continue
-                raise
-
-    def render(self) -> str:
-        header = f"session: {self.directory}"
-        bits = [f"label={self.manifest.label}" if self.manifest.label else None,
-                "PARTIAL (no clean close)" if self.partial else None,
-                f"runs={len(self.manifest.runs)}",
-                f"wall={self.manifest.wall_seconds:.3f}s"
-                if self.manifest.wall_seconds is not None else None]
-        header += "  (" + ", ".join(b for b in bits if b) + ")"
-        rows = []
-        for path, run in self.runs:
-            report = RunReport(path, run) if run.is_reduction else None
-            if run.is_reduction:
-                rounds = report.rounds
-                terminated = report.termination_round
-                bits_total = report.total_bits
-            else:
-                rounds = run.trace.rounds
-                terminated = run.trace.termination_round
-                bits_total = run.trace.total_bits()
-            wall = run.wall_seconds if not run.is_reduction else run.manifest.wall_seconds
-            rows.append([
-                path.name,
-                run.manifest.kind,
-                run.manifest.backend,
-                run.manifest.adversary,
-                run.manifest.num_nodes,
-                rounds,
-                terminated if terminated is not None else "-",
-                bits_total,
-                f"{wall * 1e3:.2f}ms" if wall is not None else "-",
-            ])
-        table = render_table(
-            ["run", "kind", "backend", "adversary", "nodes", "rounds",
-             "terminated", "bits", "wall"],
-            rows,
-        )
-        lines = [header]
-        prov = self.manifest.provenance
-        if prov:
-            sha = prov.get("git_sha")
-            bits = [f"git={str(sha)[:12]}" if sha else None,
-                    f"host={prov['hostname']}" if prov.get("hostname") else None,
-                    f"cpus={prov['cpu_count']}" if prov.get("cpu_count") else None,
-                    f"python={prov['python_version']}"
-                    if prov.get("python_version") else None]
-            lines.append("provenance: " + "  ".join(b for b in bits if b))
-        lines.extend(["", table])
-        for note in self.skipped:
-            lines.append(f"skipped {note}")
-        return "\n".join(lines)
-
-
-def inspect_session(path: pathlib.Path) -> SessionReport:
-    """Summarize a whole session directory."""
-    return SessionReport(pathlib.Path(path))
-
-
-def inspect_path(path: pathlib.Path):
-    """Dispatch: run file -> :class:`RunReport`, directory ->
-    :class:`SessionReport`."""
-    path = pathlib.Path(path)
-    if path.is_dir():
-        return inspect_session(path)
-    return inspect_run(path)

@@ -16,43 +16,17 @@ Everything is plain Python with no dependencies; values are exported via
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DEFAULT_TIME_BUCKETS",
-]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 Labels = Tuple[Tuple[str, str], ...]
-
-#: Default histogram buckets for phase wall-clock observations (seconds).
-#: Spans sub-microsecond phase slices up to multi-second whole runs.
-DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
-    1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3,
-    1e-2, 5e-2, 0.1, 0.5, 1.0, 5.0, 30.0,
-)
 
 
 def _freeze_labels(labels: Optional[Mapping[str, str]]) -> Labels:
     if not labels:
         return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-def _render_labels(labels: Labels, **extra: str) -> str:
-    """``{k="v",...}`` in exposition format, or "" with no labels."""
-    pairs = list(labels) + sorted(extra.items())
-    if not pairs:
-        return ""
-    body = ",".join(
-        '{}="{}"'.format(k, str(v).replace("\\", r"\\").replace('"', r"\""))
-        for k, v in pairs
-    )
-    return "{" + body + "}"
 
 
 class Counter:
@@ -101,65 +75,31 @@ class Gauge:
 
 
 class Histogram:
-    """A bucketed distribution, tuned for wall-clock observations.
+    """Count and sum of observations (e.g. one stage's seconds per run)."""
 
-    Tracks count, sum, min, max and cumulative bucket counts over fixed
-    upper bounds, which is all the phase-timing breakdowns need.
-    """
+    __slots__ = ("name", "labels", "count", "sum")
 
-    __slots__ = ("name", "labels", "bounds", "bucket_counts", "count", "sum", "min", "max")
-
-    def __init__(self, name: str, labels: Labels = (), buckets: Sequence[float] = DEFAULT_TIME_BUCKETS):
+    def __init__(self, name: str, labels: Labels = ()):
         self.name = name
         self.labels = labels
-        self.bounds: List[float] = sorted(buckets)
-        self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)  # +inf bucket
         self.count = 0
         self.sum = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
-        # upper-inclusive bounds (the usual "le" convention)
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
 
     def merge_from(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: bucket bounds differ"
-            )
-        for i, c in enumerate(other.bucket_counts):
-            self.bucket_counts[i] += c
         self.count += other.count
         self.sum += other.sum
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "type": "histogram",
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "buckets": {
-                **{repr(b): c for b, c in zip(self.bounds, self.bucket_counts)},
-                "+inf": self.bucket_counts[-1],
-            },
-        }
+        return {"type": "histogram", "count": self.count, "sum": self.sum,
+                "mean": self.mean}
 
 
 class MetricsRegistry:
@@ -172,11 +112,11 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, Labels], object] = {}
 
-    def _get(self, cls, name: str, labels: Optional[Mapping[str, str]], **kwargs):
+    def _get(self, cls, name: str, labels: Optional[Mapping[str, str]]):
         key = (name, _freeze_labels(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = cls(name, key[1], **kwargs)
+            metric = cls(name, key[1])
             self._metrics[key] = metric
         elif not isinstance(metric, cls):
             raise TypeError(
@@ -191,31 +131,20 @@ class MetricsRegistry:
     def gauge(self, name: str, labels: Optional[Mapping[str, str]] = None) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(
-        self,
-        name: str,
-        labels: Optional[Mapping[str, str]] = None,
-        buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
-    ) -> Histogram:
-        return self._get(Histogram, name, labels, buckets=buckets)
+    def histogram(self, name: str, labels: Optional[Mapping[str, str]] = None) -> Histogram:
+        return self._get(Histogram, name, labels)
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry's metrics into this one.
 
         The semantics make merging parallel-worker registries in task
         order equivalent to one sequential registry: counters add,
-        gauges keep the incoming (later) value, histograms pool their
-        distributions.  Used by the observation runtime to absorb
+        gauges keep the incoming (later) value, histograms add their
+        counts and sums.  Used by the observation runtime to absorb
         per-worker registries shipped back from a process pool.
         """
-        type_map = {Counter: self.counter, Gauge: self.gauge, Histogram: self.histogram}
         for (name, labels), metric in sorted(other._metrics.items()):
-            getter = type_map.get(type(metric))
-            if getter is None:  # pragma: no cover - no other types exist
-                continue
-            kwargs = {"buckets": metric.bounds} if isinstance(metric, Histogram) else {}
-            mine = self._get(type(metric), name, dict(labels), **kwargs)
-            mine.merge_from(metric)
+            self._get(type(metric), name, dict(labels)).merge_from(metric)
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -232,41 +161,3 @@ class MetricsRegistry:
                 key += "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
             out[key] = metric.as_dict()  # type: ignore[attr-defined]
         return out
-
-    def render_openmetrics(self) -> str:
-        """Prometheus/OpenMetrics text exposition of the registry.
-
-        Counters and gauges render one sample per label set; histograms
-        render cumulative ``_bucket{le=...}`` samples plus ``_sum`` and
-        ``_count``, matching the standard client-library layout so the
-        output scrapes directly (``--metrics-out metrics.prom``).
-        """
-        by_name: Dict[str, List] = {}
-        for (name, _labels), metric in sorted(self._metrics.items()):
-            by_name.setdefault(name, []).append(metric)
-        lines: List[str] = []
-        for name in sorted(by_name):
-            metrics = by_name[name]
-            kind = {Counter: "counter", Gauge: "gauge", Histogram: "histogram"}.get(
-                type(metrics[0]), "untyped"
-            )
-            lines.append(f"# TYPE {name} {kind}")
-            for metric in metrics:
-                if isinstance(metric, Histogram):
-                    cumulative = 0
-                    for bound, count in zip(metric.bounds, metric.bucket_counts):
-                        cumulative += count
-                        lines.append(
-                            f"{name}_bucket{_render_labels(metric.labels, le=repr(bound))}"
-                            f" {cumulative}"
-                        )
-                    lines.append(
-                        f"{name}_bucket{_render_labels(metric.labels, le='+Inf')}"
-                        f" {metric.count}"
-                    )
-                    lines.append(f"{name}_sum{_render_labels(metric.labels)} {metric.sum}")
-                    lines.append(f"{name}_count{_render_labels(metric.labels)} {metric.count}")
-                else:
-                    lines.append(f"{name}{_render_labels(metric.labels)} {metric.value}")
-        lines.append("# EOF")
-        return "\n".join(lines) + "\n"

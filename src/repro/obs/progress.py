@@ -1,25 +1,28 @@
-"""Live progress streaming for sweeps and replications.
+"""Live progress for sweeps and replications: one event, one renderer.
 
-Sweeps are long: the farm runs thousands of deterministic cells, and
-until now nothing said *anything* until the final table printed.  This
-module adds a small callback protocol — :class:`ProgressReporter` — that
-the execution layer (:func:`~repro.sim.runner.replicate`,
+The execution layer (:func:`~repro.sim.runner.replicate`,
 :func:`~repro.analysis.sweep.cartesian_sweep`,
-:class:`~repro.sim.parallel.ParallelExecutor`) notifies as work
-completes, plus a default stderr ticker.  Another consumer implements
-the four methods and installs itself with :func:`progress_scope`; it
-then sees cells done/total, throughput, ETA, and per-cell status
-without touching the execution layer.
+:class:`~repro.sim.parallel.ParallelExecutor` and the experiment
+drivers' :func:`~repro.analysis.experiments.base.exp_scope`) reports
+through :func:`report_begin`, :func:`report_advance` and
+:func:`report_finish`.  Each call builds one progress event — a dict
+with ``phase`` (``begin``/``advance``/``finish``), ``label`` and
+``depth``, plus ``total``/``unit`` on begin and ``status`` on advance —
+and hands it to both consumers: the active session's log (a
+``progress`` line of ``events.jsonl``, which ``repro tail`` follows)
+and the installed ticker (:func:`progress_scope`).
 
-Like observation sessions, reporters are ambient (a module-global
-stack, innermost wins) so that progress does not have to be threaded
-through every call signature; with no reporter installed every
-notification is a no-op costing one list check.  Pool workers never
+:class:`ProgressRenderer` is the one state machine that turns those
+events into ``[label] done/total unit  rate/s  ETA`` lines: it keeps
+per-depth state, and only the outermost open scope drives the line
+(a sweep shows cells, not the replicas inside each cell).
+:class:`StderrTicker` and ``repro tail`` both render through it.
+
+Reporters are ambient (a module-global stack, innermost wins), so
+progress is not threaded through call signatures; with no reporter and
+no persisting session every call is a no-op.  Pool workers never
 report — the parent consumes results in input order and reports on
 their behalf — so progress output is single-writer by construction.
-
-Events carry the degradation the executor layer already records:
-``degraded-retry`` (a worker crash or hang absorbed by a retry).
 """
 
 from __future__ import annotations
@@ -27,148 +30,132 @@ from __future__ import annotations
 import sys
 import time
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, TextIO
+from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO
+
+from .runtime import current_session
 
 __all__ = [
-    "ProgressReporter",
+    "ProgressRenderer",
     "StderrTicker",
     "current_reporter",
     "progress_scope",
-    "report_event",
     "report_begin",
     "report_advance",
     "report_finish",
 ]
 
+#: what :func:`progress_scope` installs: a callable taking one event
+Reporter = Callable[[Dict[str, Any]], None]
 
-class ProgressReporter:
-    """The callback protocol; every method is optional to override.
 
-    The execution layer guarantees the call pattern
-    ``begin -> advance* -> finish`` (``finish`` in a ``finally``), with
-    ``event`` possible at any point.  Nested scopes (a ``replicate``
-    inside a sweep cell) call ``begin``/``finish`` too; implementations
-    that only care about the outermost scope track depth, as
-    :class:`StderrTicker` does.
+class ProgressRenderer:
+    """Progress events in, status lines out.
+
+    :meth:`feed` takes events in order, each with the time ``now`` it
+    happened (any clock, as long as it is one clock), and returns the
+    outermost scope's status line after a ``begin`` or ``advance`` of
+    that scope, else ``None``.  Events of a depth that never began (a
+    consumer attached mid-scope) are ignored.
     """
 
-    def begin(self, total: int, unit: str = "tasks", label: Optional[str] = None) -> None:
-        """A scope of ``total`` work items is starting."""
+    def __init__(self) -> None:
+        #: depth -> {done, total, unit, label, t0}
+        self.scopes: Dict[int, Dict[str, Any]] = {}
 
-    def advance(self, label: Optional[str] = None, status: str = "ok") -> None:
-        """One work item finished (``status``: ``ok``/``error``)."""
+    def feed(self, event: Dict[str, Any], now: float) -> Optional[str]:
+        depth = int(event.get("depth", 1))
+        phase = event.get("phase")
+        if phase == "begin":
+            self.scopes[depth] = {
+                "done": 0,
+                "total": int(event.get("total", 0)),
+                "unit": event.get("unit", "tasks"),
+                "label": event.get("label") or "progress",
+                "t0": now,
+            }
+        elif phase == "advance" and depth in self.scopes:
+            self.scopes[depth]["done"] += 1
+        else:  # a finish, or an advance of a scope that never began
+            if phase == "finish":
+                self.scopes.pop(depth, None)
+            return None
+        if depth != min(self.scopes):
+            return None
+        state = self.scopes[depth]
+        done, total = state["done"], state["total"]
+        parts = [f"[{state['label']}] {done}/{total} {state['unit']}"]
+        elapsed = now - state["t0"]
+        if done and elapsed > 0:
+            rate = done / elapsed
+            parts.append(f"{rate:.1f}/s")
+            if total > done:
+                parts.append(f"ETA {(total - done) / rate:.1f}s")
+        status = event.get("status", "ok")
+        if status != "ok" and event.get("label"):
+            parts.append(f"{status}: {event['label']}")
+        return "  ".join(parts)
 
-    def event(self, kind: str, detail: str) -> None:
-        """An out-of-band occurrence (e.g. degraded-retry)."""
 
-    def finish(self) -> None:
-        """The scope that most recently ``begin``-ed is done."""
+class StderrTicker:
+    """The default reporter: one updating stderr line per outermost scope.
 
-
-class StderrTicker(ProgressReporter):
-    """Default reporter: a single updating stderr line plus event lines.
-
-    Renders ``[label] done/total unit  rate/s  ETA``; throttled to at
-    most one repaint per ``min_interval`` seconds (the final state and
-    events always print).  Only the outermost ``begin`` drives the
-    line — inner scopes contribute their completions to it (so a sweep
-    shows cells, not the replicas inside each cell).
+    Repaints in place (``\\r``), at most once per ``min_interval``
+    seconds; a scope's first line, a non-``ok`` item and the final
+    state always paint, and the line ends when the outermost scope
+    finishes.
     """
 
     def __init__(
         self,
         stream: Optional[TextIO] = None,
-        label: Optional[str] = None,
         min_interval: float = 0.1,
-        clock=time.perf_counter,
+        clock: Callable[[], float] = time.perf_counter,
     ):
         self.stream = stream if stream is not None else sys.stderr
-        self.label = label
         self.min_interval = min_interval
         self.clock = clock
-        self._depth = 0
-        self._total = 0
-        self._done = 0
-        self._unit = "tasks"
-        self._started_at: Optional[float] = None
-        self._last_paint: float = -1.0
-        self._line_open = False
+        self.renderer = ProgressRenderer()
+        self._line: Optional[str] = None  # the latest line, painted or not
+        self._painted = True
+        self._last_paint = float("-inf")
 
-    # -- protocol ------------------------------------------------------
-    def begin(self, total: int, unit: str = "tasks", label: Optional[str] = None) -> None:
-        self._depth += 1
-        if self._depth > 1:
-            return
-        self._total = int(total)
-        self._done = 0
-        self._unit = unit
-        if label is not None:
-            self.label = label
-        self._started_at = self.clock()
-        self._last_paint = -1.0
-        self._paint()
-
-    def advance(self, label: Optional[str] = None, status: str = "ok") -> None:
-        if self._depth != 1:
-            return
-        self._done += 1
-        force = status != "ok" or self._done >= self._total
-        self._paint(force=force, status=status, label=label)
-
-    def event(self, kind: str, detail: str) -> None:
-        self._end_line()
-        prefix = f"[{self.label}] " if self.label else ""
-        print(f"{prefix}{kind}: {detail}", file=self.stream)
-
-    def finish(self) -> None:
-        if self._depth > 0:
-            self._depth -= 1
-        if self._depth == 0:
-            self._paint(force=True)
-            self._end_line()
-
-    # -- rendering -----------------------------------------------------
-    def _render(self, status: str = "ok", label: Optional[str] = None) -> str:
-        elapsed = (self.clock() - self._started_at) if self._started_at else 0.0
-        rate = self._done / elapsed if elapsed > 0 and self._done else 0.0
-        parts = [f"{self._done}/{self._total} {self._unit}"]
-        if rate:
-            parts.append(f"{rate:.1f}/s")
-            remaining = self._total - self._done
-            if remaining > 0:
-                parts.append(f"ETA {remaining / rate:.1f}s")
-        if status != "ok" and label:
-            parts.append(f"{status}: {label}")
-        prefix = f"[{self.label}] " if self.label else ""
-        return prefix + "  ".join(parts)
-
-    def _paint(self, force: bool = False, status: str = "ok",
-               label: Optional[str] = None) -> None:
+    def __call__(self, event: Dict[str, Any]) -> None:
         now = self.clock()
-        if not force and self._last_paint >= 0 and now - self._last_paint < self.min_interval:
-            return
+        line = self.renderer.feed(event, now)
+        if line is not None:
+            self._line, self._painted = line, False
+            throttled = (
+                event["phase"] == "advance"
+                and event.get("status", "ok") == "ok"
+                and now - self._last_paint < self.min_interval
+            )
+            if not throttled:
+                self._paint(now)
+        elif event["phase"] == "finish" and not self.renderer.scopes:
+            if not self._painted:
+                self._paint(now)
+            if self._line is not None:
+                self.stream.write("\n")
+                self.stream.flush()
+                self._line = None
+
+    def _paint(self, now: float) -> None:
         self._last_paint = now
-        self.stream.write("\r\x1b[2K" + self._render(status=status, label=label))
+        self._painted = True
+        self.stream.write("\r\x1b[2K" + self._line)
         self.stream.flush()
-        self._line_open = True
-
-    def _end_line(self) -> None:
-        if self._line_open:
-            self.stream.write("\n")
-            self.stream.flush()
-            self._line_open = False
 
 
-_REPORTERS: List[ProgressReporter] = []
+_REPORTERS: List[Reporter] = []
 
 
-def current_reporter() -> Optional[ProgressReporter]:
+def current_reporter() -> Optional[Reporter]:
     """The innermost installed reporter, or None."""
     return _REPORTERS[-1] if _REPORTERS else None
 
 
 @contextmanager
-def progress_scope(reporter: ProgressReporter) -> Iterator[ProgressReporter]:
+def progress_scope(reporter: Reporter) -> Iterator[Reporter]:
     """Install a reporter for the ``with`` scope (a stack; innermost wins)."""
     _REPORTERS.append(reporter)
     try:
@@ -177,68 +164,38 @@ def progress_scope(reporter: ProgressReporter) -> Iterator[ProgressReporter]:
         _REPORTERS.pop()
 
 
-def report_event(kind: str, detail: str) -> None:
-    """Notify the installed reporter of an event (no-op without one)."""
-    reporter = current_reporter()
-    if reporter is not None:
-        reporter.event(kind, detail)
-
-
-# ----------------------------------------------------------------------
-# combined reporter + session-log notification
-#
-# The execution layer calls these instead of poking the reporter
-# directly, so one call site feeds both live consumers: the installed
-# ProgressReporter (the stderr ticker by default) and the
-# active session's log (repro.obs.stream), which is what
-# ``repro tail`` follows after the process is no longer ours to watch.
-# Depth is tracked here (outermost scope = 1) because the session log,
-# unlike StderrTicker, records *every* scope and lets the consumer
-# choose a depth to render.
-
+#: open scopes, outermost = 1 (reset to 0 in pool workers)
 _DEPTH = 0
 
 
-def _logging_session():
-    from .runtime import current_session
-
+def _report(phase: str, label: Optional[str], **fields: Any) -> None:
+    """Hand one progress event to the ticker and the session log."""
+    reporter = current_reporter()
     session = current_session()
-    return session if session is not None and session.stream is not None else None
+    if reporter is None and (session is None or session.stream is None):
+        return
+    event = {"phase": phase, "label": label or "", "depth": _DEPTH, **fields}
+    if reporter is not None:
+        reporter(event)
+    if session is not None:
+        session.record_progress(event)
 
 
-def report_begin(total: int, unit: str = "tasks", label: Optional[str] = None) -> int:
-    """Open a progress scope everywhere; returns the scope's depth."""
+def report_begin(total: int, unit: str = "tasks", label: Optional[str] = None) -> None:
+    """Open a progress scope of ``total`` work items."""
     global _DEPTH
     _DEPTH += 1
-    reporter = current_reporter()
-    if reporter is not None:
-        reporter.begin(total, unit=unit, label=label)
-    session = _logging_session()
-    if session is not None:
-        session.record_progress(
-            "begin", label or "", _DEPTH, total=int(total), unit=unit
-        )
-    return _DEPTH
+    _report("begin", label, total=int(total), unit=unit)
 
 
 def report_advance(label: Optional[str] = None, status: str = "ok") -> None:
     """One work item of the innermost open scope finished."""
-    reporter = current_reporter()
-    if reporter is not None:
-        reporter.advance(label=label, status=status)
-    session = _logging_session()
-    if session is not None:
-        session.record_progress("advance", label or "", _DEPTH, status=status)
+    _report("advance", label, status=status)
 
 
 def report_finish() -> None:
-    """Close the innermost open progress scope everywhere."""
+    """Close the innermost open progress scope."""
     global _DEPTH
-    reporter = current_reporter()
-    if reporter is not None:
-        reporter.finish()
-    session = _logging_session()
-    if session is not None:
-        session.record_progress("finish", "", _DEPTH)
+    _report("finish", None)
     if _DEPTH > 0:
         _DEPTH -= 1

@@ -1,141 +1,394 @@
-"""``repro report``: one self-contained HTML page per session.
+"""``repro report``: the one human summary of a session.
 
-Static by construction — a single file with inline CSS, no scripts, no
-external assets, no new dependencies — so it can be archived as a CI
-artifact next to ``EXP-*.json`` and opened years later.  Sections:
+``repro report SESSION`` prints text; ``--html FILE`` writes the same
+content as one self-contained page — inline CSS, no scripts, no
+external assets — that can be archived next to ``EXP-*.json`` and
+opened years later.  Both render one list of blocks built by
+:func:`build_report`: header lines, then sections, each a (title,
+headers, rows) table, in this order:
 
-* provenance — label, package version, wall clock, worker count and
-  log format version;
-* the span profile — the same rollups as ``repro profile`` plus a
-  treemap-style bar per kind/cell (CSS-proportional widths);
-* hottest cells — the EXP-SUB optimization targets;
-* metrics snapshot — the session's counters/gauges/histograms;
-* runs — the per-run manifest table, backend included;
-* resources — RSS/CPU/GC rollup when the session sampled
-  (:mod:`repro.obs.resource`);
-* deltas — when ``--baseline`` names a *session directory*,
-  bench-diff-style relative changes of shared counters and of the
-  session wall; when it names a *history file*
-  (``benchmarks/history.jsonl``), the ``repro bench-diff`` verdict per
-  experiment with a wall-time sparkline instead
-  (:func:`repro.obs.benchdiff.diff_history`).
+1. the header — label, PARTIAL marker, run count, wall clock and the
+   provenance line;
+2. runs — one row per run file, with rounds, termination and bits read
+   from the file;
+3. span rollups by kind, protocol, adversary and backend — *total* time
+   (a span and everything under it), *self* time (a span minus its
+   children) and CPU time;
+4. the stage rollup — the five ``ROUND_STAGES`` summed over the
+   session's ``phase`` spans, in seconds and as a share of their total;
+5. the top-K hottest ``cell`` spans (the (protocol, adversary, N)
+   combination to vectorize next), span events, and the resource
+   rollup of a streamed session's heartbeats;
+6. metrics — :func:`metrics_section`, which ``--metrics`` on the
+   experiment commands prints too;
+7. the ``coverage:`` line — the share of the session wall attributed
+   to spans; well under 1.0 means un-instrumented time (setup,
+   analysis, I/O);
+8. deltas of the session wall and shared metrics against a baseline
+   session directory.
 
-The session, and a baseline session directory, are read by
-:func:`repro.obs.stream.load_session`.
-Partial sessions (killed or still running — no ``session-close``)
-render too, marked PARTIAL.
-
+The session and the baseline are read by
+:func:`repro.obs.stream.load_session`.  A partial session (killed or
+still running: no ``session-close``) renders its completed prefix,
+marked PARTIAL; a run file it names that a kill tore or never wrote is
+skipped with a note, while in a closed session it is an error.
 Everything user-controlled (labels, tag values, metric names) is
-HTML-escaped; the page renders identically from ``file://``.
+HTML-escaped.
 """
 
 from __future__ import annotations
 
 import html
 import pathlib
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from ..analysis.tables import render_table
+from ..sim.engine import ROUND_STAGES
+from .export import PersistedRun, read_trace_jsonl
 from .manifest import SessionManifest
-from .profile import SessionProfile, profile_log
-from .stream import load_session
+from .resource import summarize_resources
+from .spans import Span
+from .stream import EVENTS_FILENAME, SessionLog, load_session
 
-__all__ = ["render_report", "write_report"]
-
-_STYLE = """
-body { font-family: system-ui, sans-serif; margin: 2rem auto; max-width: 70rem;
-       color: #1a1a1a; }
-h1 { font-size: 1.4rem; } h2 { font-size: 1.1rem; margin-top: 2rem;
-     border-bottom: 1px solid #ddd; padding-bottom: .2rem; }
-table { border-collapse: collapse; margin: .5rem 0; font-size: .85rem; }
-th, td { border: 1px solid #ccc; padding: .25rem .6rem; text-align: left; }
-th { background: #f3f3f3; }
-td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
-.bar { display: flex; height: 1.4rem; border-radius: 3px; overflow: hidden;
-       margin: .3rem 0 .6rem; max-width: 60rem; }
-.bar span { display: block; height: 100%; overflow: hidden; color: #fff;
-            font-size: .7rem; padding: .15rem 0 0 .3rem; white-space: nowrap; }
-.kv { font-size: .9rem; } .kv dt { font-weight: 600; display: inline; }
-.kv dd { display: inline; margin: 0 1.2rem 0 .3rem; }
-.delta-up { color: #b02a2a; } .delta-down { color: #1b7a2f; }
-.muted { color: #777; }
-"""
-
-#: treemap palette, cycled (muted, print-safe)
-_COLORS = ("#4a6fa5", "#b0783c", "#5e8d5a", "#a05195", "#8a8a3c",
-           "#c05555", "#4f9090", "#7a6fb8")
+__all__ = ["Section", "Report", "build_report", "metrics_section", "render_text"]
 
 
-def _esc(value: Any) -> str:
-    return html.escape(str(value))
+class Section(NamedTuple):
+    """One table of the report."""
+
+    title: str
+    headers: List[str]
+    rows: List[list]
+    #: column whose seconds the HTML page draws as a proportional bar
+    bar: Optional[int] = None
 
 
-def _table(headers: List[str], rows: List[List[Any]],
-           numeric_from: int = 1) -> str:
-    """An HTML table; columns >= ``numeric_from`` are right-aligned."""
-    out = ["<table><tr>"]
-    for i, h in enumerate(headers):
-        cls = ' class="num"' if i >= numeric_from else ""
-        out.append(f"<th{cls}>{_esc(h)}</th>")
-    out.append("</tr>")
-    for row in rows:
-        out.append("<tr>")
-        for i, cell in enumerate(row):
-            cls = ' class="num"' if i >= numeric_from else ""
-            out.append(f"<td{cls}>{_esc(cell)}</td>")
-        out.append("</tr>")
-    out.append("</table>")
-    return "".join(out)
+#: a report is header/note lines and sections, in order
+Block = Union[str, Section]
 
 
-def _treemap_bar(parts: List[tuple]) -> str:
-    """One proportional flex bar from ``(label, seconds)`` parts."""
-    total = sum(sec for _, sec in parts)
-    if total <= 0:
-        return '<p class="muted">no timed spans</p>'
-    out = ['<div class="bar">']
-    for i, (label, sec) in enumerate(parts):
-        pct = 100.0 * sec / total
-        if pct < 0.5:
-            continue
-        color = _COLORS[i % len(_COLORS)]
-        out.append(
-            f'<span style="width:{pct:.2f}%;background:{color}" '
-            f'title="{_esc(label)}: {sec:.4f}s">{_esc(label)}</span>'
+@dataclass
+class _Rollup:
+    """Accumulated totals for one rollup key."""
+
+    count: int = 0
+    total_seconds: float = 0.0
+    self_seconds: float = 0.0
+    cpu_seconds: float = 0.0
+    has_cpu: bool = False
+
+    def add(self, sp: Span, self_seconds: float) -> None:
+        self.count += 1
+        self.total_seconds += sp.wall_seconds
+        self.self_seconds += self_seconds
+        if sp.cpu_seconds is not None:
+            self.cpu_seconds += sp.cpu_seconds
+            self.has_cpu = True
+
+
+def _self_seconds(spans: Sequence[Span]) -> Dict[int, float]:
+    child_sums: Dict[int, float] = {}
+    for sp in spans:
+        if sp.parent_id is not None:
+            child_sums[sp.parent_id] = child_sums.get(sp.parent_id, 0.0) + sp.wall_seconds
+    return {
+        sp.span_id: max(0.0, sp.wall_seconds - child_sums.get(sp.span_id, 0.0))
+        for sp in spans
+    }
+
+
+def _read_runs(log: SessionLog) -> Tuple[List[Tuple[pathlib.Path, PersistedRun]], List[str]]:
+    """The run files a session names, read; and notes on skipped ones."""
+    runs: List[Tuple[pathlib.Path, PersistedRun]] = []
+    skipped: List[str] = []
+    for path in log.run_files():
+        try:
+            runs.append((path, read_trace_jsonl(path)))
+        except FileNotFoundError:
+            if not log.partial:
+                raise ValueError(
+                    f"{path.name} is listed in {EVENTS_FILENAME} but missing "
+                    f"from {log.directory} — partial or truncated session"
+                ) from None
+            skipped.append(f"{path.name}: missing")
+        except ValueError as exc:
+            if not log.partial:
+                raise
+            skipped.append(f"{path.name}: unreadable ({exc})")
+    return runs, skipped
+
+
+@dataclass
+class Report:
+    """A session, summarized; :func:`build_report` fills it in."""
+
+    log: SessionLog
+    #: run files read back, in session order
+    runs: List[Tuple[pathlib.Path, PersistedRun]] = field(default_factory=list)
+    #: notes on run files a partial session names but could not read
+    skipped: List[str] = field(default_factory=list)
+    #: span_id -> wall minus the sum of its children's walls
+    self_seconds: Dict[int, float] = field(default_factory=dict)
+    by_kind: Dict[str, _Rollup] = field(default_factory=dict)
+    by_protocol: Dict[str, _Rollup] = field(default_factory=dict)
+    by_adversary: Dict[str, _Rollup] = field(default_factory=dict)
+    by_backend: Dict[str, _Rollup] = field(default_factory=dict)
+    #: ROUND_STAGES -> seconds summed over the ``phase`` spans
+    by_stage: Dict[str, float] = field(default_factory=dict)
+    #: hottest ``cell`` spans, by total wall, descending
+    hottest_cells: List[Span] = field(default_factory=list)
+    events: Dict[str, int] = field(default_factory=dict)
+    #: wall total of the root spans (the attributable time)
+    attributed_seconds: float = 0.0
+    baseline: Optional[SessionLog] = None
+
+    @property
+    def partial(self) -> bool:
+        return self.log.partial
+
+    @property
+    def spans(self) -> List[Span]:
+        """Every closed span of the session."""
+        return self.log.spans
+
+    @property
+    def coverage(self) -> Optional[float]:
+        """Fraction of the session wall attributed to spans (None: unknown)."""
+        wall = self.log.manifest.wall_seconds
+        return self.attributed_seconds / wall if wall else None
+
+    # -- blocks ---------------------------------------------------------
+    def blocks(self) -> List[Block]:
+        """The report's content, in order (see the module docstring)."""
+        manifest = self.log.manifest
+        out: List[Optional[Block]] = list(self._header())
+        out.append(self._runs_section())
+        out.extend(f"skipped {note}" for note in self.skipped)
+        if not self.spans:
+            out.append("no spans recorded (a directory of bare run files, or nothing ran)")
+        for title, rollups in (
+            ("time by span kind", self.by_kind),
+            ("time by protocol", self.by_protocol),
+            ("time by adversary", self.by_adversary),
+            ("time by backend (runs)", self.by_backend),
+        ):
+            out.append(_rollup_section(title, rollups))
+        if any(self.by_stage.values()):
+            total = sum(self.by_stage.values())
+            out.append(Section(
+                "time by stage", ["stage", "seconds", "share"],
+                [[stage, f"{sec:.4f}", f"{sec / total:.1%}"]
+                 for stage, sec in self.by_stage.items()],
+                bar=1,
+            ))
+        if self.hottest_cells:
+            out.append(Section(
+                f"hottest cells (top {len(self.hottest_cells)})",
+                ["cell", "total s", "self s"],
+                [[sp.name, f"{sp.wall_seconds:.4f}",
+                  f"{self.self_seconds[sp.span_id]:.4f}"]
+                 for sp in self.hottest_cells],
+                bar=1,
+            ))
+        if self.events:
+            out.append(Section("events", ["event", "count"],
+                               [[k, v] for k, v in sorted(self.events.items())]))
+        out.append(_resources_section(summarize_resources(self.log.resources)))
+        if manifest.metrics:
+            out.append(metrics_section(manifest.metrics))
+        if self.coverage is not None:
+            out.append(
+                f"coverage: {self.attributed_seconds:.4f}s of "
+                f"{manifest.wall_seconds:.4f}s session wall attributed to "
+                f"spans ({self.coverage:.1%})"
+            )
+        if self.baseline is not None:
+            out.append(self._deltas_section())
+        return [block for block in out if block is not None]
+
+    def _header(self) -> List[str]:
+        manifest = self.log.manifest
+        bits = [
+            f"label={manifest.label}" if manifest.label else None,
+            "PARTIAL (no clean close)" if self.partial else None,
+            f"runs={len(manifest.runs)}",
+            None if manifest.wall_seconds is None
+            else f"wall={manifest.wall_seconds:.3f}s",
+        ]
+        lines = [
+            f"session: {self.log.directory}  ("
+            + ", ".join(b for b in bits if b) + ")"
+        ]
+        prov = manifest.provenance
+        if prov:
+            bits = [
+                f"git={str(prov['git_sha'])[:12]}" if prov.get("git_sha") else None,
+                f"host={prov['hostname']}" if prov.get("hostname") else None,
+                f"cpus={prov['cpu_count']}" if prov.get("cpu_count") else None,
+                f"python={prov['python_version']}" if prov.get("python_version") else None,
+            ]
+            lines.append("provenance: " + "  ".join(b for b in bits if b))
+        return lines
+
+    def _runs_section(self) -> Optional[Section]:
+        rows = []
+        for path, run in self.runs:
+            m = run.manifest
+            if run.is_reduction:
+                summary = run.summary or {}
+                rounds = summary.get("rounds") or 0
+                terminated = summary.get("termination_round")
+                bits = summary.get("total_bits", 0)
+                wall = m.wall_seconds
+            else:
+                rounds = run.trace.rounds
+                terminated = run.trace.termination_round
+                bits = run.trace.total_bits()
+                wall = run.wall_seconds
+            rows.append([
+                path.name, m.kind, m.backend, m.adversary, m.num_nodes, m.seed,
+                rounds, "-" if terminated is None else terminated, bits,
+                "-" if wall is None else f"{wall:.4f}",
+            ])
+        if not rows:
+            return None
+        return Section(
+            "runs",
+            ["run", "kind", "backend", "adversary", "N", "seed", "rounds",
+             "terminated", "bits", "wall s"],
+            rows,
         )
-    out.append("</div>")
-    return "".join(out)
+
+    def _deltas_section(self) -> Block:
+        base = self.baseline
+        name = base.manifest.label or str(base.directory)
+        rows = _delta_rows(self.log.manifest, base.manifest)
+        if not rows:
+            return f"deltas vs baseline {name}: no shared metrics to compare"
+        return Section(f"deltas vs baseline {name}",
+                       ["metric", "baseline", "current", "delta"], rows)
+
+    # -- rendering ------------------------------------------------------
+    def render(self) -> str:
+        """The text report."""
+        return render_text(self.blocks())
+
+    def render_html(self) -> str:
+        """The self-contained HTML page."""
+        title = self.log.manifest.label or self.log.directory.name
+        body = [f"<h1>Session report: {_esc(title)}</h1>"]
+        for block in self.blocks():
+            if isinstance(block, str):
+                body.append(f"<p>{_esc(block)}</p>")
+                continue
+            heading = block.title[:1].upper() + block.title[1:]
+            body.append(f"<h2>{_esc(heading)}</h2>")
+            if block.bar is not None:
+                body.append(_bar([(row[0], float(row[block.bar])) for row in block.rows]))
+            body.append(_table(block.headers, block.rows))
+        return (
+            "<!DOCTYPE html><html><head><meta charset=\"utf-8\">"
+            f"<title>{_esc(title)}</title><style>{_STYLE}</style></head><body>"
+            + "".join(body)
+            + "</body></html>"
+        )
 
 
-def _rollup_section(title: str, rollups: Dict[str, Any]) -> str:
-    if not rollups:
-        return ""
-    ordered = sorted(rollups.items(), key=lambda kv: kv[1].total_seconds,
-                     reverse=True)
-    bar = _treemap_bar([(k, r.self_seconds or r.total_seconds)
-                        for k, r in ordered])
-    rows = [
-        [k, r.count, f"{r.total_seconds:.4f}", f"{r.self_seconds:.4f}",
-         f"{r.cpu_seconds:.4f}" if r.has_cpu else "-"]
-        for k, r in ordered
-    ]
-    return (
-        f"<h2>{_esc(title)}</h2>" + bar
-        + _table(["", "spans", "total s", "self s", "cpu s"], rows)
-    )
+def build_report(
+    directory: pathlib.Path,
+    baseline: Optional[pathlib.Path] = None,
+    top_k: int = 10,
+) -> Report:
+    """Load, read and roll up one session directory.
+
+    Raises :class:`FileNotFoundError` for a missing session or baseline
+    directory and :class:`ValueError` for a malformed one (see
+    :func:`~repro.obs.stream.load_session`).
+    """
+    log = load_session(pathlib.Path(directory))
+    report = Report(log=log)
+    report.runs, report.skipped = _read_runs(log)
+    report.self_seconds = _self_seconds(log.spans)
+    report.by_stage = dict.fromkeys(ROUND_STAGES, 0.0)
+    for sp in log.spans:
+        if sp.kind == "event":
+            report.events[sp.name] = report.events.get(sp.name, 0) + 1
+            continue
+        sec = report.self_seconds[sp.span_id]
+        report.by_kind.setdefault(sp.kind, _Rollup()).add(sp, sec)
+        for key, rollups in (("protocol", report.by_protocol),
+                             ("adversary", report.by_adversary)):
+            if sp.tags.get(key):
+                rollups.setdefault(str(sp.tags[key]), _Rollup()).add(sp, sec)
+        # run spans carry the authoritative backend; rolling up every
+        # tagged span would double-count runs into their cells
+        if sp.kind == "run" and sp.tags.get("backend"):
+            report.by_backend.setdefault(str(sp.tags["backend"]), _Rollup()).add(sp, sec)
+        if sp.kind == "phase" and sp.name in report.by_stage:
+            report.by_stage[sp.name] += sp.wall_seconds
+        if sp.parent_id is None:
+            report.attributed_seconds += sp.wall_seconds
+    report.hottest_cells = sorted(
+        (sp for sp in log.spans if sp.kind == "cell"),
+        key=lambda sp: sp.wall_seconds,
+        reverse=True,
+    )[:top_k]
+    if baseline is not None:
+        report.baseline = load_session(pathlib.Path(baseline))
+    return report
 
 
-def _metric_rows(metrics: Dict[str, Any]) -> List[List[Any]]:
+# ----------------------------------------------------------------------
+# sections
+def metrics_section(metrics: Dict[str, Any]) -> Section:
+    """A metrics snapshot (:meth:`MetricsRegistry.snapshot
+    <repro.obs.metrics.MetricsRegistry.snapshot>`) as one table."""
     rows = []
     for name, metric in sorted(metrics.items()):
         kind = metric.get("type", "?")
         if kind == "histogram":
             value = (
-                f"count={metric.get('count', 0)} sum={metric.get('sum', 0.0):.4g}"
+                f"count={metric.get('count', 0)} sum={metric.get('sum', 0.0):.6g} "
+                f"mean={metric.get('mean', 0.0):.6g}"
             )
         else:
-            value = f"{metric.get('value', 0)}"
+            value = metric.get("value", 0)
         rows.append([name, kind, value])
-    return rows
+    return Section("metrics", ["metric", "type", "value"], rows)
+
+
+def _rollup_section(title: str, rollups: Dict[str, _Rollup]) -> Optional[Section]:
+    if not rollups:
+        return None
+    rows = [
+        [key, r.count, f"{r.total_seconds:.4f}", f"{r.self_seconds:.4f}",
+         f"{r.cpu_seconds:.4f}" if r.has_cpu else "-"]
+        for key, r in sorted(rollups.items(), key=lambda kv: kv[1].total_seconds,
+                             reverse=True)
+    ]
+    return Section(title, ["", "spans", "total s", "self s", "cpu s"], rows, bar=3)
+
+
+def _resources_section(res: Optional[Dict[str, Any]]) -> Optional[Section]:
+    if not res:
+        return None
+
+    def mib(value: Optional[int]) -> str:
+        return "-" if value is None else f"{value / 1048576:.1f} MiB"
+
+    def pct(value: Optional[float]) -> str:
+        return "-" if value is None else f"{value:.0f}%"
+
+    return Section("resources", ["", "value"], [
+        ["samples", res["samples"]],
+        ["sampled over", f"{res['duration_seconds']:.1f}s"],
+        ["rss peak", mib(res.get("rss_peak_bytes"))],
+        ["rss last", mib(res.get("rss_last_bytes"))],
+        ["cpu mean", pct(res.get("cpu_percent_mean"))],
+        ["cpu max", pct(res.get("cpu_percent_max"))],
+        ["gc collections", res.get("gc_collections", 0)],
+    ])
 
 
 def _delta_rows(
@@ -168,169 +421,83 @@ def _delta_rows(
     return rows
 
 
-def _history_section(path: pathlib.Path) -> str:
-    """The ``repro bench-diff`` table of a benchmark history file."""
-    from .benchdiff import diff_history, diff_table, read_history
+# ----------------------------------------------------------------------
+# rendering
+def render_text(blocks: Sequence[Block]) -> str:
+    """Lines as they are; each section as a titled fixed-width table."""
+    out: List[str] = []
+    for block in blocks:
+        if isinstance(block, str):
+            out.append(block)
+            continue
+        if out:
+            out.append("")
+        out.append(render_table(block.headers, block.rows, title=f"-- {block.title} --"))
+    return "\n".join(out)
 
-    diffs, _ = diff_history(read_history(path))
-    out = [f"<h2>Benchmark history: {_esc(path)}</h2>"]
-    if not diffs:
-        out.append('<p class="muted">history file holds no records yet</p>')
-        return "".join(out)
-    headers, rows = diff_table(diffs)
-    out.append(_table(headers, rows, numeric_from=2))
+
+_STYLE = """
+body { font-family: system-ui, sans-serif; margin: 2rem auto; max-width: 70rem;
+       color: #1a1a1a; }
+h1 { font-size: 1.4rem; } h2 { font-size: 1.1rem; margin-top: 2rem;
+     border-bottom: 1px solid #ddd; padding-bottom: .2rem; }
+table { border-collapse: collapse; margin: .5rem 0; font-size: .85rem; }
+th, td { border: 1px solid #ccc; padding: .25rem .6rem; text-align: left; }
+th { background: #f3f3f3; }
+td.num { text-align: right; font-variant-numeric: tabular-nums; }
+.bar { display: flex; height: 1.4rem; border-radius: 3px; overflow: hidden;
+       margin: .3rem 0 .6rem; max-width: 60rem; }
+.bar span { display: block; height: 100%; overflow: hidden; color: #fff;
+            font-size: .7rem; padding: .15rem 0 0 .3rem; white-space: nowrap; }
+.muted { color: #777; }
+"""
+
+#: bar palette, cycled (muted, print-safe)
+_COLORS = ("#4a6fa5", "#b0783c", "#5e8d5a", "#a05195", "#8a8a3c",
+           "#c05555", "#4f9090", "#7a6fb8")
+
+
+def _esc(value: Any) -> str:
+    return html.escape(str(value))
+
+
+def _is_number(cell: Any) -> bool:
+    try:
+        float(str(cell).rstrip("%"))
+    except ValueError:
+        return False
+    return True
+
+
+def _table(headers: List[str], rows: List[list]) -> str:
+    """An HTML table; numeric cells are right-aligned."""
+    out = ["<table><tr>"]
+    out.extend(f"<th>{_esc(h)}</th>" for h in headers)
+    out.append("</tr>")
+    for row in rows:
+        out.append("<tr>")
+        for cell in row:
+            cls = ' class="num"' if _is_number(cell) else ""
+            out.append(f"<td{cls}>{_esc(cell)}</td>")
+        out.append("</tr>")
+    out.append("</table>")
     return "".join(out)
 
 
-def render_report(
-    directory: pathlib.Path,
-    baseline: Optional[pathlib.Path] = None,
-    top_k: int = 10,
-) -> str:
-    """The full HTML page for one session directory."""
-    directory = pathlib.Path(directory)
-    log = load_session(directory)
-    manifest = log.manifest
-    profile: SessionProfile = profile_log(log, top_k=top_k)
-
-    title = manifest.label or directory.name
-    body: List[str] = [f"<h1>Session report: {_esc(title)}</h1>"]
-    if log.partial:
-        body.append(
-            '<p><strong>PARTIAL session</strong> — no clean close; this '
-            "report covers the completed prefix of the session log.</p>"
+def _bar(parts: List[Tuple[Any, float]]) -> str:
+    """One proportional flex bar from ``(label, seconds)`` parts."""
+    total = sum(sec for _, sec in parts)
+    if total <= 0:
+        return '<p class="muted">no timed spans</p>'
+    out = ['<div class="bar">']
+    for i, (label, sec) in enumerate(parts):
+        pct = 100.0 * sec / total
+        if pct < 0.5:
+            continue
+        color = _COLORS[i % len(_COLORS)]
+        out.append(
+            f'<span style="width:{pct:.2f}%;background:{color}" '
+            f'title="{_esc(label)}: {sec:.4f}s">{_esc(label)}</span>'
         )
-
-    # provenance
-    coverage = profile.coverage
-    prov = [
-        ("label", manifest.label or "-"),
-        ("package version", manifest.package_version),
-        ("format version", log.format_version),
-        ("wall seconds", "-" if manifest.wall_seconds is None
-         else f"{manifest.wall_seconds:.4f}"),
-        ("workers", manifest.workers),
-        ("runs", len(manifest.runs)),
-        ("spans", len(profile.spans)),
-        ("span coverage", "-" if coverage is None else f"{coverage:.1%}"),
-    ]
-    stamp = manifest.provenance or {}
-    if stamp.get("git_sha"):
-        prov.append(("git", str(stamp["git_sha"])[:12]))
-    if stamp.get("hostname"):
-        prov.append(("host", stamp["hostname"]))
-    if stamp.get("cpu_count"):
-        prov.append(("cpus", stamp["cpu_count"]))
-    if stamp.get("python_version"):
-        prov.append(("python", stamp["python_version"]))
-    body.append("<h2>Provenance</h2><dl class=\"kv\">")
-    body.extend(f"<dt>{_esc(k)}:</dt><dd>{_esc(v)}</dd>" for k, v in prov)
-    body.append("</dl>")
-
-    # span profile
-    body.append(_rollup_section("Time by span kind", profile.by_kind))
-    body.append(_rollup_section("Time by protocol", profile.by_protocol))
-    body.append(_rollup_section("Time by adversary", profile.by_adversary))
-    body.append(_rollup_section("Time by backend (runs)", profile.by_backend))
-
-    if profile.hottest_cells:
-        body.append(f"<h2>Hottest cells (top {len(profile.hottest_cells)})</h2>")
-        body.append(_treemap_bar(
-            [(sp.name, sp.wall_seconds) for sp in profile.hottest_cells]
-        ))
-        body.append(_table(
-            ["cell", "total s", "self s"],
-            [
-                [sp.name, f"{sp.wall_seconds:.4f}",
-                 f"{profile.self_seconds[sp.span_id]:.4f}"]
-                for sp in profile.hottest_cells
-            ],
-        ))
-    if profile.events:
-        body.append("<h2>Events</h2>")
-        body.append(_table(
-            ["event", "count"],
-            [[k, v] for k, v in sorted(profile.events.items())],
-        ))
-    if not profile.spans:
-        body.append('<p class="muted">No spans recorded '
-                    "(a directory of bare run files, or nothing ran).</p>")
-
-    # resource timeline rollup
-    if profile.resources:
-        res = profile.resources
-        body.append("<h2>Resources</h2>")
-        body.append(_table(
-            ["", "value"],
-            [
-                ["samples", res["samples"]],
-                ["sampled over", f"{res['duration_seconds']:.1f}s"],
-                ["rss peak", "-" if res.get("rss_peak_bytes") is None
-                 else f"{res['rss_peak_bytes'] / 1048576:.1f} MiB"],
-                ["rss last", "-" if res.get("rss_last_bytes") is None
-                 else f"{res['rss_last_bytes'] / 1048576:.1f} MiB"],
-                ["cpu mean", "-" if res.get("cpu_percent_mean") is None
-                 else f"{res['cpu_percent_mean']:.0f}%"],
-                ["cpu max", "-" if res.get("cpu_percent_max") is None
-                 else f"{res['cpu_percent_max']:.0f}%"],
-                ["gc collections", res.get("gc_collections", 0)],
-            ],
-        ))
-
-    # metrics snapshot
-    if manifest.metrics:
-        body.append("<h2>Metrics snapshot</h2>")
-        body.append(_table(["metric", "type", "value"],
-                           _metric_rows(manifest.metrics), numeric_from=2))
-
-    # runs
-    if manifest.runs:
-        body.append("<h2>Runs</h2>")
-        body.append(_table(
-            ["trace", "kind", "backend", "adversary", "N", "seed", "wall s"],
-            [
-                [
-                    r.trace_file or "-", r.kind, r.backend, r.adversary,
-                    r.num_nodes, r.seed,
-                    "-" if r.wall_seconds is None else f"{r.wall_seconds:.4f}",
-                ]
-                for r in manifest.runs
-            ],
-            numeric_from=4,
-        ))
-
-    # baseline deltas: a session directory compares aggregates; a
-    # history file renders the benchmark trend table instead
-    if baseline is not None:
-        baseline = pathlib.Path(baseline)
-        if baseline.is_file():
-            body.append(_history_section(baseline))
-        else:
-            base_manifest = load_session(baseline).manifest
-            rows = _delta_rows(manifest, base_manifest)
-            body.append(
-                f"<h2>Deltas vs baseline: {_esc(base_manifest.label or baseline)}</h2>"
-            )
-            if rows:
-                body.append(_table(["metric", "baseline", "current", "delta"], rows))
-            else:
-                body.append('<p class="muted">no shared metrics to compare</p>')
-
-    return (
-        "<!DOCTYPE html><html><head><meta charset=\"utf-8\">"
-        f"<title>{_esc(title)}</title><style>{_STYLE}</style></head><body>"
-        + "".join(body)
-        + "</body></html>"
-    )
-
-
-def write_report(
-    directory: pathlib.Path,
-    out: pathlib.Path,
-    baseline: Optional[pathlib.Path] = None,
-    top_k: int = 10,
-) -> pathlib.Path:
-    """Render and write the report; returns the output path."""
-    out = pathlib.Path(out)
-    out.write_text(render_report(directory, baseline=baseline, top_k=top_k))
-    return out
+    out.append("</div>")
+    return "".join(out)

@@ -12,9 +12,9 @@ daemon thread per streaming session that samples the process every
   state;
 * **heartbeat events** — the full sample as one ``heartbeat`` line of
   the session log, which is both the resource timeline ``repro
-  profile`` and the HTML report summarize and what keeps ``repro tail``
-  honest about a session that is alive but between runs (a 20-minute
-  N=4096 cell emits no run-complete events while it grinds).
+  report`` summarizes and what keeps ``repro tail`` honest about a
+  session that is alive but between runs (a 20-minute N=4096 cell
+  emits no run-complete events while it grinds).
 
 The thread is a ``daemon`` — it can never hold the interpreter (or a
 ``kill -9``'d parent's reaper) hostage — and sampling is wait-free for
@@ -170,7 +170,7 @@ def resolve_interval(interval: Optional[float] = None) -> float:
 
 
 def summarize_resources(samples: List[dict]) -> Optional[Dict[str, Any]]:
-    """Rollup for ``repro profile`` / the HTML report (None: no samples).
+    """Rollup for ``repro report`` (None: no samples).
 
     ``samples`` are heartbeat events; ``elapsed`` is their time into
     the session.

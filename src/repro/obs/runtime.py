@@ -236,10 +236,10 @@ class ObservationSession:
         if time.perf_counter() - self._last_checkpoint >= self.checkpoint_interval:
             self.checkpoint()
 
-    def record_progress(self, phase: str, label: str, depth: int, **extra: Any) -> None:
+    def record_progress(self, event: Dict[str, Any]) -> None:
         """Log one progress event (begin/advance/finish); see
         :func:`repro.obs.progress.report_begin` and friends."""
-        self._emit("progress", phase=phase, label=label, depth=depth, **extra)
+        self._emit("progress", **event)
 
     # -- engine integration --------------------------------------------
     def run_finished(self, engine: Any) -> None:

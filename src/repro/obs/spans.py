@@ -16,8 +16,8 @@ Three ways spans come into existence:
 
 * :func:`span` — a context manager around any scope.  With no active
   session it is a no-op whose entire cost is one list lookup.
-* :func:`span_event` — a zero-duration marker (degraded retry, tape
-  stats) attached to the current position in the tree.
+* :func:`span_event` — a zero-duration marker (tape stats, cache
+  hits) attached to the current position in the tree.
 * synthesized run/phase spans — when an engine run ends under a
   session, the session converts the engine's stage clock into one
   ``run`` span with five ``phase`` children, so engine time is
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 #: The canonical hierarchy, outermost first.  ``event`` marks
-#: zero-duration occurrences (retries, tape stats); other kinds are
+#: zero-duration occurrences (tape stats, cache hits); other kinds are
 #: accepted — the hierarchy is a convention, not a schema.
 SPAN_KINDS = ("sweep", "cell", "replicate", "run", "phase", "event")
 

@@ -27,8 +27,8 @@ are emitted.  An unstreamed session writes the same kinds of lines,
 flushed but not fsync'd, so the format never depends on the flag.
 
 **Loading.**  :func:`load_session` is the single reader every consumer
-(``inspect``, ``audit``, ``profile``, ``report``) goes through; ``tail``
-decodes lines with the same :func:`decode_event`.  A log without
+(``audit``, ``report``) goes through; ``tail`` decodes lines with the
+same :func:`decode_event`.  A log without
 ``session-close`` loads as ``partial`` — the completed prefix, never a
 refusal.  A torn final line (a kill mid-``write``) is skipped; any other
 malformed line raises :class:`ValueError` naming the file, line and
@@ -58,7 +58,6 @@ __all__ = [
     "decode_event",
     "read_events_jsonl",
     "load_session",
-    "stream_progress_totals",
 ]
 
 EVENTS_FILENAME = "events.jsonl"
@@ -365,23 +364,3 @@ def load_session(directory: pathlib.Path) -> SessionLog:
         if sp.parent_id not in ids:
             sp.parent_id = None
     return log
-
-
-# ----------------------------------------------------------------------
-# event-log helpers shared by tail and the tests
-def stream_progress_totals(events: List[dict]) -> Dict[int, Tuple[int, int]]:
-    """``{depth: (done, total)}`` from the progress events seen so far."""
-    state: Dict[int, Tuple[int, int]] = {}
-    for event in events:
-        if event.get("type") != "progress":
-            continue
-        depth = int(event.get("depth", 1))
-        phase = event.get("phase")
-        if phase == "begin":
-            state[depth] = (0, int(event.get("total", 0)))
-        elif phase == "advance":
-            done, total = state.get(depth, (0, 0))
-            state[depth] = (done + 1, total)
-        elif phase == "finish":
-            state.pop(depth, None)
-    return state

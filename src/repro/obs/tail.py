@@ -4,11 +4,12 @@ The session log (:mod:`repro.obs.stream`) is written line-at-a-time,
 flushed per line, precisely so that *another process* can follow it.
 This module is that follower: open ``events.jsonl``, render what has
 happened so far, then poll the file for growth and render each new
-event as one line — progress scopes collapse into an updating
-``done/total  rate/s  ETA`` status, runs/cells/retries print as
-discrete lines, and event types with no handler render nothing unless
-``verbose``.  Lines are decoded and checked by the loader's
-:func:`~repro.obs.stream.decode_event`.
+event as one line — the outermost progress scope prints
+``[label] done/total unit  rate/s  ETA`` per finished item (the
+ticker's renderer, :class:`~repro.obs.progress.ProgressRenderer`),
+runs and cells print as discrete lines, and event types with no
+handler render nothing unless ``verbose``.  Lines are decoded and
+checked by the loader's :func:`~repro.obs.stream.decode_event`.
 
 Attach semantics:
 
@@ -28,40 +29,28 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from typing import Any, Callable, Dict, List, TextIO
+from typing import Callable, List, TextIO
 
+from .progress import ProgressRenderer
 from .stream import EVENTS_FILENAME, decode_event
 
 __all__ = ["TailRenderer", "iter_event_lines", "tail_session"]
-
-
-def _fmt_rate(done: int, elapsed: float) -> str:
-    if done <= 0 or elapsed <= 0:
-        return ""
-    return f"{done / elapsed:.1f}/s"
-
-
-def _fmt_eta(done: int, total: int, elapsed: float) -> str:
-    if done <= 0 or elapsed <= 0 or total <= done:
-        return ""
-    return f"ETA {(total - done) * elapsed / done:.0f}s"
 
 
 class TailRenderer:
     """Turn a session's event stream into human lines, statefully.
 
     Feed events in order via :meth:`render`; each call returns the lines
-    to print (usually zero or one).  Progress state is tracked per depth
-    so the ETA line reflects the outermost scope (cells of a sweep) with
-    inner completions folded in, mirroring ``StderrTicker``.
+    to print (usually zero or one).  Progress events go through the
+    ticker's :class:`~repro.obs.progress.ProgressRenderer`, timed by
+    their ``elapsed`` field: one line per finished item of the
+    outermost scope.
     """
 
     def __init__(self, verbose: bool = False):
         self.verbose = verbose
-        #: depth -> {done, total, unit, label, t0}
-        self._progress: Dict[int, Dict[str, Any]] = {}
+        self.progress = ProgressRenderer()
         self.runs = 0
-        self.retries = 0
         self.closed = False
 
     # -- event -> lines -------------------------------------------------
@@ -102,48 +91,13 @@ class TailRenderer:
             status = sp.get("status", "ok")
             mark = "" if status == "ok" else f"  !{status}"
             return [f"cell done  {sp.get('name', '?')}  {wall:.2f}s{mark}"]
-        if sp.get("kind") == "event" and sp.get("name") == "degraded-retry":
-            self.retries += 1
-            tags = sp.get("tags", {})
-            return [
-                f"retry      {tags.get('kind', '?')} on [{tags.get('label', '?')}]"
-                f" attempt {tags.get('attempt', '?')}"
-            ]
         if not self.verbose:
             return []
         return [f"  span {sp.get('kind')}:{sp.get('name')}  {sp.get('wall_seconds', 0):.3f}s"]
 
     def _on_progress(self, event: dict) -> List[str]:
-        depth = int(event.get("depth", 1))
-        phase = event.get("phase")
-        now = float(event.get("elapsed", 0.0))
-        if phase == "begin":
-            self._progress[depth] = {
-                "done": 0,
-                "total": int(event.get("total", 0)),
-                "unit": event.get("unit", "tasks"),
-                "label": event.get("label") or "",
-                "t0": now,
-            }
-            return []
-        state = self._progress.get(depth)
-        if state is None:
-            return []
-        if phase == "finish":
-            self._progress.pop(depth, None)
-            return []
-        state["done"] += 1
-        if depth != min(self._progress):
-            return []  # inner scopes stay quiet, like StderrTicker
-        elapsed = now - state["t0"]
-        bits = [
-            f"[{state['label']}]" if state["label"] else "[progress]",
-            f"{state['done']}/{state['total']} {state['unit']}",
-        ]
-        rate = _fmt_rate(state["done"], elapsed)
-        eta = _fmt_eta(state["done"], state["total"], elapsed)
-        bits.extend(b for b in (rate, eta) if b)
-        return ["  ".join(bits)]
+        line = self.progress.feed(event, float(event.get("elapsed", 0.0)))
+        return [line] if line is not None and event.get("phase") == "advance" else []
 
     def _on_heartbeat(self, event: dict) -> List[str]:
         if not self.verbose:
@@ -160,11 +114,8 @@ class TailRenderer:
 
     def summary(self) -> str:
         """Final status line for a tail that ended without a close marker."""
-        bits = [f"{self.runs} runs"]
-        if self.retries:
-            bits.append(f"{self.retries} retries")
         state = "closed cleanly" if self.closed else "no close marker (killed or still running)"
-        return f"tail: {', '.join(bits)} — {state}"
+        return f"tail: {self.runs} runs — {state}"
 
 
 def iter_event_lines(

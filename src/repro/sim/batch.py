@@ -914,8 +914,9 @@ def run_batch_replicas(
     each engine's stage clock times its own stages, so the measured
     loop is the one every sweep runs.  The engines are finished in
     seed order afterwards, which keeps the session's run numbering and
-    span tree in seed order.  ``dense_node_limit`` shapes every tape's
-    adjacency representation.
+    span tree in seed order.  The replicas are one ``replicate``
+    progress scope, advanced as each replica stops.
+    ``dense_node_limit`` shapes every tape's adjacency representation.
     """
     from .runner import ProtocolRun
 
@@ -947,24 +948,27 @@ def run_batch_replicas(
                 tape=tape,
             )
         )
-    from ..obs.progress import current_reporter
+    from ..obs.progress import report_advance, report_begin, report_finish
     from ..obs.spans import span_event
 
-    reporter = current_reporter()
     active = list(engines) if max_rounds > 0 else []
-    while active:
-        still_running: List[BatchEngine] = []
-        for engine in active:
-            engine.step()
-            if engine.trace.termination_round is None and engine.round < max_rounds:
-                still_running.append(engine)
-            elif reporter is not None:
-                reporter.advance()
-        active = still_running
+    report_begin(len(engines), unit="runs", label="replicate")
+    try:
+        while active:
+            still_running: List[BatchEngine] = []
+            for engine in active:
+                engine.step()
+                if engine.trace.termination_round is None and engine.round < max_rounds:
+                    still_running.append(engine)
+                else:
+                    report_advance()
+            active = still_running
+    finally:
+        report_finish()
     for engine in engines:  # seed order: the session numbers runs as it sees them
         engine.finish()
     # How well the tape(s) amortized: one event span per chunk, so
-    # `repro profile` can report interning effectiveness per cell.  For
+    # `repro report` can count interning effectiveness per cell.  For
     # adaptive cells the per-engine incremental tapes are aggregated.
     if shared_tape is not None:
         span_event(

@@ -200,54 +200,22 @@ def ensure_picklable(**named: Any) -> Optional[str]:
 class ParallelExecutor:
     """Fans deterministic tasks out over a process pool, in input order.
 
-    Parameters
-    ----------
-    workers:
-        Process count; ``None`` defers to ``REPRO_WORKERS``, 0 runs
-        inline.  Inline mode calls each task in the calling process —
-        ambient observation sessions apply natively and exceptions
-        propagate untouched, so it *is* the sequential baseline.
-    retries:
-        How many times a task may be re-run after a *worker-level* fault
-        — the worker process dying (``BrokenProcessPool``) or, with
-        ``task_timeout``, hanging.  Retried tasks run on a rebuilt pool
-        (the dead/hung workers are discarded with the old pool — the
-        exclude-and-reroute degradation); tasks that merely *raise* are
-        never retried, their exception re-raises immediately with the
-        task label (deterministic tasks fail deterministically).  When
-        retries are exhausted the failure surfaces as
-        :class:`~repro.errors.ParallelExecutionError` naming the task's
-        label — never a bare pool error.  Default 0: a pool-level
-        failure raises on first sight, as before.
-    task_timeout:
-        Seconds to wait for each task's result before declaring its
-        worker hung (None: wait forever).  A hung worker is killed with
-        the pool it came from; whether the task is retried follows
-        ``retries``.
+    ``workers`` is the process count; ``None`` defers to
+    ``REPRO_WORKERS``, and 0 runs inline.  Inline mode calls each task
+    in the calling process — ambient observation sessions apply
+    natively and exceptions propagate untouched, so it *is* the
+    sequential baseline.
 
     ``map`` is the whole API: results come back in task order, worker
     observability is merged into the parent's active session in task
     order, and the first failing task (in input order) raises with its
-    label attached.  Worker-level degradations (crash/hang absorbed by a
-    retry) are appended to :attr:`degradations` as dicts with ``kind``
-    (``"crash"``/``"hang"``), ``label``, and ``attempt``.
+    label attached.  A worker process that dies (say, SIGKILLed)
+    surfaces as :class:`~repro.errors.ParallelExecutionError` naming
+    the task's label; a hung worker is not timed out.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        retries: int = 0,
-        task_timeout: Optional[float] = None,
-    ):
+    def __init__(self, workers: Optional[int] = None):
         self.workers = resolve_workers(workers)
-        self.retries = int(retries)
-        if self.retries < 0:
-            raise ConfigurationError(f"retries must be >= 0, got {retries}")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ConfigurationError(f"task_timeout must be > 0, got {task_timeout}")
-        self.task_timeout = task_timeout
-        #: worker-level faults absorbed by retries, in detection order.
-        self.degradations: List[dict] = []
 
     def map(
         self,
@@ -284,194 +252,33 @@ class ParallelExecutor:
         session = current_session()
         if capture is None:
             capture = session is not None
-        if self.retries == 0 and self.task_timeout is None:
-            results: List[Any] = []
-            with ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=_mp_context(),
-                initializer=_worker_init,
-            ) as pool:
-                futures = [
-                    pool.submit(_guarded_call, fn, args, capture, label)
-                    for args, label in zip(tasks, labels)
-                ]
-                # Input order, not completion order: determinism of both
-                # the result list and the session's run numbering.
-                for future, label in zip(futures, labels):
-                    try:
-                        status, payload, observations = future.result()
-                    except Exception as exc:
-                        raise ParallelExecutionError(
-                            f"worker for [{label}] failed before returning a "
-                            f"result (unpicklable task function/arguments, or a "
-                            f"crashed worker process): {exc}"
-                        ) from exc
-                    if status == "err":
-                        payload.reraise()
-                    if capture and session is not None and observations is not None:
-                        session.ingest_worker_observations(
-                            observations, workers=self.workers
-                        )
-                    results.append(payload)
-                    report_advance(label=label)
-            return results
-        return self._map_degraded(fn, tasks, labels, capture, session)
-
-    # -- worker-fault degradation --------------------------------------
-    def _map_degraded(self, fn, tasks, labels, capture, session) -> List[Any]:
-        """``map`` with crash/hang absorption: retry on a rebuilt pool.
-
-        Results are collected per task index and the parent session's
-        observations are ingested once, in *input* order, at the end —
-        so a degraded run's session state is identical to a clean run's.
-        A task that raises an ordinary exception still re-raises
-        immediately with its label (the PR-3 contract); only pool-level
-        faults (a dead worker, a hung worker past ``task_timeout``) are
-        retried, each retry on a fresh pool so dead workers are excluded.
-        """
-        import concurrent.futures as cf
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        n = len(tasks)
-        unset = object()
-        results: List[Any] = [unset] * n
-        observations_by_index: dict = {}
-        attempts = [0] * n
-        pending = list(range(n))
-        first_error: Optional[WorkerFailure] = None
-        while pending and first_error is None:
-            pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=_mp_context(),
-                initializer=_worker_init,
-            )
-            requeue: List[int] = []
-            try:
-                futures = {
-                    i: pool.submit(_guarded_call, fn, tasks[i], capture, labels[i])
-                    for i in pending
-                }
-                for pos, i in enumerate(pending):
-                    try:
-                        status, payload, observations = futures[i].result(
-                            timeout=self.task_timeout
-                        )
-                    except cf.TimeoutError:
-                        self._degrade("hang", i, labels[i], attempts)
-                        requeue.extend(self._salvage(
-                            futures, pending[pos + 1:], results, observations_by_index
-                        ))
-                        requeue.append(i)
-                        break
-                    except BrokenProcessPool as exc:
-                        # The pool is dead; every unfinished future fails.
-                        # Attribute the crash to the first task observed
-                        # failing (input order), salvage the rest.
-                        self._degrade("crash", i, labels[i], attempts, exc)
-                        requeue.extend(self._salvage(
-                            futures, pending[pos + 1:], results, observations_by_index
-                        ))
-                        requeue.append(i)
-                        break
-                    except Exception as exc:
-                        raise ParallelExecutionError(
-                            f"worker for [{labels[i]}] failed before returning "
-                            f"a result (unpicklable task function/arguments, or "
-                            f"a crashed worker process): {exc}"
-                        ) from exc
-                    if status == "err":
-                        first_error = payload
-                        break
-                    results[i] = payload
-                    observations_by_index[i] = observations
-            finally:
-                self._teardown(pool)
-            pending = sorted(requeue)
-        if first_error is not None:
-            first_error.reraise()
-        from ..obs.progress import report_advance
-
-        for i in range(n):
-            if capture and session is not None:
-                observations = observations_by_index.get(i)
-                if observations is not None:
+        results: List[Any] = []
+        with ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=_mp_context(),
+            initializer=_worker_init,
+        ) as pool:
+            futures = [
+                pool.submit(_guarded_call, fn, args, capture, label)
+                for args, label in zip(tasks, labels)
+            ]
+            # Input order, not completion order: determinism of both
+            # the result list and the session's run numbering.
+            for future, label in zip(futures, labels):
+                try:
+                    status, payload, observations = future.result()
+                except Exception as exc:
+                    raise ParallelExecutionError(
+                        f"worker for [{label}] failed before returning a "
+                        f"result (unpicklable task function/arguments, or a "
+                        f"crashed worker process): {exc}"
+                    ) from exc
+                if status == "err":
+                    payload.reraise()
+                if capture and session is not None and observations is not None:
                     session.ingest_worker_observations(
                         observations, workers=self.workers
                     )
-            report_advance(label=labels[i])
+                results.append(payload)
+                report_advance(label=label)
         return results
-
-    def _degrade(self, kind: str, index: int, label: str, attempts: List[int],
-                 exc: Optional[BaseException] = None) -> None:
-        """Log one absorbed worker fault; raise once retries are spent."""
-        attempts[index] += 1
-        self.degradations.append(
-            {"kind": kind, "label": label, "attempt": attempts[index]}
-        )
-        from ..obs.progress import report_event
-        from ..obs.spans import span_event
-
-        span_event(
-            "degraded-retry", kind=kind, label=label, attempt=attempts[index]
-        )
-        report_event(
-            "degraded-retry",
-            f"{kind} on [{label}] (attempt {attempts[index]})",
-        )
-        if attempts[index] > self.retries:
-            what = (
-                "worker process died" if kind == "crash"
-                else f"worker hung past task_timeout={self.task_timeout}s"
-            )
-            raise ParallelExecutionError(
-                f"worker for [{label}] failed after {attempts[index]} "
-                f"attempt(s): {what}; retries exhausted"
-            ) from exc
-
-    @staticmethod
-    def _salvage(futures, rest, results, observations_by_index) -> List[int]:
-        """Keep finished results from a failing pool; requeue the others.
-
-        Salvaged tasks do not count an attempt — they were not the
-        fault, they were collateral of the shared pool.
-        """
-        requeue: List[int] = []
-        for j in rest:
-            fut = futures[j]
-            if fut.done() and not fut.cancelled() and fut.exception() is None:
-                status, payload, observations = fut.result()
-                if status == "ok":
-                    results[j] = payload
-                    observations_by_index[j] = observations
-                    continue
-            requeue.append(j)
-        return requeue
-
-    @staticmethod
-    def _teardown(pool) -> None:
-        """Dispose of a (possibly broken or hung) pool without blocking.
-
-        Hung workers ignore a polite shutdown, so the pool's processes
-        are terminated outright; the pool object is then safe to drop.
-        The process table is snapshotted *before* ``shutdown`` because
-        ``shutdown(wait=False)`` clears the pool's ``_processes``
-        reference — reading it afterwards would leave a hung worker
-        alive, and the pool's manager thread (joined at interpreter
-        exit) would wait on it forever.
-        """
-        processes = dict(getattr(pool, "_processes", None) or {})
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - defensive
-            pass
-        for proc in list(processes.values()):
-            try:
-                proc.terminate()
-            except Exception:  # pragma: no cover - already-dead workers
-                pass
-        for proc in list(processes.values()):
-            try:
-                proc.join(timeout=5.0)
-            except Exception:  # pragma: no cover - defensive
-                pass

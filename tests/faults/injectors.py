@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import signal
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.simulation import TwoPartyReduction, run_reference_execution
@@ -337,9 +336,9 @@ def compare_with_reference(
 def _consume_marker(marker_path: str) -> bool:
     """Atomically claim a one-shot fault marker file.
 
-    The marker arms exactly one injection: the first task attempt that
-    claims it faults, the retry finds it gone and succeeds.  ``unlink``
-    is atomic on POSIX, so concurrent workers race safely.
+    The marker arms exactly one injection: the first task that claims
+    it faults, every other finds it gone.  ``unlink`` is atomic on
+    POSIX, so concurrent workers race safely.
     """
     try:
         os.unlink(marker_path)
@@ -352,16 +351,9 @@ def crashy_task(marker_path: str, value: int) -> int:
     """Worker-crash fault: SIGKILL this worker process once, then behave.
 
     SIGKILL (not an exception) models a genuine worker death — the pool
-    breaks, and the executor's degradation path must retry on a fresh
-    pool instead of surfacing ``BrokenProcessPool``.
+    breaks, and the executor must surface a labelled
+    ``ParallelExecutionError`` instead of ``BrokenProcessPool``.
     """
     if _consume_marker(marker_path):
         os.kill(os.getpid(), signal.SIGKILL)
-    return value * value
-
-
-def hangy_task(marker_path: str, value: int, hang_seconds: float = 3600.0) -> int:
-    """Worker-hang fault: block far past any sane task timeout, once."""
-    if _consume_marker(marker_path):
-        time.sleep(hang_seconds)
     return value * value

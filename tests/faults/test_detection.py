@@ -22,8 +22,7 @@ adversary-perturb  reduction  ``SimulationDiverged`` + audit finding
 message-drop       reduction  reference-divergence
 bit-corrupt        reduction  reference-divergence
 coin-tamper        reduction  reference-divergence
-worker-crash       worker     degraded-retry
-worker-hang        worker     degraded-retry
+worker-crash       worker     ``ParallelExecutionError``
 =================  =========  ====================================
 
 * **trace-divergence** — the simulator is deterministic given a seed,
@@ -32,8 +31,8 @@ worker-hang        worker     degraded-retry
 * **reference-divergence** — the Lemma-5 comparator: a party's
   simulation of its non-spoiled nodes must disagree with the reference
   execution (:func:`~tests.faults.injectors.compare_with_reference`).
-* **degraded-retry** — a dead or hung pool worker is absorbed by a
-  retry on a rebuilt pool: correct results, one logged degradation.
+* **ParallelExecutionError** — a pool worker killed mid-task surfaces
+  with the task's label, never as a bare pool error.
 
 A silent fault is only observable if it changes behaviour (dropping a
 payload nobody relied on is a no-op), so those scenarios search
@@ -49,7 +48,12 @@ import pytest
 
 from repro.cc.disjointness import random_instance
 from repro.core.simulation import TwoPartyReduction
-from repro.errors import BandwidthExceeded, ReproError, SimulationDiverged
+from repro.errors import (
+    BandwidthExceeded,
+    ParallelExecutionError,
+    ReproError,
+    SimulationDiverged,
+)
 from repro.network.adversaries import Adversary, RandomConnectedAdversary
 from repro.network.generators import line_edges
 from repro.obs.audit import audit_path
@@ -66,7 +70,6 @@ from .injectors import (
     FaultyAdversary,
     compare_with_reference,
     crashy_task,
-    hangy_task,
     inject_reduction_fault,
     wire_engine_fault,
 )
@@ -253,23 +256,19 @@ def _reference_divergence(fault: str, tmp_path: Any) -> Detection:
 
 
 def _worker_fault(fault: str, tmp_path: Any) -> Detection:
-    """Crash or hang one pool worker once; a retry must absorb it."""
+    """Kill one pool worker mid-task; the failure must name a task."""
     marker = tmp_path / "fault.marker"
     marker.write_text("armed\n")
-    if fault == "worker-crash":
-        kind, executor = "crash", ParallelExecutor(workers=2, retries=1)
-        task, tasks = crashy_task, [(str(marker), i) for i in range(4)]
+    try:
+        ParallelExecutor(workers=2).map(
+            crashy_task, [(str(marker), i) for i in range(4)],
+            labels=[f"seed={i}" for i in range(4)],
+        )
+    except ParallelExecutionError as exc:
+        fired = "ParallelExecutionError" if "[seed=" in str(exc) else None
     else:
-        kind, executor = "hang", ParallelExecutor(workers=2, retries=1, task_timeout=3.0)
-        task, tasks = hangy_task, [(str(marker), i, 600.0) for i in range(4)]
-    results = executor.map(task, tasks, labels=[f"seed={i}" for i in range(4)])
-    applied = [] if marker.exists() else [f"{fault} marker consumed"]
-    assert results == [0, 1, 4, 9]
-    (degradation,) = executor.degradations
-    assert degradation["label"].startswith("seed=")
-    if (degradation["kind"], degradation["attempt"]) != (kind, 1):
-        return applied, None
-    return applied, "degraded-retry"
+        fired = None
+    return ([] if marker.exists() else [f"{fault} marker consumed"]), fired
 
 
 #: fault, layer, the detector that must fire, and the scenario proving it
@@ -286,8 +285,7 @@ CELLS = [
     ("message-drop", "reduction", "reference-divergence", _reference_divergence),
     ("bit-corrupt", "reduction", "reference-divergence", _reference_divergence),
     ("coin-tamper", "reduction", "reference-divergence", _reference_divergence),
-    ("worker-crash", "worker", "degraded-retry", _worker_fault),
-    ("worker-hang", "worker", "degraded-retry", _worker_fault),
+    ("worker-crash", "worker", "ParallelExecutionError", _worker_fault),
 ]
 
 

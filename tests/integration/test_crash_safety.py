@@ -3,8 +3,8 @@
 The scenario durable streaming exists for: a ``REPRO_WORKERS=2`` sweep
 runs some cells to completion, then wedges on a pool whose workers
 sleep for ten minutes and is SIGKILL'd — no atexit, no flush, no
-``session-close``.  The partial session must load under ``inspect``,
-``profile`` and ``tail``, showing exactly the completed prefix.
+``session-close``.  The partial session must load under ``report``
+and ``tail``, showing exactly the completed prefix.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import time
 import pytest
 
 from repro.obs.export import read_trace_jsonl
-from repro.obs.inspect import inspect_session
-from repro.obs.profile import profile_session
+from repro.obs.report import build_report
 from repro.obs.stream import EVENTS_FILENAME, load_session, read_events_jsonl
 from repro.obs.tail import tail_session
 
@@ -127,14 +126,14 @@ class TestKilledSweep:
         assert log.manifest.metrics
 
     def test_inspect_loads_and_marks_partial(self, killed_session):
-        report = inspect_session(killed_session)
+        report = build_report(killed_session)
         assert report.partial
         text = report.render()
         assert "PARTIAL" in text
         assert len(report.runs) == len(_SEEDS)
 
     def test_profile_reconstructs_prefix_spans(self, killed_session):
-        profile = profile_session(killed_session)
+        profile = build_report(killed_session)
         assert profile.partial
         assert profile.by_kind["run"].count == len(_SEEDS)
         assert profile.by_protocol["TokenFloodNode"].count == len(_SEEDS)

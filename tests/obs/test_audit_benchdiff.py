@@ -1,4 +1,4 @@
-"""``repro audit`` / ``repro bench-diff`` / OpenMetrics exposition."""
+"""``repro audit`` / ``repro bench-diff``."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from repro.cli import main
 from repro.obs.audit import audit_path, render_audit, resolve_run_files
 from repro.obs.benchdiff import DEFAULT_THRESHOLD, diff_dirs, render_diff
-from repro.obs.metrics import MetricsRegistry
 
 
 def _exp_json(exp_id, rows, summary=None, wall=None, phases=None):
@@ -156,33 +155,6 @@ class TestBenchDiff:
         assert diffs[0].details == ["column 'b' only in the old file"]
 
 
-class TestOpenMetrics:
-    def test_render_counters_gauges_histograms(self):
-        reg = MetricsRegistry()
-        reg.counter("bits_total").inc(42)
-        reg.gauge("spoiled_nodes", {"party": "alice"}).set(7)
-        h = reg.histogram("phase_seconds", {"phase": "actions"}, buckets=(0.1, 1.0))
-        h.observe(0.05)
-        h.observe(0.5)
-        h.observe(5.0)
-        text = reg.render_openmetrics()
-        lines = text.splitlines()
-        assert "# TYPE bits_total counter" in lines
-        assert "bits_total 42" in lines
-        assert '# TYPE spoiled_nodes gauge' in lines
-        assert 'spoiled_nodes{party="alice"} 7' in lines
-        # histogram buckets are cumulative and end with +Inf == count
-        assert 'phase_seconds_bucket{phase="actions",le="0.1"} 1' in lines
-        assert 'phase_seconds_bucket{phase="actions",le="1.0"} 2' in lines
-        assert 'phase_seconds_bucket{phase="actions",le="+Inf"} 3' in lines
-        assert 'phase_seconds_count{phase="actions"} 3' in lines
-        assert any(l.startswith('phase_seconds_sum{phase="actions"}') for l in lines)
-        assert lines[-1] == "# EOF"
-
-    def test_empty_registry_renders_eof_only(self):
-        assert MetricsRegistry().render_openmetrics() == "# EOF\n"
-
-
 @pytest.mark.slow
 class TestCliIntegration:
     def test_thm6_trace_then_audit_ok(self, tmp_path, capsys):
@@ -221,22 +193,14 @@ class TestCliIntegration:
     def test_audit_missing_path_exits_2(self, tmp_path, capsys):
         assert main(["audit", str(tmp_path / "nope")]) == 2
 
-    def test_inspect_session_directory(self, tmp_path, capsys):
+    def test_report_session_directory(self, tmp_path, capsys):
         trace = tmp_path / "t6"
         assert main(["thm6", "--quick", "--trace-out", str(trace)]) == 0
         capsys.readouterr()
-        assert main(["inspect", str(trace)]) == 0
+        assert main(["report", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "session:" in out and "reduction" in out
         assert "run-0001.jsonl" in out
-
-    def test_metrics_out_writes_openmetrics(self, tmp_path, capsys):
-        prom = tmp_path / "m.prom"
-        assert main(["thm6", "--quick", "--metrics-out", str(prom)]) == 0
-        capsys.readouterr()
-        text = prom.read_text()
-        assert text.rstrip().endswith("# EOF")
-        assert "cut_bits_total" in text
 
     def test_bench_diff_cli(self, tmp_path, capsys):
         _write_dir(tmp_path / "old", [_exp_json("EXP-X1", [[1, 2]])])

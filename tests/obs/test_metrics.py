@@ -48,25 +48,17 @@ class TestRegistry:
         assert snap["bits_sent_total"] == {"type": "counter", "value": 7}
         hist = snap["phase_seconds{phase=actions}"]
         assert hist["type"] == "histogram"
-        assert hist["count"] == 1 and hist["sum"] == 0.25
-        assert hist["min"] == hist["max"] == 0.25
+        assert hist == {"type": "histogram", "count": 1, "sum": 0.25, "mean": 0.25}
 
 
 class TestHistogram:
     def test_bucketing_and_stats(self):
-        h = Histogram("h", buckets=(0.1, 1.0, 10.0))
+        h = Histogram("h")
         for v in (0.05, 0.5, 5.0, 50.0):
             h.observe(v)
         assert h.count == 4
         assert h.sum == pytest.approx(55.55)
-        assert h.min == 0.05 and h.max == 50.0
         assert h.mean == pytest.approx(55.55 / 4)
-        assert h.bucket_counts == [1, 1, 1, 1]  # one per bucket incl. +inf
-
-    def test_boundary_goes_to_lower_bucket(self):
-        h = Histogram("h", buckets=(1.0, 2.0))
-        h.observe(1.0)
-        assert h.bucket_counts == [1, 0, 0]
 
     def test_empty_histogram_mean(self):
         assert Histogram("h").mean == 0.0

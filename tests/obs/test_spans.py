@@ -1,4 +1,4 @@
-"""Spans, progress, profiling, and the HTML report (PR 6).
+"""Spans, progress, and the session report.
 
 The load-bearing properties:
 
@@ -9,8 +9,8 @@ The load-bearing properties:
   yields ``None``, records nothing, and leaves engine results
   bit-identical (trace fingerprints unchanged);
 * **v2 compatibility** — a directory of bare run files (a session with
-  no spans, like a v2 session's runs) still inspects, audits, and
-  profiles (to an empty profile) cleanly.
+  no spans, like a v2 session's runs) still audits and reports (with
+  empty span rollups) cleanly.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import json
 import pathlib
+import time
 from collections import Counter
 
 import pytest
@@ -26,9 +27,14 @@ from hypothesis import strategies as st
 
 from repro.network.adversaries import RandomConnectedAdversary
 from repro.obs import observe
-from repro.obs.profile import profile_session, render_profile
-from repro.obs.progress import ProgressReporter, StderrTicker, progress_scope
-from repro.obs.report import render_report, write_report
+from repro.obs.progress import (
+    StderrTicker,
+    progress_scope,
+    report_advance,
+    report_begin,
+    report_finish,
+)
+from repro.obs.report import build_report
 from repro.obs.runtime import current_session
 from repro.obs.spans import current_span, span, span_event
 from repro.obs.stream import EVENTS_FILENAME, load_session, read_events_jsonl
@@ -51,14 +57,20 @@ def run_gossip(n=6, rounds=8, seed=5):
     return eng
 
 
-def _token_replicate(seeds, workers):
+def _token_replicate(seeds, workers, backend="reference"):
     ids = tuple(range(6))
     return replicate(
         NodeSet(ids, BoundNode(TokenFloodNode, source=ids[0])),
         Constant(RandomConnectedAdversary(list(ids), seed=7)),
         seeds=seeds,
-        config=RunConfig(max_rounds=24, workers=workers, backend="reference"),
+        config=RunConfig(max_rounds=24, workers=workers, backend=backend),
     )
+
+
+def _replicate_cell(n, backend):
+    """A sweep cell that replicates three seeds on ``backend``."""
+    _token_replicate((1, 2, 3), workers=0, backend=backend)
+    return {"n": n}
 
 
 def _shape(spans):
@@ -228,12 +240,11 @@ class TestV2SessionCompat:
 
     def test_loads_inspects_audits(self, v2_session):
         from repro.obs.audit import audit_path
-        from repro.obs.inspect import inspect_session
 
         log = load_session(v2_session)
         assert log.partial and log.spans == []
         assert [r.trace_file for r in log.manifest.runs] == ["run-0001.jsonl"]
-        report = inspect_session(v2_session)
+        report = build_report(v2_session)
         assert "run-0001.jsonl" in report.render()
         # no reduction runs: audit reports "nothing to audit" (2), the
         # same as it would for this session before spans existed
@@ -242,13 +253,13 @@ class TestV2SessionCompat:
         assert skipped
 
     def test_profiles_to_empty(self, v2_session):
-        profile = profile_session(v2_session)
+        profile = build_report(v2_session)
         assert profile.spans == []
-        assert "no spans recorded" in render_profile(profile)
+        assert "no spans recorded" in profile.render()
 
     def test_report_renders_without_spans(self, v2_session):
-        html = render_report(v2_session)
-        assert "No spans recorded" in html
+        html = build_report(v2_session).render_html()
+        assert "no spans recorded" in html
 
 
 class TestProfile:
@@ -257,7 +268,7 @@ class TestProfile:
 
         with observe(trace_dir=tmp_path):
             exp_known_d_upper_bounds(sizes=(8, 16), seeds=(21,), workers=0)
-        profile = profile_session(tmp_path)
+        profile = build_report(tmp_path)
         assert profile.coverage is not None
         assert profile.coverage >= 0.95
         assert profile.hottest_cells
@@ -265,14 +276,14 @@ class TestProfile:
         # the suite runs under REPRO_BACKEND=batch)
         assert profile.by_backend
         assert all(r.count > 0 for r in profile.by_backend.values())
-        text = render_profile(profile)
+        text = profile.render()
         assert "hottest cells" in text
         assert "coverage:" in text
 
     def test_self_time_never_exceeds_total(self, tmp_path):
         with observe(trace_dir=tmp_path):
             _token_replicate((1, 2), workers=0)
-        profile = profile_session(tmp_path)
+        profile = build_report(tmp_path)
         for sp in profile.spans:
             if sp.kind == "event":
                 continue
@@ -283,71 +294,102 @@ class TestReport:
     def test_html_is_self_contained(self, tmp_path):
         with observe(trace_dir=tmp_path / "sess"):
             run_gossip(rounds=4)
-        out = write_report(tmp_path / "sess", tmp_path / "report.html")
-        html = out.read_text()
+        html = build_report(tmp_path / "sess").render_html()
         assert html.startswith("<!DOCTYPE html>")
         for forbidden in ("http://", "https://", "<script", "src="):
             assert forbidden not in html
-        for section in ("Provenance", "Time by span kind", "Runs"):
+        for section in ("provenance:", "Time by span kind", "Runs"):
             assert section in html
 
     def test_baseline_deltas_section(self, tmp_path):
         for name in ("base", "cur"):
             with observe(trace_dir=tmp_path / name):
                 run_gossip(rounds=4)
-        html = render_report(tmp_path / "cur", baseline=tmp_path / "base")
+        html = build_report(tmp_path / "cur", baseline=tmp_path / "base").render_html()
         assert "Deltas vs baseline" in html
         assert "wall_seconds" in html
+
+    def test_text_report_sections_and_stage_rollup(self, tmp_path):
+        from repro.analysis.experiments.protocols import exp_known_d_upper_bounds
+        from repro.obs.export import read_trace_jsonl
+        from repro.sim.engine import ROUND_STAGES
+
+        with observe(trace_dir=tmp_path / "base"):
+            run_gossip(rounds=4)
+        with observe(trace_dir=tmp_path / "cur", stream=True, resource_interval=0.01):
+            exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), workers=0)
+            span_event("marker")
+            time.sleep(0.2)  # let the sampler log heartbeats
+        report = build_report(tmp_path / "cur", baseline=tmp_path / "base", top_k=2)
+        text = report.render()
+        for section in (
+            "session:", "provenance:", "-- runs --", "-- time by span kind --",
+            "-- time by protocol --", "-- time by adversary --",
+            "-- time by backend (runs) --", "-- time by stage --",
+            "-- hottest cells (top 2) --", "-- events --", "-- resources --",
+            "-- metrics --", "coverage:", "-- deltas vs baseline",
+        ):
+            assert section in text, section
+        # the stage rollup is the run files' stage clocks, summed
+        assert list(report.by_stage) == list(ROUND_STAGES)
+        files = sorted((tmp_path / "cur").glob("run-*.jsonl"))
+        assert len(report.runs) == len(files) == 5
+        for stage in ROUND_STAGES:
+            want = sum(read_trace_jsonl(f).phase_seconds[stage] for f in files)
+            assert report.by_stage[stage] == pytest.approx(want, rel=1e-9)
+            assert stage in text.split("-- time by stage --")[1]
 
     def test_escapes_user_controlled_strings(self, tmp_path):
         with observe(trace_dir=tmp_path, label="<script>alert(1)</script>"):
             run_gossip(rounds=3)
-        html = render_report(tmp_path)
+        html = build_report(tmp_path).render_html()
         assert "<script>alert(1)</script>" not in html
         assert "&lt;script&gt;" in html
 
 
-class _Recorder(ProgressReporter):
-    def __init__(self):
-        self.begins = []
-        self.advances = []
-        self.events = []
-        self.finishes = 0
-
-    def begin(self, total, unit="tasks", label=None):
-        self.begins.append((total, unit, label))
-
-    def advance(self, label=None, status="ok"):
-        self.advances.append((label, status))
-
-    def event(self, kind, detail):
-        self.events.append((kind, detail))
-
-    def finish(self):
-        self.finishes += 1
+def _phases(events, phase):
+    return [e for e in events if e["phase"] == phase]
 
 
 class TestProgressReporting:
     def test_replicate_inline_advances_per_seed(self):
-        rec = _Recorder()
-        with progress_scope(rec):
-            _token_replicate((1, 2, 3), workers=0)
-        assert rec.begins and rec.begins[0][0] == 3
-        assert len(rec.advances) == 3
-        assert rec.finishes == len(rec.begins)
+        for backend in ("reference", "batch"):
+            events = []
+            with progress_scope(events.append):
+                _token_replicate((1, 2, 3), workers=0, backend=backend)
+            begins = _phases(events, "begin")
+            assert [(e["total"], e["label"]) for e in begins] == [(3, "replicate")], backend
+            assert len(_phases(events, "advance")) == 3, backend
+            assert len(_phases(events, "finish")) == len(begins), backend
 
     def test_replicate_pooled_advances_per_task(self):
-        rec = _Recorder()
-        with progress_scope(rec):
+        events = []
+        with progress_scope(events.append):
             _token_replicate((1, 2), workers=2)
-        assert sum(total for total, _, _ in rec.begins) >= 2
-        assert len(rec.advances) >= 2
-        assert rec.finishes == len(rec.begins)
+        begins = _phases(events, "begin")
+        assert sum(e["total"] for e in begins) >= 2
+        assert len(_phases(events, "advance")) >= 2
+        assert len(_phases(events, "finish")) == len(begins)
 
     def test_no_reporter_is_silent(self, capsys):
         _token_replicate((1,), workers=0)
         captured = capsys.readouterr()
         assert captured.err == ""
+
+    @pytest.mark.parametrize("backend", ["reference", "batch"])
+    def test_sweep_of_replicates_counts_cells(self, backend):
+        from repro.analysis.sweep import cartesian_sweep
+
+        ticker, stream = TestStderrTicker()._ticker()
+        with progress_scope(ticker):
+            cartesian_sweep(
+                {"n": [1, 2], "backend": [backend]}, _replicate_cell,
+                config=RunConfig(workers=0),
+            )
+        # the replicas inside each cell must not count as cells
+        painted = stream.getvalue().rstrip("\n").split("\r\x1b[2K")[1:]
+        assert painted[-1].startswith("[_replicate_cell] 2/2 cells")
+        assert [line.split()[1] for line in painted] == ["0/2", "1/2", "2/2"]
 
 
 class TestStderrTicker:
@@ -363,32 +405,26 @@ class TestStderrTicker:
 
     def test_renders_progress_and_final_line(self):
         ticker, stream = self._ticker()
-        ticker.begin(2, unit="cells", label="EXP-X")
-        ticker.advance()
-        ticker.advance()
-        ticker.finish()
+        with progress_scope(ticker):
+            report_begin(2, unit="cells", label="EXP-X")
+            report_advance()
+            report_advance()
+            report_finish()
         text = stream.getvalue()
         assert "[EXP-X] 2/2 cells" in text
         assert text.endswith("\n")
 
     def test_inner_scopes_do_not_drive_the_line(self):
         ticker, stream = self._ticker()
-        ticker.begin(2, unit="cells", label="outer")
-        ticker.begin(10, unit="runs", label="inner")  # nested replicate
-        ticker.advance()  # inner completion: ignored by the display
-        ticker.finish()
-        ticker.advance()  # outer completion: counted
-        ticker.finish()
+        with progress_scope(ticker):
+            report_begin(2, unit="cells", label="outer")
+            report_begin(10, unit="runs", label="inner")  # nested replicate
+            report_advance()  # inner completion: ignored by the display
+            report_finish()
+            report_advance()  # outer completion: counted
+            report_finish()
         assert "1/2 cells" in stream.getvalue()
         assert "10" not in stream.getvalue().replace("10.0", "")
-
-    def test_events_print_as_lines(self):
-        ticker, stream = self._ticker()
-        ticker.begin(1, label="EXP-X")
-        ticker.event("degraded-retry", "worker crash on [seed=3]")
-        ticker.advance()
-        ticker.finish()
-        assert "[EXP-X] degraded-retry: worker crash on [seed=3]\n" in stream.getvalue()
 
 
 class TestCLI:
@@ -397,7 +433,7 @@ class TestCLI:
 
         with observe(trace_dir=tmp_path):
             run_gossip(rounds=4)
-        assert main(["profile", str(tmp_path)]) == 0
+        assert main(["report", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "by span kind" in out
         assert "coverage:" in out
@@ -408,13 +444,13 @@ class TestCLI:
         with observe(trace_dir=tmp_path):
             run_gossip(rounds=4)
         (tmp_path / EVENTS_FILENAME).unlink()
-        assert main(["profile", str(tmp_path)]) == 0
+        assert main(["report", str(tmp_path)]) == 0
         assert "no spans recorded" in capsys.readouterr().out
 
     def test_profile_wrong_arity(self, capsys):
         from repro.cli import main
 
-        assert main(["profile"]) == 2
+        assert main(["report"]) == 2
 
     def test_report_command(self, tmp_path, capsys):
         from repro.cli import main
@@ -422,13 +458,28 @@ class TestCLI:
         with observe(trace_dir=tmp_path / "sess"):
             run_gossip(rounds=4)
         out_file = tmp_path / "report.html"
-        assert main(["report", str(tmp_path / "sess"), "--out", str(out_file)]) == 0
+        assert main(["report", str(tmp_path / "sess"), "--html", str(out_file)]) == 0
         assert out_file.read_text().startswith("<!DOCTYPE html>")
 
     def test_report_requires_out(self, tmp_path, capsys):
         from repro.cli import main
 
+        # a directory that holds no session, and the renamed --out flag
         assert main(["report", str(tmp_path)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(tmp_path), "--out", str(tmp_path / "r.html")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_report_top_must_be_positive(self, tmp_path, capsys, top):
+        from repro.cli import main
+
+        with observe(trace_dir=tmp_path):
+            run_gossip(rounds=4)
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(tmp_path), "--top", top])
+        assert exc.value.code == 2
+        assert "--top" in capsys.readouterr().err
 
     def test_bench_diff_tolerance_and_gate(self, tmp_path, capsys):
         from repro.cli import main

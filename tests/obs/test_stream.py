@@ -11,8 +11,7 @@ The load-bearing properties:
 * **the loaded session is the recorded one** — the loader's span list
   equals the recorder's, inline and through the process pool;
 * **crash-safety** — a log cut anywhere before ``session-close`` loads
-  under ``inspect``/``profile`` as a PARTIAL session holding the
-  closed prefix;
+  under ``report`` as a PARTIAL session holding the closed prefix;
 * **trend analysis** — ``bench-diff`` over a history file flags the
   injected regression against a median-of-last-K window and nothing
   else.
@@ -43,9 +42,9 @@ from repro.obs.benchdiff import (
     sparkline,
 )
 from repro.obs.export import read_trace_jsonl
-from repro.obs.inspect import inspect_session
 from repro.obs.manifest import collect_provenance
-from repro.obs.profile import profile_session, render_profile
+from repro.obs.progress import ProgressRenderer
+from repro.obs.report import build_report
 from repro.obs.resource import (
     ResourceSampler,
     resolve_interval,
@@ -59,7 +58,6 @@ from repro.obs.stream import (
     load_session,
     read_events_jsonl,
     resolve_stream,
-    stream_progress_totals,
 )
 from repro.obs.tail import tail_session
 from repro.protocols.flooding import TokenFloodNode
@@ -208,12 +206,16 @@ class TestStreamingSession:
         assert {e["phase"] for e in progress} >= {"begin", "advance", "finish"}
         # live state: mid-flight the outermost scope shows done/total,
         # and the finish event pops it (a closed session tails to {})
-        mid_flight = [e for e in events if not (
-            e["type"] == "progress" and e["phase"] == "finish"
-        )]
-        totals = stream_progress_totals(mid_flight)
-        assert totals[min(totals)] == (3, 3)
-        assert stream_progress_totals(events) == {}
+        renderer = ProgressRenderer()
+        for event in progress:
+            if event["phase"] != "finish":
+                renderer.feed(event, event["elapsed"])
+        outer = renderer.scopes[min(renderer.scopes)]
+        assert (outer["done"], outer["total"]) == (3, 3)
+        for event in progress:
+            if event["phase"] == "finish":
+                renderer.feed(event, event["elapsed"])
+        assert renderer.scopes == {}
 
     def test_spans_from_events_match_recorder(self, tmp_path):
         """The loaded span tree is the recorded one, ids and all — also
@@ -261,7 +263,7 @@ class TestStreamingSession:
         assert [sp.as_dict() for sp in log.spans] == expected
         roots = [sp for sp in log.spans if sp.parent_id is None]
         assert [sp.kind for sp in roots] == ["cell", "cell", "run"]
-        profile = profile_session(d)
+        profile = build_report(d)
         assert profile.partial
         assert 0.0 < profile.coverage <= 1.0
 
@@ -415,7 +417,7 @@ class TestPartialSession:
     def test_inspect_marks_partial(self, tmp_path):
         d, _ = _streamed_session(tmp_path)
         _make_partial(d)
-        report = inspect_session(d)
+        report = build_report(d)
         assert report.partial
         text = report.render()
         assert "PARTIAL" in text
@@ -424,10 +426,10 @@ class TestPartialSession:
     def test_profile_reconstructs_spans(self, tmp_path):
         d, _ = _streamed_session(tmp_path)
         _make_partial(d)
-        profile = profile_session(d)
+        profile = build_report(d)
         assert profile.partial
         assert profile.by_kind["run"].count == 3
-        assert "PARTIAL" in render_profile(profile)
+        assert "PARTIAL" in profile.render()
 
     def test_stale_checkpoint_never_shadows_fresher_events(self, tmp_path):
         d, session = _streamed_session(tmp_path)
@@ -467,14 +469,14 @@ class TestPartialSession:
             assert getattr(log.manifest, field) == absent[field]
         else:  # a cut session's wall clock is its last event's
             assert log.manifest.wall_seconds == events[-1]["elapsed"]
-        assert inspect_session(d).partial
+        assert build_report(d).partial
 
     def test_torn_run_file_skipped_with_note(self, tmp_path):
         d, _ = _streamed_session(tmp_path)
         _make_partial(d)
         torn = sorted(d.glob("run-*.jsonl"))[-1]
         torn.write_text(torn.read_text()[: 40])
-        report = inspect_session(d)
+        report = build_report(d)
         assert len(report.runs) == 2
         assert any(torn.name in note for note in report.skipped)
 

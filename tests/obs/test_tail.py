@@ -158,16 +158,6 @@ class TestTailRenderer:
         assert "closed" in line
         assert r.closed and "closed cleanly" in r.summary()
 
-    def test_degraded_retry_from_span(self):
-        r = TailRenderer()
-        lines = r.render({
-            "type": "span-close",
-            "span": {"kind": "event", "name": "degraded-retry",
-                     "tags": {"kind": "timeout", "label": "seed=2", "attempt": 1}},
-        })
-        assert lines and "retry" in lines[0] and "seed=2" in lines[0]
-        assert r.retries == 1
-
     def test_progress_outer_scope_renders_rate_and_eta(self):
         r = TailRenderer()
         assert r.render({"type": "progress", "phase": "begin", "depth": 1,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -160,7 +161,7 @@ class TestCliEdgeCases:
     def test_inspect_empty_directory(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
-        assert main(["inspect", str(empty)]) == 2
+        assert main(["report", str(empty)]) == 2
         err = capsys.readouterr().err
         assert "not an observation session directory" in err
 
@@ -171,7 +172,7 @@ class TestCliEdgeCases:
                "trace_file": "run-0001.jsonl"}
         _write_log(session, {"type": "run-complete", "run": run},
                    {"type": "session-close", "runs": 1})
-        assert main(["inspect", str(session)]) == 2
+        assert main(["report", str(session)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "run-0001.jsonl is listed in events.jsonl" in err
@@ -261,21 +262,20 @@ class TestCliEdgeCases:
         summary["run_metrics"] = patch(summary["run_metrics"])
         lines[-1] = json.dumps(summary)
         run_file.write_text("\n".join(lines) + "\n")
-        path = run_file if target == "file" else session
-        assert main(["inspect", str(path)]) == 2
+        path, command = (run_file, "inspect") if target == "file" else (session, "report")
+        assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert f"repro inspect: {run_file}: line {len(lines)}: field {field}" in err
+        assert f"repro {command}: {run_file}: line {len(lines)}: field {field}" in err
 
     @pytest.mark.parametrize("command", ["inspect", "audit", "profile", "report"])
     @pytest.mark.parametrize("runs", [[5], 5], ids=["list-of-int", "int"])
     def test_malformed_manifest_runs_exit_2(self, tmp_path, capsys, command, runs):
+        # a session directory is reported, not inspected or profiled
         session = tmp_path / "session"
         log = _write_log(session, {"type": "run-complete", "run": runs})
-        argv = [command, str(session)]
-        if command == "report":
-            argv += ["--out", str(tmp_path / "report.html")]
-        assert main(argv) == 2
+        command = "audit" if command == "audit" else "report"
+        assert main([command, str(session)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"repro {command}: {log}: line 2: field 'run' must be an object" in err
@@ -291,10 +291,10 @@ class TestCliEdgeCases:
         assert load_session(session).manifest.metrics == {"bits_total": counter}
         out = tmp_path / "report.html"
         argv = {
-            "inspect": ["inspect", str(session)],
-            "profile": ["profile", str(session)],
-            "report": ["report", str(session), "--out", str(out)],
-            "baseline": ["report", str(session), "--out", str(out),
+            "inspect": ["report", str(session)],
+            "profile": ["report", str(session)],
+            "report": ["report", str(session), "--html", str(out)],
+            "baseline": ["report", str(session), "--html", str(out),
                          "--baseline", str(session)],
         }[command]
         assert main(argv) == 0
@@ -303,7 +303,7 @@ class TestCliEdgeCases:
             assert "bits_total" in out.read_text()
             assert "rounds_total" not in out.read_text()
 
-    @pytest.mark.parametrize("command", ["bench-diff", "report"])
+    @pytest.mark.parametrize("command", ["bench-diff"])
     @pytest.mark.parametrize(
         "record, field",
         [
@@ -322,14 +322,7 @@ class TestCliEdgeCases:
         hist = tmp_path / "history.jsonl"
         hist.write_text(_history_line(1.0, 0) + "\n"
                         + json.dumps({"exp_id": "EXP-X", **record}) + "\n")
-        if command == "bench-diff":
-            argv = ["bench-diff", str(hist)]
-        else:
-            session = tmp_path / "session"
-            _write_log(session, {"type": "session-close", "runs": 0})
-            argv = ["report", str(session), "--out", str(tmp_path / "r.html"),
-                    "--baseline", str(hist)]
-        assert main(argv) == 2
+        assert main([command, str(hist)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"repro {command}:" in err
@@ -348,13 +341,20 @@ class TestCliEdgeCases:
     def test_malformed_span_line_exit_2(self, tmp_path, capsys, command, span, field):
         session = tmp_path / "session"
         log = _write_log(session, {"type": "span-close", "span": span})
-        argv = [command, str(session)]
+        argv = ["report", str(session)]
         if command == "report":
-            argv += ["--out", str(tmp_path / "report.html")]
+            argv += ["--html", str(tmp_path / "report.html")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert f"repro {command}: {log}: line 2: field {field}" in err
+        assert f"repro report: {log}: line 2: field {field}" in err
+
+    def test_report_html_into_a_directory_exits_2(self, tmp_path, capsys):
+        session = tmp_path / "session"
+        _write_log(session, {"type": "session-close", "runs": 0})
+        assert main(["report", str(session), "--html", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "repro report:" in err
 
     def test_bench_diff_non_object_json(self, tmp_path, capsys):
         old = tmp_path / "old"
@@ -432,9 +432,44 @@ class TestCliStreaming:
         out_dir = tmp_path / "sess"
         assert main(["thm6", "--quick", "--trace-out", str(out_dir)]) == 0
         capsys.readouterr()
-        assert main(["inspect", str(out_dir)]) == 0
+        assert main(["report", str(out_dir)]) == 0
         out = capsys.readouterr().out
         assert "provenance:" in out and "host=" in out
+
+    def test_inspect_directory_names_report(self, tmp_path, capsys):
+        out_dir = tmp_path / "sess"
+        assert main(["ub", "--quick", "--trace-out", str(out_dir), "--no-progress"]) == 0
+        capsys.readouterr()
+        assert main(["inspect", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"repro report {out_dir}" in err
+
+    def test_tail_shows_driver_progress(self, tmp_path, capsys):
+        out_dir = tmp_path / "sess"
+        assert main(["ub", "--quick", "--trace-out", str(out_dir), "--no-progress"]) == 0
+        capsys.readouterr()
+        assert main(["tail", str(out_dir), "--no-follow"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("[EXP-UB] 5/5 runs") for line in lines)
+
+    def test_metrics_flag_and_report_share_the_metrics_table(self, tmp_path, capsys):
+        out_dir = tmp_path / "sess"
+        assert main(["ub", "--quick", "--trace-out", str(out_dir), "--metrics",
+                     "--no-progress"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["report", str(out_dir)]) == 0
+        reported = capsys.readouterr().out
+
+        def metrics_table(text):
+            # a fixed-width table: every line as wide as its header
+            lines = text.split("-- metrics --\n", 1)[1].splitlines()
+            return list(itertools.takewhile(lambda l: len(l) == len(lines[0]), lines))
+
+        table = metrics_table(printed)
+        assert table == metrics_table(reported)
+        assert any("phase_seconds{phase=actions}" in line for line in table)
+        assert any("rounds_total" in line for line in table)
 
     def test_tail_closed_session(self, tmp_path, capsys):
         for flag in ("--stream", "--no-stream"):
@@ -524,16 +559,3 @@ class TestCliBenchHistory:
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["bench-diff", str(tmp_path / "nope.jsonl")]) == 2
         capsys.readouterr()
-
-    def test_report_baseline_accepts_history_file(self, tmp_path, capsys):
-        out_dir = tmp_path / "sess"
-        assert main(["thm6", "--quick", "--trace-out", str(out_dir)]) == 0
-        capsys.readouterr()
-        hist = tmp_path / "history.jsonl"
-        hist.write_text("\n".join(_history_line(1.0, t) for t in range(5)) + "\n")
-        html = tmp_path / "report.html"
-        assert main(["report", str(out_dir), "--out", str(html),
-                     "--baseline", str(hist)]) == 0
-        capsys.readouterr()
-        text = html.read_text()
-        assert "EXP-X" in text and "trend" in text.lower()
