@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..cc.disjointness import DisjointnessInstance
-from ..network.causality import causal_closure
+from ..network.causality import influence_step, source_rows
 from ..sim.actions import Receive, Send
 from .composition import CompositionNetwork, theorem6_network
 from .gamma import GammaSubnetwork
@@ -203,12 +203,14 @@ def cascade_escape_report(
     else:
         seeds = lam.mounting_points()
     horizon = (q - 1) // 2
+    a_row, b_row = sched.node_ids.index(lam.a_node), sched.node_ids.index(lam.b_node)
+    reached = source_rows(sched, seeds)
     reach_a = reach_b = None
     for z in range(1, horizon + 1):
-        reached = causal_closure(sched, seeds, start_round=0, rounds=z)
-        if reach_a is None and lam.a_node in reached:
+        reached = influence_step(sched.topology(z), reached)
+        if reach_a is None and reached[a_row, 0]:
             reach_a = z
-        if reach_b is None and lam.b_node in reached:
+        if reach_b is None and reached[b_row, 0]:
             reach_b = z
         if reach_a is not None and reach_b is not None:
             break

@@ -30,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from ..cc.disjointness import DisjointnessInstance
+from ..network.causality import identity_rows, influence_step
 from .composition import theorem6_network
 
 __all__ = ["CarryoverReport", "measure_carryover"]
@@ -68,9 +69,9 @@ def measure_carryover(
 ) -> CarryoverReport:
     """Measure the HFN/MAX-deciding causal quantities for one instance.
 
-    One incremental boolean influence matrix answers both questions:
-    after z rounds, ``M[j, i]`` says whether node i's round-0 state has
-    causally influenced node j.
+    One incremental influence propagation answers both questions: after
+    z rounds, bit i of A_Γ's packed row says whether node i's round-0
+    state has causally influenced A_Γ.
     """
     net = theorem6_network(instance)
     q = instance.q
@@ -78,24 +79,28 @@ def measure_carryover(
     sched = net.schedule(rounds)
     a_gamma = net.special_nodes()["A_gamma"]
     gamma = net.subnets[0]
-    index = sched.topology(1).index
+    ids = sched.node_ids
 
     far = gamma.line_far_end() if instance.evaluate() == 0 else None
     n = sched.num_nodes
-    influence = np.eye(n, dtype=bool)
-    a_row = index[a_gamma]
+    influence = identity_rows(n)
+    a_row = ids.index(a_gamma)
+    far_col = ids.index(far) if far is not None else None
     far_to_a = None
     hear_all = None
     for z in range(1, rounds + 1):
-        influence = sched.topology(z).adjacency() @ influence
+        influence = influence_step(sched.topology(z), influence)
+        heard = np.unpackbits(
+            influence[a_row].view(np.uint8), bitorder="little", count=n
+        )
         if far_to_a is None:
-            if far is not None:
-                if influence[a_row, index[far]]:
+            if far_col is not None:
+                if heard[far_col]:
                     far_to_a = z
-            elif influence[a_row].all():
+            elif heard.all():
                 # answer-1: the last arrival *is* the farthest node
                 far_to_a = z
-        if hear_all is None and influence[a_row].all():
+        if hear_all is None and heard.all():
             hear_all = z
         if far_to_a is not None and hear_all is not None:
             break

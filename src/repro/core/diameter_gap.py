@@ -55,8 +55,9 @@ def measure_dichotomy(
 
     ``receiving_middles`` fixes the adaptive-rule assumption used to
     materialize the schedule (True = latest removals, the Figure-1
-    convention).  ``compute_diameter=False`` skips the O(N^3)-ish
-    diameter pass when only the flood time is needed;
+    convention).  ``compute_diameter=False`` skips the diameter pass
+    (one packed-row propagation per start round) when only the flood
+    time is needed;
     ``diameter_start_samples`` caps the number of start rounds checked
     (evenly spaced; None = all — exact but slow on large N).
     """

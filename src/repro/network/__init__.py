@@ -1,6 +1,7 @@
 """Dynamic-network substrate: topologies, adversaries, causality analysis.
 
-* :mod:`~repro.network.topology` — one round's graph, numpy-backed;
+* :mod:`~repro.network.topology` — one round's graph and its one
+  adjacency form, shared by the batch engine's tape and the analysis;
 * :mod:`~repro.network.generators` — standard topology builders;
 * :mod:`~repro.network.adversaries` — per-round topology choosers, from
   static graphs to worst-case shifting lines and T-interval switchers;

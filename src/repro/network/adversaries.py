@@ -130,20 +130,6 @@ class Adversary(ABC):
         tops = [RoundTopology(self.node_ids, self.edges(r, view)) for r in range(1, rounds + 1)]
         return DynamicSchedule(tops)
 
-    def export_tape(self):
-        """Export this adversary's schedule as a lazy replay ScheduleTape.
-
-        Only meaningful for oblivious families (the tape replays
-        ``edges(r, None)``); adaptive adversaries raise rather than
-        silently replaying a schedule that would have depended on the
-        view — the batch engine runs them on an *incremental* tape
-        (``ScheduleTape(adv, incremental=True)``) instead, committing
-        each round's topology as the adversary decides it.
-        """
-        from ..sim.batch import ScheduleTape
-
-        return ScheduleTape(self)
-
 
 class StaticAdversary(Adversary):
     """The same graph every round (a static network)."""

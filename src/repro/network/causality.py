@@ -5,20 +5,31 @@ Definitions (paper): for round r >= 0 and nodes U, V,
 ``⇝`` is the transitive closure.  The *dynamic diameter* is the least D
 such that for every r and every U, V: ``(U, r) ⇝ (V, r+D)``.
 
-Everything here is vectorized: influence is propagated as boolean
-matrices/vectors with numpy matrix products, so measuring the diameter of
-a several-thousand-node construction takes milliseconds instead of
-Python-loop minutes.
+Influence is propagated as packed ``np.uint64`` rows: row j of an
+``(N, W)`` array holds one bit per *source*, set once that source has
+causally influenced node j.  Eccentricities track every node as its own
+source (``W = ceil(N/64)``, :func:`identity_rows`); closures and floods
+track one source set as a single bit (``W = 1``, :func:`source_rows`).
+One round is one :func:`influence_step`: every node ORs the rows of its
+closed neighbourhood — itself and its neighbours in that round — with a
+gather plus one ``np.bitwise_or.reduceat`` over the topology's CSR rows
+(:meth:`~repro.network.topology.RoundTopology.closed_rows`).  It is the
+same step at every N and for every adjacency form, and every influence
+loop in the package goes through it.  ``tests/network/test_causality.py``
+holds it to the dense boolean matrix product it replaced (an N x N
+influence matrix times each round's adjacency) with a Hypothesis
+property.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from .dynamic import DynamicSchedule
+from .topology import RoundTopology
 
 __all__ = [
     "causal_closure",
@@ -26,11 +37,33 @@ __all__ = [
     "reaches_all_within",
     "dynamic_diameter",
     "eccentricity_from",
+    "identity_rows",
+    "source_rows",
+    "influence_step",
 ]
 
 
-def _adjacency(schedule: DynamicSchedule, round_: int) -> np.ndarray:
-    return schedule.topology(round_).adjacency()
+def influence_step(topology: RoundTopology, rows: np.ndarray) -> np.ndarray:
+    """The influence rows after one more round over ``topology``."""
+    indptr, indices = topology.closed_rows()
+    return np.bitwise_or.reduceat(rows[indices], indptr[:-1], axis=0)
+
+
+def identity_rows(n: int) -> np.ndarray:
+    """``(n, ceil(n/64))`` rows in which every node has influenced itself."""
+    rows = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    i = np.arange(n)
+    rows[i, i >> 6] = np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
+    return rows
+
+
+def source_rows(schedule: DynamicSchedule, sources: Iterable[int]) -> np.ndarray:
+    """``(N, 1)`` rows whose one bit marks the nodes in ``sources``."""
+    index = {uid: i for i, uid in enumerate(schedule.node_ids)}
+    rows = np.zeros((schedule.num_nodes, 1), dtype=np.uint64)
+    for uid in sources:
+        rows[index[uid]] = 1
+    return rows
 
 
 def causal_closure(
@@ -41,16 +74,11 @@ def causal_closure(
 ) -> frozenset:
     """Nodes V with ``(U, start_round) ⇝ (V, start_round + rounds)`` for
     some source U."""
-    index = schedule.topology(1).index
-    n = schedule.num_nodes
-    reached = np.zeros(n, dtype=bool)
-    for uid in sources:
-        reached[index[uid]] = True
+    reached = source_rows(schedule, sources)
     for k in range(1, rounds + 1):
-        adj = _adjacency(schedule, start_round + k)
-        reached = adj @ reached  # self-loops on the diagonal keep old mass
+        reached = influence_step(schedule.topology(start_round + k), reached)
     ids = schedule.node_ids
-    return frozenset(ids[i] for i in np.nonzero(reached)[0])
+    return frozenset(ids[i] for i in np.flatnonzero(reached[:, 0]))
 
 
 def flood_completion_time(
@@ -63,15 +91,12 @@ def flood_completion_time(
     every node, or None if it never does within the budget."""
     n = schedule.num_nodes
     budget = max_rounds if max_rounds is not None else schedule.explicit_rounds + n
-    index = schedule.topology(1).index
-    reached = np.zeros(n, dtype=bool)
-    reached[index[source]] = True
+    reached = source_rows(schedule, [source])
     for k in range(1, budget + 1):
-        adj = _adjacency(schedule, start_round + k)
-        new = adj @ reached
+        new = influence_step(schedule.topology(start_round + k), reached)
         if new.all():
             return k
-        if (new == reached).all() and start_round + k >= schedule.explicit_rounds:
+        if start_round + k >= schedule.explicit_rounds and np.array_equal(new, reached):
             # static tail, influence set stable but incomplete: never completes
             return None
         reached = new
@@ -84,16 +109,24 @@ def eccentricity_from(
     """Least z such that every node's influence at ``start_round`` covers
     all nodes by ``start_round + z`` (None if > max_rounds).
 
-    Propagates all N sources simultaneously via boolean matrix products.
+    Propagates all N sources at once, one bit each.
     """
-    n = schedule.num_nodes
-    influence = np.eye(n, dtype=bool)
+    influence = identity_rows(schedule.num_nodes)
+    full = np.bitwise_or.reduce(influence, axis=0)  # every source bit
     for z in range(1, max_rounds + 1):
-        adj = _adjacency(schedule, start_round + z)
-        influence = adj @ influence
-        if influence.all():
+        influence = influence_step(schedule.topology(start_round + z), influence)
+        if (influence == full).all():
             return z
     return None
+
+
+def _settled_round(schedule: DynamicSchedule) -> int:
+    """The first round k from which every topology has the same edges."""
+    k = schedule.explicit_rounds
+    last = schedule.topology(k).edges
+    while k > 1 and schedule.topology(k - 1).edges == last:
+        k -= 1
+    return k
 
 
 def dynamic_diameter(
@@ -103,16 +136,18 @@ def dynamic_diameter(
 ) -> Optional[int]:
     """The dynamic diameter of a schedule (None if above ``max_diameter``).
 
-    For a tail-repeating schedule it suffices to check start rounds
-    0..explicit_rounds: from any later start the schedule is static, and
-    its influence pattern equals the one at ``explicit_rounds``.
+    Without explicit ``start_rounds`` it checks starts 0..k-1, where
+    round k is the first from which every topology has the same edges
+    (the tail repeats the last one).  From any start >= k-1 the
+    remaining schedule is one static graph, so every later start repeats
+    the eccentricity of start k-1; a static schedule needs one start.
     """
     n = schedule.num_nodes
     cap = max_diameter if max_diameter is not None else schedule.explicit_rounds + n
     starts = (
         list(start_rounds)
         if start_rounds is not None
-        else list(range(0, schedule.explicit_rounds + 1))
+        else list(range(_settled_round(schedule)))
     )
     if not starts:
         raise ConfigurationError("need at least one start round")

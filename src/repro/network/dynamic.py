@@ -50,10 +50,6 @@ class DynamicSchedule:
         idx = min(round_ - 1, len(self._topologies) - 1)
         return self._topologies[idx]
 
-    def edge_sets(self, rounds: int) -> List[frozenset]:
-        """Edge sets for rounds 1..rounds (tail repeated as needed)."""
-        return [self.topology(r).edges for r in range(1, rounds + 1)]
-
     def all_connected(self, rounds: int | None = None) -> bool:
         """True iff every (explicit, or first ``rounds``) topology is connected."""
         upto = rounds if rounds is not None else self.explicit_rounds

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..sim.trace import ExecutionTrace, RoundRecord
@@ -121,10 +122,18 @@ def _round_line(record: RoundRecord) -> dict:
     }
 
 
+def _edge_from_line(pair) -> Tuple[int, int]:
+    """One recorded edge: a pair of distinct integer node ids."""
+    if type(pair) is list and len(pair) == 2 and pair[0] != pair[1]:
+        if type(pair[0]) is int and type(pair[1]) is int:
+            return pair[0], pair[1]
+    raise ValueError(f"'edges' ({pair!r} is not a pair of distinct integers)")
+
+
 def _record_from_line(line: dict) -> RoundRecord:
     return RoundRecord(
         round=line["round"],
-        edges=frozenset((u, v) for u, v in line["edges"]),
+        edges=frozenset(_edge_from_line(pair) for pair in line["edges"]),
         sends={int(uid): decode_payload(p) for uid, p in line["sends"].items()},
         bits={int(uid): b for uid, b in line["bits"].items()},
         receivers=frozenset(line["receivers"]),
@@ -328,7 +337,18 @@ def read_trace_jsonl(path: pathlib.Path) -> PersistedRun:
     trace.outputs = {
         int(uid): decode_payload(o) for uid, o in summary.get("outputs", {}).items()
     }
-    node_ids = tuple(head["node_ids"]) if "node_ids" in head else None
+    node_ids = head.get("node_ids")
+    if node_ids is not None:
+        if type(node_ids) is not list or any(type(u) is not int for u in node_ids):
+            raise ValueError(f"{path}: field 'node_ids' must be a list of integers")
+        node_ids = tuple(node_ids)
+        known = frozenset(node_ids)
+        for record in records:
+            if not known.issuperset(chain.from_iterable(record.edges)):
+                raise ValueError(
+                    f"{path}: malformed round line (round {record.round}): "
+                    f"field 'edges' names a node outside the manifest's node_ids"
+                )
     return PersistedRun(
         trace=trace,
         manifest=RunManifest.from_dict(head),

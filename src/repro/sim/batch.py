@@ -12,9 +12,10 @@ experiments sweep — all of that is redundant work.
 This module removes the redundancy without touching semantics:
 
 * :class:`ScheduleTape` materializes an oblivious adversary's schedule
-  lazily into interned topologies: each *unique* edge set is normalized,
-  connectivity-checked, and turned into a numpy adjacency matrix exactly
-  once.  Families advertise repetition through
+  lazily into interned topologies: each *unique* edge set becomes one
+  :class:`~repro.network.topology.RoundTopology` — normalized,
+  connectivity-checked, and given its one adjacency form (dense,
+  bitset or CSR) exactly once.  Families advertise repetition through
   :meth:`~repro.network.adversaries.Adversary.schedule_key` (rotating
   stars have period N, static families period 1, T-interval one key per
   epoch); rounds without a key are interned by edge-set content.  For
@@ -22,13 +23,12 @@ This module removes the redundancy without touching semantics:
   cannot pre-materialize anything (the next topology may depend on the
   round's committed actions), so the engine commits each round's edge
   set as the adversary chooses it and the tape interns by content —
-  normalization, connectivity, and the adjacency matrix are still paid
-  once per *unique* topology, not once per round.  Above the dense
-  limit a topology's bitset or CSR form comes from one ``np.fromiter``
-  pass over the adversary's edge set.  A frozenset that is already
-  normalized (static and pre-baked schedules return one) is checked on
-  those arrays and kept as the topology's edges, with no normalized
-  copy; a bitset's connectivity verdict is a BFS over its packed rows.
+  normalization, connectivity, and the adjacency form are still paid
+  once per *unique* topology, not once per round.  A frozenset over
+  ids ``0..N-1`` headed for bitset or CSR is vouched for by one
+  ``np.fromiter`` pass and kept as the topology's edges, with no
+  normalized copy.  The builders live in :mod:`repro.network.topology`;
+  the tape adds only interning and its representation policy.
 * :class:`BatchEngine` runs the same five-stage round protocol as the
   reference engine (:data:`~repro.sim.engine.ROUND_STAGES`) with the
   within-stage work vectorized: all N coin states per round come from
@@ -66,8 +66,7 @@ one fixed node set, which the tape binds at the first engine.
 
 from __future__ import annotations
 
-import sys
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,16 +77,19 @@ from ..errors import (
     DisconnectedTopology,
     InvalidAction,
 )
+from ..network.topology import (
+    DENSE_NODE_LIMIT,
+    SPARSE_REPRESENTATIONS,
+    RoundTopology,
+    _endpoint_indices,
+    _normalize_edges,
+    _vouched_indices,
+    representation_for,
+)
 from .actions import Receive, Send
 from .coins import Coins, CoinSource
 from .encoding import EncodingMemo
-from .engine import (
-    AdversaryView,
-    RoundDriver,
-    _is_connected,
-    _normalize_edges,
-    _RoundState,
-)
+from .engine import AdversaryView, RoundDriver, _RoundState
 from .messages import DEFAULT_BANDWIDTH_FACTOR
 from .node import ProtocolNode
 from .trace import RoundRecord
@@ -97,29 +99,9 @@ __all__ = [
     "BatchEngine",
     "run_batch_replicas",
     "build_engine",
-    "DENSE_NODE_LIMIT",
-    "SPARSE_REPRESENTATIONS",
 ]
 
 Edge = Tuple[int, int]
-
-#: Above this many nodes the tape stops building dense adjacency
-#: matrices (N x N booleans per unique topology) and switches to sparse
-#: rows — packed ``np.uint64`` bitsets for dense edge sets, CSR index
-#: arrays for sparse ones — so delivery stays a vectorized submatrix
-#: gather at N in the thousands.  ``dense_node_limit=`` on the tape,
-#: the engine or :func:`run_batch_replicas` overrides it; ``0`` forces
-#: the sparse path everywhere.
-DENSE_NODE_LIMIT = 512
-
-#: sparse-representation requests accepted by :class:`ScheduleTape`:
-#: ``auto`` picks per topology by edge density; the others force one
-#: kind, a hook only tests use.
-SPARSE_REPRESENTATIONS: Tuple[str, ...] = ("auto", "bitset", "csr")
-
-#: packed-bitset rows decode via little-endian ``np.unpackbits``; on a
-#: big-endian host the auto selector simply never picks them
-_LITTLE_ENDIAN = sys.byteorder == "little"
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -138,99 +120,6 @@ def _fnv_fold(h: int, part: int) -> int:
     return h
 
 
-class _Unvouched(Exception):
-    """An edge set the array path cannot vouch for (see _int_endpoints)."""
-
-
-def _int_endpoints(edges: FrozenSet[Any]) -> Iterator[int]:
-    """``u0, v0, u1, v1, ...`` of an edge set made only of int pairs.
-
-    Raises :class:`_Unvouched` at the first element that is not a
-    2-tuple of exact ``int`` ids (bool, float and numpy scalars included),
-    so the caller can hand the whole set to ``_normalize_edges`` instead.
-    """
-    for uv in edges:
-        if type(uv) is not tuple or len(uv) != 2:
-            raise _Unvouched
-        u, v = uv
-        if type(u) is not int or type(v) is not int:
-            raise _Unvouched
-        yield u
-        yield v
-
-
-def _bitset_connected(words: np.ndarray) -> bool:
-    """Connectivity from packed adjacency rows: a BFS from node 0.
-
-    ``seen`` and ``frontier`` are python-int bitsets over the node
-    indices.  A level with one frontier node (every level along a path)
-    reads that node's row directly; a wider level ORs its rows in one
-    numpy reduction.  So a long tail costs about a microsecond per
-    level, not a per-edge walk.
-    """
-    n, width = words.shape
-    if n <= 1:
-        return True
-    seen = frontier = 1
-    while frontier:
-        if frontier & (frontier - 1):
-            bits = np.frombuffer(frontier.to_bytes(width * 8, "little"), np.uint8)
-            members = np.flatnonzero(np.unpackbits(bits, bitorder="little"))
-            reach = np.bitwise_or.reduce(words[members], axis=0)
-        else:
-            reach = words[frontier.bit_length() - 1]
-        frontier = int.from_bytes(reach.tobytes(), "little") & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
-
-
-class _Topology:
-    """One unique materialized topology: edges + its derived delivery form.
-
-    Exactly one representation is populated, named by ``kind``:
-
-    ``dense``
-        ``adj`` — an N x N boolean matrix; delivery is one
-        ``np.ix_`` submatrix.  Default at or below the dense limit.
-    ``bitset``
-        ``words`` — packed adjacency rows, ``(N, ceil(N/64))`` of
-        ``np.uint64``; delivery unpacks the rows of whichever side of
-        the symmetric adjacency is smaller — the receivers, or the
-        senders (then transposed) — and reuses the dense tail.  The
-        connectivity verdict is a BFS over the same rows.  Chosen above
-        the limit when the edge set is dense enough that packed rows
-        cost no more memory than CSR.
-    ``csr``
-        ``indptr``/``indices`` — sorted neighbor index arrays;
-        delivery is one vectorized gather + lexsort over the receiver
-        adjacency lists.  Chosen above the limit for sparse edge sets
-        (the constant-degree lower-bound instances).
-
-    ``edges`` is the normalized edge frozenset the round records; for a
-    bitset or CSR topology read from an already-normalized frozenset it
-    is that very object.
-    """
-
-    __slots__ = (
-        "edges",
-        "connected",
-        "kind",
-        "adj",
-        "words",
-        "indptr",
-        "indices",
-    )
-
-    def __init__(self, edges: FrozenSet[Edge], kind: str):
-        self.edges = edges
-        self.connected = False
-        self.kind = kind
-        self.adj: Optional[np.ndarray] = None
-        self.words: Optional[np.ndarray] = None
-        self.indptr: Optional[np.ndarray] = None
-        self.indices: Optional[np.ndarray] = None
-
-
 class ScheduleTape:
     """A schedule, interned topology by topology.
 
@@ -245,16 +134,16 @@ class ScheduleTape:
        family's own statement that a round repeats an earlier one; a key
        hit skips the ``edges()`` call entirely.
     2. edge-set content — rounds without a key still share their
-       materialized form (normalized edges, connectivity verdict,
-       adjacency matrix) with any earlier round that produced the same
-       edge set.
+       :class:`~repro.network.topology.RoundTopology` (normalized
+       edges, connectivity verdict, adjacency form) with any earlier
+       round that produced the same edge set.
 
     **Incremental mode** (``incremental=True``) serves an *adaptive*
     adversary: nothing can be pre-materialized (the next topology may
     depend on the round view), so the engine :meth:`commit`\\ s each
     round's chosen edge set as the round runs.  Commits intern by
     content — an adaptive adversary that holds a topology across rounds
-    pays normalization, connectivity, and matrix construction once per
+    pays normalization, connectivity, and adjacency construction once per
     *unique* topology, exactly like replay mode — and the tape remembers
     the per-round assignment, so after a mid-run abort the committed
     prefix replays through :meth:`topology`.  Committing is strictly
@@ -300,14 +189,16 @@ class ScheduleTape:
         self.incremental = incremental
         self.sparse = sparse
         self._node_ids: Optional[FrozenSet[int]] = None
+        #: the bound ids in sorted order, shared by every topology built
+        self._uids: Tuple[int, ...] = ()
         self._uid_index: Dict[int, int] = {}
         #: the bound ids are exactly 0..N-1, so an id is its own dense
         #: index — the precondition of the vouched array path
         self._ids_are_indices = False
-        self._by_key: Dict[Any, _Topology] = {}
-        self._by_content: Dict[FrozenSet[Edge], _Topology] = {}
+        self._by_key: Dict[Any, RoundTopology] = {}
+        self._by_content: Dict[FrozenSet[Edge], RoundTopology] = {}
         #: incremental mode: round -> interned topology, as committed
-        self._by_round: Dict[int, _Topology] = {}
+        self._by_round: Dict[int, RoundTopology] = {}
         #: representation kind -> number of unique topologies built as it
         self.representations: Dict[str, int] = {}
         #: materialization counters (tests + docs/PERFORMANCE.md)
@@ -324,9 +215,9 @@ class ScheduleTape:
         node_ids = frozenset(node_ids)
         if self._node_ids is None:
             self._node_ids = node_ids
-            uids = sorted(node_ids)
-            self._uid_index = {uid: i for i, uid in enumerate(uids)}
-            self._ids_are_indices = uids == list(range(len(uids)))
+            self._uids = tuple(sorted(node_ids))
+            self._uid_index = {uid: i for i, uid in enumerate(self._uids)}
+            self._ids_are_indices = self._uids == tuple(range(len(self._uids)))
         elif self._node_ids != node_ids:
             raise ConfigurationError(
                 "schedule tape is already bound to a different node set; "
@@ -338,7 +229,7 @@ class ScheduleTape:
         """uid -> dense index map (sorted-uid order); bound node set only."""
         return self._uid_index
 
-    def topology(self, round_: int) -> _Topology:
+    def topology(self, round_: int) -> RoundTopology:
         """The (interned) topology of the given 1-based round.
 
         Replay mode materializes on demand; incremental mode serves the
@@ -367,7 +258,7 @@ class ScheduleTape:
             self._by_key[key] = topo
         return topo
 
-    def commit(self, round_: int, edges: Any) -> _Topology:
+    def commit(self, round_: int, edges: Any) -> RoundTopology:
         """Intern and record one round's adversary-chosen edge set.
 
         The engine calls this from the adversary stage with whatever
@@ -403,118 +294,41 @@ class ScheduleTape:
             return None
         return max(sorted(reps), key=reps.__getitem__)
 
-    def _representation_for(self, n: int, num_edges: int) -> str:
-        """Pick the delivery form for one topology (forced or by density).
+    def _kind(self, num_edges: int) -> str:
+        """This tape's adjacency form for a topology with ``num_edges``."""
+        return representation_for(
+            len(self._uids), num_edges, self.dense_node_limit, self.sparse
+        )
 
-        Above the dense limit the choice is memory-proportional: packed
-        bitset rows cost ~N^2/8 bytes per unique topology, CSR costs
-        ~16E bytes, so bitsets win once E >= N^2/128 — the random/
-        T-interval families with extra edges — while constant-degree
-        instances (E = O(N)) stay CSR.
-        """
-        if self.sparse != "auto":
-            return self.sparse
-        if n <= self.dense_node_limit:
-            return "dense"
-        if _LITTLE_ENDIAN and num_edges * 128 >= n * n:
-            return "bitset"
-        return "csr"
-
-    def _intern(self, raw: Any) -> _Topology:
+    def _intern(self, raw: Any) -> RoundTopology:
         """The interned topology for one round's ``edges()`` result.
 
-        A set :meth:`_vouched_indices` accepts is already normalized:
-        it becomes ``topo.edges`` itself, and the endpoint array read
-        while vouching builds its adjacency.  Anything else goes through
-        :func:`~repro.sim.engine._normalize_edges` first, which also
+        A frozenset over ids ``0..N-1`` headed for bitset or CSR is read
+        by one ``np.fromiter`` pass (``_vouched_indices``); when the pass
+        vouches for it, the set is already normalized, so it becomes
+        ``topo.edges`` itself and its endpoint array builds the rows.
+        Anything else goes through ``_normalize_edges`` first, which also
         raises the reference engine's exact error.
         """
-        flat = self._vouched_indices(raw)
+        flat = None
+        if (
+            type(raw) is frozenset
+            and self._ids_are_indices
+            and self._kind(len(raw)) != "dense"
+        ):
+            flat = _vouched_indices(raw, len(self._uids))
         edges = raw if flat is not None else _normalize_edges(raw, self._node_ids)
         topo = self._by_content.get(edges)
         if topo is not None:
             self.stats["content_hits"] += 1
             return topo
-        topo = self._materialize(edges, flat)
+        if flat is None:
+            flat = _endpoint_indices(edges, self._uid_index)
+        kind = self._kind(len(edges))
+        topo = RoundTopology.from_normalized(self._uids, edges, kind, flat)
+        self.representations[kind] = self.representations.get(kind, 0) + 1
         self._by_content[edges] = topo
         self.stats["unique_topologies"] += 1
-        return topo
-
-    def _vouched_indices(self, raw: Any) -> Optional[np.ndarray]:
-        """Endpoint indices ``u0, v0, u1, v1, ...`` of a normalized set.
-
-        Only a frozenset headed for bitset or CSR over ids ``0..N-1``
-        qualifies (there an id is its own index).  One ``np.fromiter``
-        pass reads the endpoints through :func:`_int_endpoints`; the
-        arrays then confirm ``u < v`` (no self-loop, no reversed pair)
-        and that every id is a node.  ``None`` when any check fails.
-        """
-        n = len(self._node_ids)
-        if (
-            type(raw) is not frozenset
-            or not self._ids_are_indices
-            or self._representation_for(n, len(raw)) not in ("bitset", "csr")
-        ):
-            return None
-        try:
-            flat = np.fromiter(_int_endpoints(raw), dtype=np.intp, count=2 * len(raw))
-        except (_Unvouched, OverflowError):
-            return None
-        if len(flat) and not (
-            np.all(flat[0::2] < flat[1::2]) and flat.min() >= 0 and flat.max() < n
-        ):
-            return None
-        return flat
-
-    def _materialize(
-        self, edges: FrozenSet[Edge], flat: Optional[np.ndarray] = None
-    ) -> _Topology:
-        """Build one unique topology's delivery form and connectivity.
-
-        ``flat`` is the endpoint index array when the set was vouched
-        for; otherwise it is read here through the uid index.  Bitsets
-        take their connectivity verdict from a BFS over the packed rows;
-        the other kinds from union-find over the edges (a BFS over CSR
-        rows would pay one numpy level per node along a path).
-        """
-        n = len(self._node_ids)
-        kind = self._representation_for(n, len(edges))
-        topo = _Topology(edges, kind)
-        self.representations[kind] = self.representations.get(kind, 0) + 1
-        if flat is None:
-            idx = self._uid_index
-            flat = np.fromiter(
-                (idx[u] for uv in edges for u in uv),
-                dtype=np.intp,
-                count=2 * len(edges),
-            )
-        # Symmetrized endpoint index arrays: row i is adjacent to col j
-        # for every directed copy of every undirected edge.
-        rows = np.concatenate([flat[0::2], flat[1::2]])
-        cols = np.concatenate([flat[1::2], flat[0::2]])
-        if kind == "dense":
-            adj = np.zeros((n, n), dtype=bool)
-            adj[rows, cols] = True
-            topo.adj = adj
-        elif kind == "bitset":
-            words = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
-            np.bitwise_or.at(
-                words,
-                (rows, cols >> 6),
-                np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)),
-            )
-            topo.words = words
-        else:  # csr
-            order = np.lexsort((cols, rows))
-            counts = np.bincount(rows, minlength=n)
-            topo.indptr = np.concatenate(
-                (np.zeros(1, dtype=np.intp), np.cumsum(counts, dtype=np.intp))
-            )
-            topo.indices = cols[order]
-        if kind == "bitset":
-            topo.connected = _bitset_connected(topo.words)
-        else:
-            topo.connected = _is_connected(self._node_ids, edges)
         return topo
 
 
@@ -705,7 +519,7 @@ class BatchEngine(RoundDriver):
         builds — committed actions, live nodes, the trace so far — and
         commits its choice to the incremental tape, which interns by
         content so repeated topologies still skip normalization,
-        connectivity, and matrix construction.
+        connectivity, and adjacency construction.
         """
         r = state.round
         if self._incremental:
@@ -721,7 +535,7 @@ class BatchEngine(RoundDriver):
 
     def _stage_validation(self, state: _RoundState) -> None:
         """Validation: the verdict was computed once per unique topology."""
-        if self.check_connected and not state.topo.connected:
+        if self.check_connected and not state.topo.is_connected():
             raise DisconnectedTopology(
                 f"round {state.round}: adversary topology is disconnected"
             )

@@ -41,12 +41,8 @@ from time import perf_counter
 from typing import Any, Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
 
 from .._util import bit_size, canonical_encoding
-from ..errors import (
-    BandwidthExceeded,
-    DisconnectedTopology,
-    InvalidAction,
-    ModelViolation,
-)
+from ..errors import BandwidthExceeded, DisconnectedTopology, InvalidAction
+from ..network.topology import _is_connected, _normalize_edges
 from .actions import Action, Receive, Send
 from .coins import CoinSource
 from .encoding import types_match
@@ -137,55 +133,6 @@ class AdversaryView:
     def is_sending(self, uid: int) -> bool:
         """True iff node ``uid`` committed to send this round."""
         return isinstance(self.actions[uid], Send)
-
-
-def _normalize_edges(edges, node_ids: FrozenSet[int]) -> FrozenSet[Edge]:
-    """Normalize to u < v tuples and validate endpoints.
-
-    Anything that is not an iterable of pairs of node ids raises
-    :class:`~repro.errors.ModelViolation` naming the offending value.
-    """
-    try:
-        pairs = iter(edges)
-    except TypeError:
-        raise ModelViolation(
-            f"adversary returned {edges!r}, not an iterable of edges"
-        ) from None
-    normalized = set()
-    for edge in pairs:
-        try:
-            u, v = edge
-            if u == v:
-                raise ModelViolation(f"self-loop on node {u}")
-            if u not in node_ids or v not in node_ids:
-                raise ModelViolation(f"edge ({u}, {v}) leaves the node set")
-        except (TypeError, ValueError):  # not a pair, or an unhashable end
-            raise ModelViolation(f"edge {edge!r} is not a pair of node ids") from None
-        normalized.add((u, v) if u < v else (v, u))
-    return frozenset(normalized)
-
-
-def _is_connected(node_ids: FrozenSet[int], edges: FrozenSet[Edge]) -> bool:
-    """Union-find connectivity check over the given node set."""
-    if len(node_ids) <= 1:
-        return True
-    parent = {uid: uid for uid in node_ids}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    components = len(node_ids)
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            components -= 1
-    return components == 1
 
 
 class RoundDriver:

@@ -96,17 +96,17 @@ class TestLowerBoundConstructionsAreDualGraphs:
         net = theorem6_network(inst)
         dual = as_dual_graph(net)
         sched = net.schedule(9 + 2)
-        assert dual.admits_schedule(sched.edge_sets(9 + 2))
+        assert dual.admits_schedule(t.edges for t in sched)
         # with middles sending (the other adaptive resolution) too
         sched2 = net.schedule(9 + 2, receiving_policy=lambda uid, r: False)
-        assert dual.admits_schedule(sched2.edge_sets(9 + 2))
+        assert dual.admits_schedule(t.edges for t in sched2)
 
     @pytest.mark.parametrize("value", [0, 1])
     def test_theorem7_schedule_is_legal_dual_execution(self, value):
         inst = random_instance(2, 9, seed=4, value=value)
         net = theorem7_network(inst)
         dual = as_dual_graph(net)
-        assert dual.admits_schedule(net.schedule(9 + 2).edge_sets(9 + 2))
+        assert dual.admits_schedule(t.edges for t in net.schedule(9 + 2))
 
     def test_reliable_part_carries_the_structure(self):
         inst = random_instance(3, 9, seed=2, value=1)

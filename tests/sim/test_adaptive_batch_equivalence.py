@@ -347,11 +347,9 @@ class TestIncrementalTape:
             old = replay.topology(r)
             new = incremental.topology(r)
             assert old.edges == new.edges
-            assert old.connected == new.connected
-            if old.adj is not None:
-                assert (old.adj == new.adj).all()
-            else:
-                assert old.neighbors == new.neighbors
+            assert old.is_connected() == new.is_connected()
+            assert old.kind == new.kind == "dense"
+            assert (old.adj == new.adj).all()
         assert replay.stats["unique_topologies"] == (
             incremental.stats["unique_topologies"]
         )

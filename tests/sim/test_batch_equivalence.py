@@ -329,7 +329,7 @@ class TestScheduleTape:
 
     def test_key_interning_on_periodic_schedules(self):
         ids = list(range(6))
-        tape = RotatingStarAdversary(ids).export_tape()
+        tape = ScheduleTape(RotatingStarAdversary(ids))
         tape.bind(ids)
         for r in range(1, 19):  # 3 full periods of 6
             tape.topology(r)

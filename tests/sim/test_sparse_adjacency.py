@@ -12,8 +12,8 @@ does not mask the kernel behaviour.  The bitset gather is driven from
 both sides (one sender, one receiver) and through a round where no
 receiver gets anything.  A Hypothesis property holds the tape's array
 path (one pass over an already-normalized frozenset, packed-row BFS for
-connectivity) to ``_normalize_edges`` + ``_is_connected`` on every
-input shape.
+connectivity) and ``RoundTopology(ids, raw)`` to ``_normalize_edges`` +
+``_is_connected`` on every input shape.
 """
 
 from __future__ import annotations
@@ -31,9 +31,15 @@ from repro.network.adversaries import (
 )
 from repro.network.generators import line_edges, lollipop_edges
 from repro.protocols.flooding import GossipMaxNode, TokenFloodNode
-from repro.sim.batch import DENSE_NODE_LIMIT, ScheduleTape, build_engine
+from repro.network.topology import (
+    DENSE_NODE_LIMIT,
+    RoundTopology,
+    _is_connected,
+    _normalize_edges,
+)
+from repro.sim.batch import ScheduleTape, build_engine
 from repro.sim.coins import CoinSource
-from repro.sim.engine import SynchronousEngine, _is_connected, _normalize_edges
+from repro.sim.engine import SynchronousEngine
 from repro.sim.trace import first_trace_divergence, trace_fingerprint
 
 
@@ -283,6 +289,14 @@ def _reference_verdict(raw, node_ids):
     return _verdict(build)
 
 
+def _topology_verdict(make_raw, ids):
+    def build():
+        topo = RoundTopology(ids, make_raw())
+        return topo.edges, topo.is_connected()
+
+    return _verdict(build)
+
+
 def _tape_verdicts(make_raw, ids, **kwargs):
     """The verdict of a replay tape's topology(1) and of an incremental
     tape's commit(1, ...), each on a fresh input."""
@@ -296,7 +310,7 @@ def _tape_verdicts(make_raw, ids, **kwargs):
 
         def build():
             topo = tape.commit(1, make_raw()) if tape.incremental else tape.topology(1)
-            return topo.edges, topo.connected
+            return topo.edges, topo.is_connected()
 
         verdicts.append(_verdict(build))
     return verdicts
@@ -347,10 +361,14 @@ def _edge_inputs(draw):
             pairs.insert(at, (u, u + 1, u + 2))
     # frozensets twice as often: they are the inputs the array path vouches for
     container = draw(
-        st.sampled_from(["frozenset", "frozenset", "set", "list", "generator"])
+        st.sampled_from(
+            ["frozenset", "frozenset", "set", "list", "generator", "not-iterable"]
+        )
     )
     if container == "generator":
         return ids, lambda: (pair for pair in pairs)
+    if container == "not-iterable":
+        return ids, lambda: len(pairs)
     return ids, lambda: {"frozenset": frozenset, "set": set, "list": list}[
         container
     ](pairs)
@@ -364,13 +382,17 @@ _IDS4 = [0, 1, 2, 3]
 @example((_IDS4, lambda: frozenset({(0, 1), (1.0, 2), (2, 3)})), "auto")
 @example((_IDS4, lambda: frozenset({(0, 1), (1.5, 2), (2, 3)})), "auto")
 @example((_IDS4, lambda: frozenset({(0, 1), (1, np.int64(2)), (2, 3)})), "csr")
+@example((_IDS4, lambda: [(0, 1), (1, 2, 3)]), "auto")
+@example((_IDS4, lambda: 3), "auto")
 def test_array_path_matches_reference_helpers(case, sparse):
-    """dense_node_limit=0: every input shape yields the edges and
-    connectivity of _normalize_edges + _is_connected, or its error."""
+    """Every input shape yields the edges and connectivity of
+    _normalize_edges + _is_connected, or its error: through both tapes
+    (dense_node_limit=0) and through ``RoundTopology(ids, raw)``."""
     ids, make_raw = case
     want = _reference_verdict(make_raw(), frozenset(ids))
     for got in _tape_verdicts(make_raw, ids, dense_node_limit=0, sparse=sparse):
         assert got == want
+    assert _topology_verdict(make_raw, ids) == want
 
 
 def test_normalized_frozenset_is_kept_as_is():
@@ -399,5 +421,5 @@ def test_bitset_lollipop_connectivity(broken):
     topo = tape.topology(1)
     assert topo.kind == "bitset"
     assert topo.edges is adversary.edges(1, None)
-    assert topo.connected is (not broken)
-    assert topo.connected == _is_connected(frozenset(ids), edges)
+    assert topo.is_connected() is (not broken)
+    assert topo.is_connected() == _is_connected(frozenset(ids), edges)

@@ -190,6 +190,39 @@ class TestCliEdgeCases:
         err = capsys.readouterr().err
         assert "malformed round line" in err
 
+    @pytest.mark.parametrize(
+        "edge",
+        ["[1, 1]", '[1, "x"]', "[1, 3]"],
+        ids=["self-loop", "non-integer", "unknown-node"],
+    )
+    def test_inspect_malformed_edge(self, tmp_path, capsys, edge):
+        """An edge that is not a pair of distinct node ids of the manifest
+        is one stderr line naming the file, the round and the field."""
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"type": "manifest", "format_version": 2, "num_nodes": 2, '
+            '"node_ids": [1, 2], "seed": 1, "adversary": "x"}\n'
+            '{"type": "round", "round": 1, "edges": [' + edge + '], '
+            '"sends": {}, "bits": {}, "receivers": [], "delivered": {}}\n'
+            '{"type": "summary"}\n'
+        )
+        assert main(["inspect", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(bad) in err and "(round 1)" in err and "'edges'" in err
+
+    @pytest.mark.parametrize("node_ids", ["5", '[1, "a", 2]'], ids=["int", "str-id"])
+    def test_inspect_malformed_node_ids(self, tmp_path, capsys, node_ids):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"type": "manifest", "format_version": 2, "num_nodes": 2, '
+            '"node_ids": ' + node_ids + ', "seed": 1, "adversary": "x"}\n'
+            '{"type": "summary"}\n'
+        )
+        assert main(["inspect", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'node_ids'" in err
+
     def test_inspect_non_jsonl_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("this is not json\n")
