@@ -31,6 +31,28 @@ charges — None, bool, int, float, str, bytes, tuple, list, frozenset —
 losslessly, preserving the tuple/list and int/bool distinctions JSON
 alone would collapse.  Unknown objects degrade to a flagged ``repr``
 (the trace stays readable; it just stops being replay-exact).
+
+A round line is defined once: :func:`_round_line` gives its fields, and
+its text is ``json.dumps(_round_line(record), sort_keys=True)``.
+:func:`round_lines` produces exactly that text from fragments cached for
+one pass over a trace, and it is the only producer: the run writer,
+:func:`repro.sim.trace.trace_fingerprint` and
+:func:`~repro.sim.trace.first_trace_divergence` all read it.  The caches
+are sound by construction:
+
+* an edge set's text is keyed by the set's ``id()``, and the cache holds
+  the set, so no other object can take that ``id()`` while the text is
+  served (the batch tape hands every round of one topology the same
+  frozenset);
+* a payload's text is keyed by its value and served only when
+  :func:`~repro.sim.encoding.types_match` vouches that the stored
+  payload encodes like the query (``True == 1``, ``1 == 1.0`` and
+  ``0.0 == -0.0`` collide as keys but not as text); unhashable payloads,
+  and payloads whose text holds a ``repr`` fallback (equal objects may
+  print differently), are encoded every time;
+* the ``"uid": `` key prefixes are built once per uid, and only for
+  records whose ids, counts and round are all exact ``int``s; any other
+  record is encoded through :func:`_round_line` itself.
 """
 
 from __future__ import annotations
@@ -38,8 +60,9 @@ from __future__ import annotations
 import json
 import pathlib
 from itertools import chain
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..sim.encoding import types_match
 from ..sim.trace import ExecutionTrace, RoundRecord
 from .manifest import RunManifest
 from .stream import _check_fields
@@ -47,9 +70,11 @@ from .stream import _check_fields
 __all__ = [
     "encode_payload",
     "decode_payload",
+    "round_lines",
     "write_trace_jsonl",
     "write_ledger_jsonl",
     "read_trace_jsonl",
+    "read_run_summary",
     "PersistedRun",
 ]
 
@@ -122,6 +147,80 @@ def _round_line(record: RoundRecord) -> dict:
     }
 
 
+#: the text ``json.dumps(obj, sort_keys=True)`` returns
+_canonical_json = json.JSONEncoder(sort_keys=True).encode
+
+#: a structural ``["r", ...]`` in a payload's JSON text is the repr
+#: fallback's tag: a string's own quotes are always escaped
+_REPR_TAG = '["r", '
+
+_INT_ONLY = frozenset((int,))
+
+
+class _KeyTexts(dict):
+    """uid -> its ``"uid": `` prefix, built on first use."""
+
+    def __missing__(self, uid: int) -> str:
+        text = self[uid] = f'"{uid}": '
+        return text
+
+
+def round_lines(records: Iterable[RoundRecord]) -> Iterator[str]:
+    """The round line of each record, as JSON text without the newline.
+
+    Each line is exactly ``json.dumps(_round_line(record),
+    sort_keys=True)``.  Fragments (edge lists, payloads, key prefixes)
+    are cached for the life of this iterator; see the module docstring
+    for why a cached fragment is never served for a different value.
+    """
+    edge_texts: Dict[int, Tuple[Any, str]] = {}
+    payload_texts: Dict[Any, Tuple[Any, str]] = {}
+    key_text = _KeyTexts().__getitem__
+
+    def payload_text(payload: Any) -> str:
+        try:
+            entry = payload_texts.get(payload)
+        except TypeError:  # unhashable: never cached
+            return _canonical_json(encode_payload(payload))
+        if entry is not None and types_match(entry[0], payload):
+            return entry[1]
+        text = _canonical_json(encode_payload(payload))
+        if entry is None and _REPR_TAG not in text:
+            payload_texts[payload] = (payload, text)
+        return text
+
+    def object_text(mapping: Dict[int, Any], value_text: Callable[[Any], str]) -> str:
+        # "10" < "2": the prefixes sort as their str(uid) keys do
+        order = sorted(mapping, key=key_text)
+        return "{" + ", ".join([key_text(u) + value_text(mapping[u]) for u in order]) + "}"
+
+    for record in records:
+        sends, bits, delivered = record.sends, record.bits, record.delivered
+        receivers = record.receivers
+        if not _INT_ONLY.issuperset(map(type, chain(
+            (record.round,), sends, bits, bits.values(),
+            delivered, delivered.values(), receivers,
+        ))):
+            yield _canonical_json(_round_line(record))
+            continue
+        edges = record.edges
+        entry = edge_texts.get(id(edges))
+        if entry is None:
+            # holding ``edges`` keeps its id() from naming another set
+            entry = edge_texts[id(edges)] = (
+                edges, _canonical_json(sorted([u, v] for u, v in edges))
+            )
+        yield (
+            '{"bits": ' + object_text(bits, str)
+            + ', "delivered": ' + object_text(delivered, str)
+            + ', "edges": ' + entry[1]
+            + ', "receivers": [' + ", ".join(map(str, sorted(receivers)))
+            + '], "round": ' + str(record.round)
+            + ', "sends": ' + object_text(sends, payload_text)
+            + ', "type": "round"}'
+        )
+
+
 def _edge_from_line(pair) -> Tuple[int, int]:
     """One recorded edge: a pair of distinct integer node ids."""
     if type(pair) is list and len(pair) == 2 and pair[0] != pair[1]:
@@ -171,8 +270,8 @@ def write_trace_jsonl(
         summary["run_metrics"] = run_metrics
     with path.open("w") as fh:
         fh.write(json.dumps(head, sort_keys=True) + "\n")
-        for record in trace:
-            fh.write(json.dumps(_round_line(record), sort_keys=True) + "\n")
+        for line in round_lines(trace):
+            fh.write(line + "\n")
         for entry in ledger or ():
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
         fh.write(json.dumps(summary, sort_keys=True) + "\n")
@@ -266,6 +365,93 @@ def _check_run_metrics(summary: dict) -> None:
     )
 
 
+def _head_version(path: pathlib.Path, head: dict, has_ledger: bool) -> int:
+    """The manifest's ``format_version``, refused if this reader cannot read it."""
+    version = head.get("format_version", 1)
+    if type(version) is not int:
+        raise ValueError(
+            f"{path}: field 'format_version' must be an integer, "
+            f"got {type(version).__name__}"
+        )
+    if version > FORMAT_VERSION:
+        raise ValueError(
+            f"{path}: format_version {version} is newer than this reader "
+            f"({FORMAT_VERSION})"
+        )
+    if "format_version" not in head and (has_ledger or head.get("kind") == "reduction"):
+        # Ledger semantics (budgets, record kinds) are versioned; auditing
+        # a ledger whose format is undeclared would check the wrong books.
+        raise ValueError(
+            f"{path}: ledger-bearing run file declares no format_version "
+            f"(expected {FORMAT_VERSION}) — refusing to interpret its "
+            f"proof-ledger records"
+        )
+    return version
+
+
+def _head_node_ids(path: pathlib.Path, head: dict) -> Optional[Tuple[int, ...]]:
+    node_ids = head.get("node_ids")
+    if node_ids is None:
+        return None
+    if type(node_ids) is not list or any(type(u) is not int for u in node_ids):
+        raise ValueError(f"{path}: field 'node_ids' must be a list of integers")
+    return tuple(node_ids)
+
+
+#: the summary fields the runs table of ``repro report`` shows
+_SUMMARY_COLUMNS = ("rounds", "termination_round", "total_bits")
+
+
+def read_run_summary(path: pathlib.Path) -> Tuple[RunManifest, dict]:
+    """A run file's manifest and summary, without decoding its round lines.
+
+    The summary an engine run's writer leaves carries ``rounds``,
+    ``termination_round`` and ``total_bits``; here the manifest (first
+    line) and summary (last line) get the checks
+    :func:`read_trace_jsonl` gives them, and nothing between is parsed.
+    A file whose first line is not a versioned manifest, or whose last
+    is not such a summary (a torn file, a version-1 file, a hand-written
+    one), is read in full instead and the three fields come from its
+    rounds, so it gets exactly the reader's answer or its error.
+    """
+    path = pathlib.Path(path)
+    lines = path.read_text().split("\n")
+    numbered = [(lineno, raw) for lineno, raw in enumerate(lines, 1) if raw.strip()]
+    if len(numbered) >= 2:
+        head, summary = (_json_object(raw) for _, raw in (numbered[0], numbered[-1]))
+        if (
+            head.get("type") == "manifest" and "format_version" in head
+            and summary.get("type") == "summary"
+            and (head.get("kind") == "reduction"
+                 or all(name in summary for name in _SUMMARY_COLUMNS))
+        ):
+            _head_version(path, head, False)
+            _head_node_ids(path, head)
+            try:
+                _check_run_metrics(summary)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {numbered[-1][0]}: {exc}") from None
+            return RunManifest.from_dict(head), summary
+    run = read_trace_jsonl(path)
+    if run.is_reduction:
+        return run.manifest, run.summary
+    return run.manifest, dict(
+        run.summary,
+        rounds=run.trace.rounds,
+        termination_round=run.trace.termination_round,
+        total_bits=run.trace.total_bits(),
+    )
+
+
+def _json_object(raw: str) -> dict:
+    """One line's JSON object; ``{}`` when it is not one (the caller falls back)."""
+    try:
+        line = json.loads(raw)
+    except json.JSONDecodeError:
+        return {}
+    return line if isinstance(line, dict) else {}
+
+
 def read_trace_jsonl(path: pathlib.Path) -> PersistedRun:
     """Load a persisted run; inverse of :func:`write_trace_jsonl`."""
     path = pathlib.Path(path)
@@ -311,25 +497,7 @@ def read_trace_jsonl(path: pathlib.Path) -> PersistedRun:
                 raise ValueError(f"unknown line type {kind!r} in {path}")
     if head is None:
         raise ValueError(f"{path}: no manifest line — not a run JSONL file")
-    version = head.get("format_version", 1)
-    if type(version) is not int:
-        raise ValueError(
-            f"{path}: field 'format_version' must be an integer, "
-            f"got {type(version).__name__}"
-        )
-    if version > FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: format_version {version} is newer than this reader "
-            f"({FORMAT_VERSION})"
-        )
-    if "format_version" not in head and (ledger or head.get("kind") == "reduction"):
-        # Ledger semantics (budgets, record kinds) are versioned; auditing
-        # a ledger whose format is undeclared would check the wrong books.
-        raise ValueError(
-            f"{path}: ledger-bearing run file declares no format_version "
-            f"(expected {FORMAT_VERSION}) — refusing to interpret its "
-            f"proof-ledger records"
-        )
+    version = _head_version(path, head, bool(ledger))
     trace = ExecutionTrace(num_nodes=head.get("num_nodes", 0))
     for record in records:
         trace.append(record)
@@ -337,11 +505,8 @@ def read_trace_jsonl(path: pathlib.Path) -> PersistedRun:
     trace.outputs = {
         int(uid): decode_payload(o) for uid, o in summary.get("outputs", {}).items()
     }
-    node_ids = head.get("node_ids")
+    node_ids = _head_node_ids(path, head)
     if node_ids is not None:
-        if type(node_ids) is not list or any(type(u) is not int for u in node_ids):
-            raise ValueError(f"{path}: field 'node_ids' must be a list of integers")
-        node_ids = tuple(node_ids)
         known = frozenset(node_ids)
         for record in records:
             if not known.issuperset(chain.from_iterable(record.edges)):

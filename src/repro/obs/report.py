@@ -10,7 +10,8 @@ headers, rows) table, in this order:
 1. the header — label, PARTIAL marker, run count, wall clock and the
    provenance line;
 2. runs — one row per run file, with rounds, termination and bits read
-   from the file;
+   from the file's summary line (:func:`~repro.obs.export.read_run_summary`;
+   the round lines are not decoded);
 3. span rollups by kind, protocol, adversary and backend — *total* time
    (a span and everything under it), *self* time (a span minus its
    children) and CPU time;
@@ -45,8 +46,8 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..analysis.tables import render_table
 from ..sim.engine import ROUND_STAGES
-from .export import PersistedRun, read_trace_jsonl
-from .manifest import SessionManifest
+from .export import read_run_summary
+from .manifest import RunManifest, SessionManifest
 from .resource import summarize_resources
 from .spans import Span
 from .stream import EVENTS_FILENAME, SessionLog, load_session
@@ -98,13 +99,17 @@ def _self_seconds(spans: Sequence[Span]) -> Dict[int, float]:
     }
 
 
-def _read_runs(log: SessionLog) -> Tuple[List[Tuple[pathlib.Path, PersistedRun]], List[str]]:
+#: a run file's path, manifest and summary (see :func:`read_run_summary`)
+RunSummary = Tuple[pathlib.Path, RunManifest, dict]
+
+
+def _read_runs(log: SessionLog) -> Tuple[List[RunSummary], List[str]]:
     """The run files a session names, read; and notes on skipped ones."""
-    runs: List[Tuple[pathlib.Path, PersistedRun]] = []
+    runs: List[RunSummary] = []
     skipped: List[str] = []
     for path in log.run_files():
         try:
-            runs.append((path, read_trace_jsonl(path)))
+            runs.append((path, *read_run_summary(path)))
         except FileNotFoundError:
             if not log.partial:
                 raise ValueError(
@@ -124,8 +129,8 @@ class Report:
     """A session, summarized; :func:`build_report` fills it in."""
 
     log: SessionLog
-    #: run files read back, in session order
-    runs: List[Tuple[pathlib.Path, PersistedRun]] = field(default_factory=list)
+    #: run files' manifests and summaries, in session order
+    runs: List[RunSummary] = field(default_factory=list)
     #: notes on run files a partial session names but could not read
     skipped: List[str] = field(default_factory=list)
     #: span_id -> wall minus the sum of its children's walls
@@ -233,23 +238,13 @@ class Report:
 
     def _runs_section(self) -> Optional[Section]:
         rows = []
-        for path, run in self.runs:
-            m = run.manifest
-            if run.is_reduction:
-                summary = run.summary or {}
-                rounds = summary.get("rounds") or 0
-                terminated = summary.get("termination_round")
-                bits = summary.get("total_bits", 0)
-                wall = m.wall_seconds
-            else:
-                rounds = run.trace.rounds
-                terminated = run.trace.termination_round
-                bits = run.trace.total_bits()
-                wall = run.wall_seconds
+        for path, m, summary in self.runs:
+            terminated = summary.get("termination_round")
+            wall = (summary.get("run_metrics") or {}).get("wall_seconds", m.wall_seconds)
             rows.append([
                 path.name, m.kind, m.backend, m.adversary, m.num_nodes, m.seed,
-                rounds, "-" if terminated is None else terminated, bits,
-                "-" if wall is None else f"{wall:.4f}",
+                summary.get("rounds") or 0, "-" if terminated is None else terminated,
+                summary.get("total_bits", 0), "-" if wall is None else f"{wall:.4f}",
             ])
         if not rows:
             return None

@@ -578,8 +578,8 @@ class BatchEngine(RoundDriver):
         bits_list: List[int] = []
         append_enc = encodings.append
         append_bits = bits_list.append
-        for payload in send_payloads:
-            enc, nbits = lookup(payload)
+        for uid, payload in zip(send_uids, send_payloads):
+            enc, nbits = lookup(uid, payload)
             append_enc(enc)
             append_bits(nbits)
         budget = self.budget

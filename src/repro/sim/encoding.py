@@ -19,6 +19,14 @@ the stored payload and the query; a mismatch falls through to a fresh
 computation and never poisons the table.  Unhashable payloads (lists)
 bypass the table entirely, exactly like the reference engine's
 per-run memo.
+
+In front of the table, each batch engine keeps an :class:`EncodingMemo`:
+every sender's last payload object.  A node that re-sends the object it
+sent last round (a token, a held estimate) is answered by one identity
+test; a protocol that builds a fresh payload each round pays one dict
+lookup and one store on top of the table.  The trace writer
+(:func:`repro.obs.export.round_lines`) caches payload *texts* under the
+same :func:`types_match` rule.
 """
 
 from __future__ import annotations
@@ -122,42 +130,42 @@ def immutable_payload(payload: Any) -> bool:
 
 
 class EncodingMemo:
-    """An identity-keyed ``payload -> (encoding, bits)`` memo.
+    """Each sender's last payload object, with its ``(encoding, bits)``.
 
     Protocols re-send the *same object* round after round (a node holds
-    its best estimate and keeps forwarding it), so an ``id()`` lookup
-    beats even the interned table's hash-and-verify.  Admission is
-    restricted to payloads :func:`immutable_payload` vouches for —
-    identity then implies value — and every miss falls through to
+    its best estimate, or its token, and keeps forwarding it), so asking
+    "is this the object this sender sent last?" beats even the interned
+    table's hash-and-verify.  The memo holds that object, so ``is``
+    cannot match another object that reused its ``id()``; and it answers
+    only for payloads :func:`immutable_payload` vouches for, where
+    identity implies value.  Every other lookup falls through to
     :func:`interned_encoding`, so the memo can only save work, never
     change a result.
 
-    Each :class:`~repro.sim.batch.BatchEngine` owns one.  Bounded: the
-    memo clears itself at ``limit`` entries (payload churn would
-    otherwise pin every sent object alive via the stored reference).
+    A protocol that builds a fresh payload every round never hits, so a
+    miss costs one dict lookup and one store on top of
+    :func:`interned_encoding`; the immutability check runs only on an
+    identity hit.  One entry per sender bounds the memo at N entries
+    with no clearing.  Each :class:`~repro.sim.batch.BatchEngine` owns
+    one.
     """
 
-    __slots__ = ("_memo", "limit")
+    __slots__ = ("_last",)
 
-    def __init__(self, limit: int = 4096):
-        self._memo: Dict[int, Tuple[Any, bytes, int]] = {}
-        self.limit = limit
+    def __init__(self) -> None:
+        self._last: Dict[Any, Tuple[Any, bytes, int]] = {}
 
-    def lookup(self, payload: Any) -> Tuple[bytes, int]:
-        """``(canonical_encoding, bit_size)`` via identity, then interning."""
-        memo = self._memo
-        entry = memo.get(id(payload))
-        if entry is not None and entry[0] is payload:
+    def lookup(self, sender: Any, payload: Any) -> Tuple[bytes, int]:
+        """``(canonical_encoding, bit_size)`` of ``sender``'s ``payload``."""
+        entry = self._last.get(sender)
+        if entry is not None and entry[0] is payload and immutable_payload(payload):
             return entry[1], entry[2]
         enc, nbits = interned_encoding(payload)
-        if immutable_payload(payload):
-            if len(memo) >= self.limit:  # bound memory on payload churn
-                memo.clear()
-            memo[id(payload)] = (payload, enc, nbits)
+        self._last[sender] = (payload, enc, nbits)
         return enc, nbits
 
     def __len__(self) -> int:
-        return len(self._memo)
+        return len(self._last)
 
 
 def cache_info() -> Dict[str, int]:

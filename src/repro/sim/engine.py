@@ -173,10 +173,13 @@ class RoundDriver:
         self.round = 0
         #: seconds spent in each stage, summed over the run so far
         self.stage_seconds: Dict[str, float] = dict.fromkeys(ROUND_STAGES, 0.0)
-        #: (stage name, bound stage method) in ROUND_STAGES order —
-        #: resolved once so the per-round driver loop is attribute-free
+        #: (stage name, stage function) in ROUND_STAGES order —
+        #: resolved once so the per-round driver loop is attribute-free.
+        #: Unbound, so the engine holds no reference to itself: a
+        #: finished run and its trace are freed as soon as the caller
+        #: drops them, not at the next cyclic collection.
         self._stages = tuple(
-            (name, getattr(self, f"_stage_{name}")) for name in ROUND_STAGES
+            (name, getattr(type(self), f"_stage_{name}")) for name in ROUND_STAGES
         )
         # Lazy import: obs depends on sim.trace, so importing it at
         # module scope would be cyclic.  One list lookup per engine.
@@ -191,7 +194,7 @@ class RoundDriver:
         seconds = self.stage_seconds
         t0 = perf_counter()
         for name, method in self._stages:
-            method(state)
+            method(self, state)
             t1 = perf_counter()
             seconds[name] += t1 - t0
             t0 = t1
@@ -215,7 +218,7 @@ class RoundDriver:
         seconds = self.stage_seconds
         for name, method in self._stages:
             t0 = perf_counter()
-            method(state)
+            method(self, state)
             seconds[name] += perf_counter() - t0
             yield StageEvent(
                 stage=name,

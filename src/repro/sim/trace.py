@@ -97,14 +97,14 @@ def trace_fingerprint(trace: ExecutionTrace) -> str:
     """A canonical digest of everything an execution trace recorded.
 
     Two runs with equal fingerprints produced byte-identical round
-    records and outputs; the digest hashes the same canonical JSON lines
-    the JSONL exporter writes.
+    records and outputs; the digest hashes the same round lines the
+    JSONL exporter writes (:func:`repro.obs.export.round_lines`).
     """
-    from ..obs.export import _round_line, encode_payload
+    from ..obs.export import encode_payload, round_lines
 
     h = hashlib.sha256()
-    for record in trace:
-        h.update(json.dumps(_round_line(record), sort_keys=True).encode())
+    for line in round_lines(trace):
+        h.update(line.encode())
     tail = {
         "termination_round": trace.termination_round,
         "outputs": {str(u): encode_payload(o) for u, o in sorted(trace.outputs.items())},
@@ -114,11 +114,14 @@ def trace_fingerprint(trace: ExecutionTrace) -> str:
 
 
 def first_trace_divergence(a: ExecutionTrace, b: ExecutionTrace) -> Optional[int]:
-    """First 1-based round whose records differ, or None if identical."""
-    from ..obs.export import _round_line
+    """First 1-based round whose records differ, or None if identical.
 
-    for ra, rb in zip(a, b):
-        if _round_line(ra) != _round_line(rb):
+    Records differ when their round lines differ.
+    """
+    from ..obs.export import round_lines
+
+    for ra, line_a, line_b in zip(a, round_lines(a), round_lines(b)):
+        if line_a != line_b:
             return ra.round
     if a.rounds != b.rounds:
         return min(a.rounds, b.rounds) + 1

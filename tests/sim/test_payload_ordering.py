@@ -150,26 +150,34 @@ class TestCanonicalEncoding:
 def test_encoding_memo_matches_interned():
     memo = EncodingMemo()
     for payload in (5, (1, 2), ("x", True), None, (3.5, b"ab")):
-        assert memo.lookup(payload) == interned_encoding(payload)
-    # memoized second lookup returns the identical answer
+        assert memo.lookup(0, payload) == interned_encoding(payload)
+    # a sender re-sending its last object gets the identical answer
     payload = (9, "token")
-    first = memo.lookup(payload)
-    assert memo.lookup(payload) == first
+    first = memo.lookup(1, payload)
+    assert memo.lookup(1, payload) == first
+    # an equal-but-distinct object that encodes differently is not served
+    # the remembered encoding
+    assert memo.lookup(1, (9, "token")) == first
+    assert memo.lookup(2, (True,)) == interned_encoding((True,))
+    assert memo.lookup(2, (1,)) == interned_encoding((1,))
 
 
 def test_encoding_memo_admits_only_flat_immutable_payloads():
     memo = EncodingMemo()
-    flat = (1, "x", True)
-    nested = ((1, 2), 3)  # valid payload, but not identity-memoizable
-    assert memo.lookup(flat) == interned_encoding(flat)
-    size_after_flat = len(memo)
-    assert memo.lookup(nested) == interned_encoding(nested)
-    assert len(memo) == size_after_flat  # nested payload not admitted
+    inner = [1, 2]
+    nested = (inner, 3)  # valid payload, but its value can change under one id
+    assert memo.lookup(0, nested) == interned_encoding(nested)
+    inner.append(4)
+    assert memo.lookup(0, nested) == interned_encoding(([1, 2, 4], 3))
+    mutable = [5]
+    assert memo.lookup(1, mutable) == interned_encoding([5])
+    mutable.append(6)
+    assert memo.lookup(1, mutable) == interned_encoding([5, 6])
 
 
 def test_encoding_memo_bounded():
-    memo = EncodingMemo(limit=4)
-    keep = [(i,) for i in range(6)]  # hold refs so ids stay unique
-    for payload in keep:
-        memo.lookup(payload)
-    assert len(memo) <= 4
+    memo = EncodingMemo()
+    for round_ in range(6):
+        for sender in (0, 1):
+            memo.lookup(sender, (round_, sender))
+    assert len(memo) == 2  # one entry per sender, however many payloads

@@ -48,7 +48,7 @@ from repro.network.adversaries import (
     TIntervalAdversary,
 )
 from repro.network.generators import line_edges, star_edges
-from repro.obs.export import _round_line
+from repro.obs.export import round_lines
 from repro.protocols.cflood import cflood_factory
 from repro.protocols.doubling import CFloodDoublingNode
 from repro.protocols.flooding import GossipMaxNode, TokenFloodNode
@@ -336,13 +336,13 @@ def diagnose_divergence(cell: Cell, seed: int, variant: str) -> Optional[str]:
                     f"first divergence at round {round_}, stage {stage!r}: "
                     f"edge sets differ"
                 )
-            if stage == "delivery" and _round_line(
-                ref_event.record
-            ) != _round_line(var_event.record):
-                return (
-                    f"first divergence at round {round_}, stage {stage!r}: "
-                    f"round records differ"
-                )
+            if stage == "delivery":
+                ref_line, var_line = round_lines((ref_event.record, var_event.record))
+                if ref_line != var_line:
+                    return (
+                        f"first divergence at round {round_}, stage {stage!r}: "
+                        f"round records differ"
+                    )
         if stage == "termination":
             ref_term = ref.trace.termination_round
             var_term = var.trace.termination_round
