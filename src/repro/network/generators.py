@@ -83,11 +83,12 @@ def random_tree_edges(ids: Sequence[int], rng: np.random.Generator) -> Set[Edge]
     — connected by construction, expected diameter Theta(log n).
     """
     require(len(ids) >= 1, "a tree needs at least one node")
-    out: Set[Edge] = set()
-    for i in range(1, len(ids)):
-        j = int(rng.integers(0, i))
-        out.add((ids[j], ids[i]))
-    return out
+    if len(ids) == 1:
+        return set()
+    # one draw per node, each parent uniform over 0..i-1: the same values
+    # (and generator state) as one rng.integers(0, i) call per node
+    parents = rng.integers(0, np.arange(1, len(ids))).tolist()
+    return {(ids[j], ids[i]) for i, j in enumerate(parents, start=1)}
 
 
 def random_connected_edges(
@@ -101,7 +102,7 @@ def random_connected_edges(
     """
     order: List[int] = list(ids)
     perm = rng.permutation(len(order))
-    shuffled = [order[int(k)] for k in perm]
+    shuffled = [order[k] for k in perm.tolist()]
     edges = random_tree_edges(shuffled, rng)
     if extra_edge_prob > 0.0 and len(order) >= 2:
         n = len(order)

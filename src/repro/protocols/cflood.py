@@ -22,18 +22,28 @@ holds the token).  Three variants:
 Non-source nodes output an observer symbol immediately: CFLOOD
 termination is *defined* by V's output alone, and this makes the
 engine's all-outputs termination detector coincide with it.
+
+:class:`CFloodArrays` is the array form of both node classes, which the
+batch engine runs instead of the node callbacks when the transcription
+is exact (:mod:`repro.sim.arrays`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from .._util import require
 from ..sim.actions import Action, Receive, Send
+from ..sim.arrays import TokenPushProgram, node_methods
 from ..sim.coins import Coins
 from ..sim.node import ProtocolNode
 
-__all__ = ["CFloodKnownDNode", "CFloodConservativeNode", "cflood_factory"]
+__all__ = [
+    "CFloodKnownDNode",
+    "CFloodConservativeNode",
+    "CFloodArrays",
+    "cflood_factory",
+]
 
 CONFIRMED = ("cflood", "confirmed")
 OBSERVER = ("cflood", "observer")
@@ -75,6 +85,32 @@ class CFloodConservativeNode(CFloodKnownDNode):
     def __init__(self, uid: int, source: int, num_nodes: int, token: Any = None):
         require(num_nodes >= 2, "need at least 2 nodes")
         super().__init__(uid, source, d_param=num_nodes - 1, token=token)
+
+
+class CFloodArrays(TokenPushProgram):
+    """Both CFLOOD node classes as arrays.
+
+    Every node's ``action`` sets ``rounds_seen`` to the round, so
+    ``output()`` is unset only at a source whose ``d_param`` exceeds the
+    round: the run completes at the largest source ``d_param`` (at
+    round 1 when the source is outside the node set).
+    """
+
+    node_classes = (CFloodKnownDNode, CFloodConservativeNode)
+    methods = node_methods(CFloodKnownDNode)
+
+    def __init__(self, nodes: List[ProtocolNode]):
+        super().__init__(nodes)
+        self.confirm_round = max(
+            (node.d_param for node in nodes if node.uid == node.source), default=0
+        )
+
+    def act(self, round_: int) -> None:
+        for node in self.nodes:
+            node.rounds_seen = round_
+
+    def complete(self, round_: int) -> bool:
+        return round_ >= self.confirm_round
 
 
 def cflood_factory(

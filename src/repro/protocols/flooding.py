@@ -14,6 +14,10 @@ oracle workloads for the reduction machinery:
   rounds w.h.p.; the protocol never terminates on its own (drive it with
   a round budget).  Its rich random interleaving of send/receive makes
   it the stress workload for the Lemma-5 simulation tests.
+
+:class:`TokenFloodArrays` is :class:`TokenFloodNode`'s array form, which
+the batch engine runs instead of the node callbacks when the
+transcription is exact (:mod:`repro.sim.arrays`).
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from __future__ import annotations
 from typing import Any, Optional, Tuple
 
 from ..sim.actions import Action, Receive, Send
+from ..sim.arrays import TokenPushProgram, node_methods
 from ..sim.coins import Coins
 from ..sim.node import ProtocolNode
 
-__all__ = ["TokenFloodNode", "GossipMaxNode"]
+__all__ = ["TokenFloodNode", "TokenFloodArrays", "GossipMaxNode"]
 
 
 class TokenFloodNode(ProtocolNode):
@@ -49,6 +54,16 @@ class TokenFloodNode(ProtocolNode):
 
     def output(self) -> Optional[Any]:
         return ("informed",) if self.informed else None
+
+
+class TokenFloodArrays(TokenPushProgram):
+    """:class:`TokenFloodNode` as arrays: done once every node is informed."""
+
+    node_classes = (TokenFloodNode,)
+    methods = node_methods(TokenFloodNode)
+
+    def complete(self, round_: int) -> bool:
+        return bool(self.informed.all())
 
 
 class GossipMaxNode(ProtocolNode):

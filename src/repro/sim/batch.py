@@ -41,7 +41,11 @@ This module removes the redundancy without touching semantics:
   adversary's decision is a per-round scalar stage *between* those
   vectorized stages — it sees the identical
   :class:`~repro.sim.engine.AdversaryView` the reference engine would
-  build.
+  build.  On a replay tape, a TokenFlood or CFLOOD node set whose
+  transcription is exact runs as an *array program*
+  (:mod:`repro.sim.arrays`): no node callbacks at all, the send mask is
+  the ``informed`` array, and delivery counts come from the same
+  kernel (:func:`_incidence`).
 * :func:`run_batch_replicas` runs K same-cell replicas in lockstep,
   observed or not.
   Oblivious replicas share one tape (and one adversary instance), so
@@ -87,8 +91,9 @@ from ..network.topology import (
     representation_for,
 )
 from .actions import Receive, Send
+from .arrays import TokenPushProgram, select_program
 from .coins import Coins, CoinSource
-from .encoding import EncodingMemo
+from .encoding import EncodingMemo, interned_encoding
 from .engine import AdversaryView, RoundDriver, _RoundState
 from .messages import DEFAULT_BANDWIDTH_FACTOR
 from .node import ProtocolNode
@@ -345,21 +350,17 @@ def _csr_delivery(
     recv_idx: np.ndarray,
     send_idx: np.ndarray,
     n: int,
-) -> Tuple[List[int], List[int]]:
-    """Per-receiver sender ranks via one flat gather over CSR rows.
-
-    Returns exactly what the dense incidence path derives: per-receiver
-    delivery counts (receiver order) and the concatenated sender ranks
-    grouped by receiver, each group ascending — i.e. the row-major
-    ``np.nonzero`` of the incidence submatrix, without building it.
-    """
+    ranks: bool,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """:func:`_incidence` over CSR rows: one flat gather, no submatrix."""
     rank = np.full(n, -1, dtype=np.intp)
     rank[send_idx] = np.arange(len(send_idx), dtype=np.intp)
     starts = indptr[recv_idx]
     lens = indptr[recv_idx + 1] - starts
     total = int(lens.sum())
     if total == 0:
-        return [0] * len(recv_idx), []
+        empty = np.zeros(0, dtype=np.intp) if ranks else None
+        return np.zeros(len(recv_idx), dtype=np.intp), empty
     # flat[k] walks receiver recv_idx[g]'s CSR slice for each group g:
     # a global arange minus each group's exclusive prefix, plus its
     # CSR start offset.
@@ -368,11 +369,44 @@ def _csr_delivery(
     rk = rank[indices[flat]]
     grp = np.repeat(np.arange(len(recv_idx), dtype=np.intp), lens)
     valid = rk >= 0  # neighbors that sent this round
-    rkv = rk[valid]
     grpv = grp[valid]
+    counts = np.bincount(grpv, minlength=len(recv_idx))
+    if not ranks:
+        return counts, None
+    rkv = rk[valid]
     order = np.lexsort((rkv, grpv))  # by receiver, then sender rank
-    counts = np.bincount(grpv, minlength=len(recv_idx)).tolist()
-    return counts, rkv[order].tolist()
+    return counts, rkv[order]
+
+
+def _incidence(
+    topo: RoundTopology,
+    recv_idx: np.ndarray,
+    send_idx: np.ndarray,
+    n: int,
+    ranks: bool = True,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Who hears whom this round, from the topology's one adjacency form.
+
+    Returns ``(counts, cols)``: ``counts[g]`` is how many of the senders
+    ``send_idx`` neighbour receiver ``recv_idx[g]``, and ``cols`` holds
+    those senders' positions in ``send_idx``, grouped by receiver, each
+    group ascending — the row-major ``np.nonzero`` of the receiver x
+    sender incidence submatrix.  ``ranks=False`` returns only the counts
+    (``cols`` is None): what an array program needs.  Both batch paths
+    deliver through this one kernel.
+    """
+    if topo.indptr is not None:  # csr
+        return _csr_delivery(topo.indptr, topo.indices, recv_idx, send_idx, n, ranks)
+    if topo.adj is not None:
+        incidence = topo.adj[np.ix_(recv_idx, send_idx)]
+    elif len(send_idx) < len(recv_idx):
+        # bitset, fewer senders: the adjacency is symmetric, so unpack
+        # the sender rows and transpose
+        incidence = _unpack_rows(topo.words, send_idx)[:, recv_idx].T
+    else:  # bitset: unpack only the receiver rows
+        incidence = _unpack_rows(topo.words, recv_idx)[:, send_idx]
+    counts = incidence.sum(axis=1, dtype=np.intp)
+    return counts, (np.nonzero(incidence)[1] if ranks else None)  # row-major: grouped
 
 
 class BatchEngine(RoundDriver):
@@ -395,6 +429,11 @@ class BatchEngine(RoundDriver):
     :class:`~repro.sim.engine.AdversaryView` the reference engine would
     build and commits the chosen edge set to the incremental tape; coin
     folds, bit accounting, and delivery stay vectorized around it.
+
+    On a replay tape, :func:`~repro.sim.arrays.select_program` may hand
+    the engine an :attr:`array_program`; its ``_array_*`` stages then
+    replace actions, delivery and termination.  Nothing else selects
+    the path: no parameter, option or size threshold.
 
     Selection is via ``RunConfig(backend="batch")`` on the runner layer.
     """
@@ -432,6 +471,20 @@ class BatchEngine(RoundDriver):
         # Identity-keyed payload->encoding memo (see EncodingMemo for
         # the soundness argument).
         self._encoding_memo = EncodingMemo()
+        #: the array program running this node set as numpy state, or
+        #: None for the per-node path (repro.sim.arrays decides; replay
+        #: tapes only, since an adaptive adversary reads the committed
+        #: actions an array program never builds)
+        self.array_program: Optional[TokenPushProgram] = (
+            None if self._incremental else select_program(self._node_list)
+        )
+        if self.array_program is not None:
+            # the array stages replace actions, delivery and termination;
+            # the tape's adversary and validation stages serve both paths
+            self._stages = tuple(
+                (name, getattr(type(self), "_array_" + name, stage))
+                for name, stage in self._stages
+            )
         # Vectorized coin-state derivation: stable_hash64((seed, uid, r))
         # folds left to right, so h(seed) is a run constant and
         # h(seed, uid) a per-node constant; per round one uint64 vector
@@ -606,21 +659,9 @@ class BatchEngine(RoundDriver):
                 nodes[uid].on_messages(r, ())
         else:
             recv_idx, send_idx = self._delivery_indices(receiver_list, sorted_uids)
-            if topo.indptr is not None:  # csr
-                counts, cols = _csr_delivery(
-                    topo.indptr, topo.indices, recv_idx, send_idx, len(self._uids)
-                )
-            else:
-                if topo.adj is not None:
-                    incidence = topo.adj[np.ix_(recv_idx, send_idx)]
-                elif len(send_idx) < len(recv_idx):
-                    # bitset, fewer senders: the adjacency is symmetric,
-                    # so unpack the sender rows and transpose
-                    incidence = _unpack_rows(topo.words, send_idx)[:, recv_idx].T
-                else:  # bitset: unpack only the receiver rows
-                    incidence = _unpack_rows(topo.words, recv_idx)[:, send_idx]
-                counts = incidence.sum(axis=1, dtype=np.intp).tolist()
-                cols = np.nonzero(incidence)[1].tolist()  # row-major: grouped
+            count_arr, col_arr = _incidence(topo, recv_idx, send_idx, len(self._uids))
+            counts = count_arr.tolist()
+            cols = col_arr.tolist()
             getter = sorted_payloads.__getitem__
             pos = 0
             for uid, count in zip(receiver_list, counts):
@@ -644,6 +685,68 @@ class BatchEngine(RoundDriver):
         )
         self.trace.append(record)
         state.record = record
+
+    # -- the array-program path (repro.sim.arrays) ---------------------
+
+    def _uids_at(self, positions: List[int]) -> List[int]:
+        """The uids at dense ``positions`` (sorted-uid order)."""
+        if self._contiguous:
+            return positions
+        return list(map(self._uids.__getitem__, positions))
+
+    def _array_actions(self, state: _RoundState) -> None:
+        """(1)+(2): the send mask is ``informed``; no coins are drawn."""
+        program = self.array_program
+        program.act(state.round)
+        informed = program.informed
+        state.send_idx = np.flatnonzero(informed)
+        state.recv_idx = np.flatnonzero(~informed)
+
+    def _array_delivery(self, state: _RoundState) -> None:
+        """(4): one encoding lookup for the shared token, counts-only
+        delivery, and write-back of the newly informed nodes."""
+        r = state.round
+        program = self.array_program
+        send_idx, recv_idx = state.send_idx, state.recv_idx
+        send_pos = send_idx.tolist()
+        send_uids = self._uids_at(send_pos)
+        receiver_list = self._uids_at(recv_idx.tolist())
+        sends: Dict[int, Any] = {}
+        bits: Dict[int, int] = {}
+        if send_uids:
+            nbits = interned_encoding(program.token)[1]
+            if nbits > self.budget:  # every sender charges the same bits
+                raise BandwidthExceeded(nbits, self.budget, send_uids[0], r)
+            sends = dict(zip(send_uids, map(program.tokens.__getitem__, send_pos)))
+            bits = dict.fromkeys(send_uids, nbits)
+        if sends and receiver_list:
+            counts, _ = _incidence(
+                state.topo, recv_idx, send_idx, len(self._uids), ranks=False
+            )
+            delivered = dict(zip(receiver_list, counts.tolist()))
+            program.hear(r, recv_idx[counts > 0])
+        else:
+            delivered = dict.fromkeys(receiver_list, 0)
+        record = RoundRecord(
+            round=r,
+            edges=state.edges,
+            sends=sends,
+            bits=bits,
+            receivers=frozenset(receiver_list),
+            delivered=delivered,
+        )
+        self.trace.append(record)
+        state.record = record
+
+    def _array_termination(self, state: _RoundState) -> None:
+        """(5): the program's reduction decides; the outputs are read
+        from the (synchronized) nodes once, in the terminating round."""
+        trace = self.trace
+        if trace.termination_round is None and self.array_program.complete(state.round):
+            trace.termination_round = state.round
+            trace.outputs = {
+                uid: node.output() for uid, node in zip(self._uids, self._node_list)
+            }
 
     def _stage_termination(self, state: _RoundState) -> None:
         """(5): termination bookkeeping (same polling as the reference:

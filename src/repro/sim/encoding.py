@@ -55,6 +55,21 @@ _hits = 0
 _misses = 0
 
 
+#: the exact types whose encoding :func:`types_match` knows directly;
+#: any other class is first mapped to the base it encodes as
+_KNOWN_TYPES = frozenset(
+    (tuple, list, float, frozenset, int, bool, str, bytes, type(None))
+)
+
+
+def _encoded_base(cls: type) -> type:
+    """The container or float base a subclass encodes as, else ``cls``."""
+    for base in (tuple, list, float, frozenset):
+        if issubclass(cls, base):
+            return base
+    return cls
+
+
 def types_match(a: Any, b: Any) -> bool:
     """True iff equal values ``a`` and ``b`` also encode identically.
 
@@ -62,14 +77,19 @@ def types_match(a: Any, b: Any) -> bool:
     collided as dict keys), so only the *type structure* needs checking:
     same types at every level of the tuple/list nesting, plus the one
     same-type trap — ``0.0 == -0.0`` with distinct IEEE encodings.
-    Frozensets are conservatively rejected (their equal-but-mixed-type
-    pairings cannot be matched element-wise without re-encoding).
+    Tuple, list and float subclasses are checked like their bases (a
+    namedtuple encodes as its items, so ``P(1, 2)`` and ``P(True, 2)``
+    differ).  Frozensets are conservatively rejected (their
+    equal-but-mixed-type pairings cannot be matched element-wise
+    without re-encoding).
     """
     if a is b:
         return True
     cls = a.__class__
     if cls is not b.__class__:
         return False
+    if cls not in _KNOWN_TYPES:
+        cls = _encoded_base(cls)
     if cls is tuple or cls is list:
         for x, y in zip(a, b):
             # hot path: interned strings and small-int leaves are

@@ -97,12 +97,15 @@ class _RoundState:
     Shared by both engines; each stage reads what earlier stages wrote.
     The batch engine's fused classification fills the ``send_uids`` /
     ``send_payloads`` / ``receiver_list`` triple instead of (or, when an
-    adaptive adversary needs the view, in addition to) ``actions``.
+    adaptive adversary needs the view, in addition to) ``actions``; its
+    array programs fill the ``send_idx`` / ``recv_idx`` dense index
+    arrays instead.
     """
 
     __slots__ = (
         "round", "actions", "view", "edges", "record",
         "send_uids", "send_payloads", "receiver_list", "topo",
+        "send_idx", "recv_idx",
     )
 
     def __init__(self, round_: int):
@@ -115,6 +118,8 @@ class _RoundState:
         self.send_payloads: Optional[list] = None
         self.receiver_list: Optional[list] = None
         self.topo: Any = None
+        self.send_idx: Any = None
+        self.recv_idx: Any = None
 
 
 @dataclass(frozen=True)

@@ -91,3 +91,57 @@ class TestGenerators:
         t = RoundTopology(ids, edges)
         assert t.is_connected()
         assert len(t.edges) >= n - 1
+
+
+def _scalar_tree(ids, rng):
+    """The reference draw: one ``rng.integers(0, i)`` call per node."""
+    out = set()
+    for i in range(1, len(ids)):
+        j = int(rng.integers(0, i))
+        out.add((ids[j], ids[i]))
+    return out
+
+
+def _scalar_connected(ids, rng, extra_edge_prob):
+    """The reference random connected graph over :func:`_scalar_tree`."""
+    order = list(ids)
+    perm = rng.permutation(len(order))
+    edges = _scalar_tree([order[int(k)] for k in perm], rng)
+    if extra_edge_prob > 0.0 and len(order) >= 2:
+        iu, ju = np.triu_indices(len(order), k=1)
+        mask = rng.random(len(iu)) < extra_edge_prob
+        for a, b in zip(iu[mask], ju[mask]):
+            u, v = order[int(a)], order[int(b)]
+            edges.add((u, v) if u < v else (v, u))
+    return edges
+
+
+_DRAW_SIZES = (1, 2, 3, 8, 31, 32, 64, 100, 520, 1024, 4096)
+
+
+class TestVectorizedTreeDraw:
+    """The one-call parent draw equals the scalar loop it replaced: the
+    same edges and the same generator state afterwards, so every later
+    draw from the generator (the extra edges, the next epoch's tree) is
+    unchanged too."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    @pytest.mark.parametrize("n", _DRAW_SIZES)
+    def test_tree_matches_scalar_loop(self, n, seed):
+        ids = [3 * i + 1 for i in range(n)]
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert random_tree_edges(ids, got_rng) == _scalar_tree(ids, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    @pytest.mark.parametrize(
+        "n, p",
+        [(n, p) for n in _DRAW_SIZES for p in (0.0, 0.1) if (n, p) != (4096, 0.1)]
+        + [pytest.param(4096, 0.1, marks=pytest.mark.slow)],
+    )
+    def test_connected_matches_scalar_reference(self, n, p, seed):
+        ids = list(range(n))
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_connected_edges(ids, got_rng, extra_edge_prob=p)
+        assert got == _scalar_connected(ids, want_rng, p)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state

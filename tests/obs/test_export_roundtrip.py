@@ -19,6 +19,7 @@ import json
 import math
 import pathlib
 import tempfile
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +288,20 @@ class TestRoundLineEncoder:
         assert list(round_lines([plain, record, plain])) == [
             reference_line(plain), reference_line(record), reference_line(plain)
         ]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["int-first", "bool-first"])
+    def test_payload_text_walks_tuple_subclasses(self, reverse):
+        """A namedtuple's text is its items': ``P(1, 2) == P(True, 2)``
+        collide as cache keys, and neither may be served the other's."""
+        pair = namedtuple("P", "a b")
+        payloads = [pair(1, 2), pair(True, 2)]
+        if reverse:
+            payloads.reverse()
+        records = [
+            RoundRecord(r, frozenset(), {1: p}, {1: bit_size(p)}, frozenset({2}), {2: 1})
+            for r, p in enumerate(payloads + payloads[:1], start=1)
+        ]
+        assert list(round_lines(records)) == [reference_line(r) for r in records]
 
     def test_edge_text_never_outlives_its_edge_set(self):
         """Each edge set is freed once its record is encoded, so CPython

@@ -12,6 +12,8 @@ reads those encodings through an identity memo, pinned at the end.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -181,3 +183,34 @@ def test_encoding_memo_bounded():
         for sender in (0, 1):
             memo.lookup(sender, (round_, sender))
     assert len(memo) == 2  # one entry per sender, however many payloads
+
+
+# -- equal payloads of one subclass that encode differently ---------------
+
+Pair = namedtuple("Pair", "first second")
+
+
+class Real(float):
+    """A float subclass: ``Real(0.0) == Real(-0.0)``, encodings differ."""
+
+
+#: (a, b): equal, same class, hashing alike, different encodings; the
+#: tags keep the values out of every other test's cache entries
+SUBCLASS_COLLISIONS = [
+    (Pair(1, "types-match/int-bool"), Pair(True, "types-match/int-bool")),
+    (Pair(0.0, "types-match/zeros"), Pair(-0.0, "types-match/zeros")),
+    (Real(0.0), Real(-0.0)),
+]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+@pytest.mark.parametrize(
+    "pair", SUBCLASS_COLLISIONS, ids=["namedtuple-bool", "namedtuple-zero", "float-zero"]
+)
+def test_interned_encoding_walks_subclasses(pair, reverse):
+    """Whichever of two colliding payloads is interned first, the other
+    gets its own encoding and bit charge, not the cached ones."""
+    a, b = reversed(pair) if reverse else pair
+    assert a == b and hash(a) == hash(b) and canonical_encoding(a) != canonical_encoding(b)
+    for payload in (a, b, a):
+        assert interned_encoding(payload) == (canonical_encoding(payload), bit_size(payload))

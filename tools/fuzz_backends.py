@@ -94,7 +94,9 @@ OBLIVIOUS_ADVERSARIES = (
 ADAPTIVE_ADVERSARIES = ("blocking-flood", "blocking-gossip")
 
 #: variant name -> extra kwargs for :func:`run_batch_replicas`
-#: ("reference" is special-cased onto :func:`run_protocol`)
+#: ("reference" is special-cased onto :func:`run_protocol`).  Token-flood
+#: and CFLOOD cells on oblivious adversaries take the batch engine's
+#: array-program path under both batch variants (repro.sim.arrays).
 VARIANTS: Dict[str, Dict[str, Any]] = {
     "reference": {},
     "batch": {},
