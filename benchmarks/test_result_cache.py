@@ -34,8 +34,7 @@ def _bench_cell(n: int, seed: int) -> dict:
     run = run_protocol(
         NodeSet(ids, BoundNode(TokenFloodNode, source=0)),
         Constant(StaticAdversary(ids, line_edges(list(ids)))),
-        # inner runs opt out: the sweep cell is the cached unit here
-        RunConfig(seed=seed, max_rounds=4 * n, cache="off"),
+        RunConfig(seed=seed, max_rounds=4 * n),
     )
     return {
         "rounds": run.rounds,

@@ -12,13 +12,10 @@ from ..tables import format_float, render_table
 __all__ = ["ExperimentResult", "exp_scope", "resolve_exp_config"]
 
 
-def resolve_exp_config(
-    workers: Optional[int], config: Optional[Any]
-) -> Tuple[Optional[int], str]:
-    """``(workers, backend)`` for an experiment driver.
+def resolve_exp_config(config: Optional[Any]) -> Tuple[Optional[int], str]:
+    """``(workers, backend)`` for an experiment driver, from its config.
 
-    An explicit ``workers`` argument wins over ``config.workers``; the
-    backend always comes from the config (or, with no config, from
+    With no config, both defer to the environment (``$REPRO_WORKERS``,
     ``$REPRO_BACKEND``).  The backend is resolved *here*, in the parent,
     so pool tasks receive a fixed name instead of re-reading the
     environment in each worker.
@@ -26,9 +23,7 @@ def resolve_exp_config(
     from ...sim.config import RunConfig
 
     cfg = config if config is not None else RunConfig()
-    if workers is None:
-        workers = cfg.workers
-    return workers, cfg.resolved_backend()
+    return cfg.workers, cfg.resolved_backend()
 
 
 @contextmanager

@@ -78,7 +78,6 @@ def exp_estimate_insensitivity(
     n: int = 2,
     seeds: Sequence[int] = (1, 2),
     late_factor: int = 350,
-    workers: Optional[int] = None,
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
     """Same answer-0 instance, same seed, same Λ — with and without Υ.
@@ -87,7 +86,7 @@ def exp_estimate_insensitivity(
     the reference-execution harness drives the (adaptive) reference
     adversary, which the batch backend always declines.
     """
-    workers, _ = resolve_exp_config(workers, config)
+    workers, _ = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-EST",
         title="Estimating N under unknown D: the Λ+Υ indistinguishability window",

@@ -78,11 +78,10 @@ def exp_exponential_gap(
     measured_sizes: Sequence[int] = (16, 32, 64),
     formula_sizes: Sequence[int] = (10**2, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8, 10**9),
     seeds: Sequence[int] = (31, 32),
-    workers: Optional[int] = None,
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
     """Known-D measured flooding rounds vs the unknown-D floor vs D=N."""
-    workers, backend = resolve_exp_config(workers, config)
+    workers, backend = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-GAP",
         title="The exponential gap: known-D vs unknown-D (flooding rounds)",
@@ -142,11 +141,10 @@ def exp_sensitivity(
     errors: Sequence[float] = (-0.25, -0.15, 0.0, 0.15, 0.25, 1 / 3, 0.45),
     seeds: Sequence[int] = (41, 42, 43),
     max_rounds: int = 25_000,
-    workers: Optional[int] = None,
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
     """Leader election success as the N'-estimate error crosses 1/3."""
-    workers, backend = resolve_exp_config(workers, config)
+    workers, backend = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-SENS",
         title=f"Sensitivity to the N' estimate (N = {n}, overlapping stars)",

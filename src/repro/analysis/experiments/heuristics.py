@@ -84,10 +84,9 @@ def exp_doubling_heuristic(
     thresholds: Sequence[float] = (0.75, 0.9),
     seeds: Sequence[int] = (1, 2, 3),
     max_rounds: int = 80_000,
-    workers: Optional[int] = None,
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
-    workers, backend = resolve_exp_config(workers, config)
+    workers, backend = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-HEUR",
         title=f"Doubling-guess CFLOOD heuristic (N = {n}, knows N, not D)",

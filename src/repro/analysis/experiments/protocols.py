@@ -9,19 +9,19 @@ EXP-UB measures the trivial known-D upper bounds the paper contrasts
 against: CFLOOD (exactly D rounds), consensus / MAX / HEAR-FROM-N /
 estimate-N in O(D log N) rounds — all O(log N) flooding rounds.
 
-Both sweeps accept ``workers`` (default: the ``REPRO_WORKERS``
-environment variable) and fan their per-seed engine runs out over a
-process pool via :class:`repro.sim.parallel.ParallelExecutor`; every
-cell function is module-level (picklable), and run order is the same
-nested loop order as the sequential path, so results and persisted
-observability are identical at any worker count.
+Both sweeps fan their per-seed engine runs out over a process pool
+via :class:`repro.sim.parallel.ParallelExecutor`; every cell function
+is module-level (picklable), and run order is the same nested loop
+order as the sequential path, so results and persisted observability
+are identical at any worker count.
 
-Every driver also accepts ``config=RunConfig(...)``, which supplies
-``workers`` and the execution ``backend``: the parent resolves the
-backend once (explicit > ``$REPRO_BACKEND`` > reference) and threads
-the resolved name into each pool task, so workers never re-read the
-environment.  The batch backend is bit-identical, so measurements are
-unchanged — only faster.
+Every driver takes ``config=RunConfig(...)``, which supplies
+``workers`` (default: the ``REPRO_WORKERS`` environment variable) and
+the execution ``backend``: the parent resolves the backend once
+(explicit > ``$REPRO_BACKEND`` > reference) and threads the resolved
+name into each pool task, so workers never re-read the environment.
+The batch backend is bit-identical, so measurements are unchanged —
+only faster.
 """
 
 from __future__ import annotations
@@ -98,11 +98,10 @@ def exp_thm8_leader_election(
     n_prime_error: float = 0.0,
     max_rounds: int = 120_000,
     include_line_up_to: int = 16,
-    workers: Optional[int] = None,
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
     """Leader election without D, given N' = (1 + err) N."""
-    workers, backend = resolve_exp_config(workers, config)
+    workers, backend = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-T8",
         title=f"Theorem 8: leader election, unknown D, N' error {n_prime_error:+.2f}",
@@ -231,11 +230,10 @@ def _ub_cell(problem: str, n: int, seed: int, backend: str = "reference") -> Tup
 def exp_known_d_upper_bounds(
     sizes: Sequence[int] = (16, 32, 64),
     seeds: Sequence[int] = (21, 22),
-    workers: Optional[int] = None,
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
     """Known-D protocols on the D=2 overlapping-stars schedule."""
-    workers, backend = resolve_exp_config(workers, config)
+    workers, backend = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-UB",
         title="Known-D trivial upper bounds (overlapping stars, D = 2)",

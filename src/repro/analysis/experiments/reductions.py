@@ -129,12 +129,11 @@ def exp_thm6_reduction(
     q_values: Sequence[int] = (25, 41),
     n: int = 3,
     seeds: Sequence[int] = (1, 2),
-    workers: Optional[int] = None,
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
     # config supplies workers; the two-party reductions drive the adaptive
     # reference adversary, which the batch backend always declines
-    workers, _ = resolve_exp_config(workers, config)
+    workers, _ = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-T6",
         title="Theorem 6: CFLOOD reduction over Γ+Λ (fast vs conservative oracle)",
@@ -179,10 +178,9 @@ def exp_thm7_reduction(
     q_values: Sequence[int] = (17, 25),
     n: int = 2,
     seeds: Sequence[int] = (1, 2),
-    workers: Optional[int] = None,
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
-    workers, _ = resolve_exp_config(workers, config)
+    workers, _ = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-T7",
         title="Theorem 7: CONSENSUS reduction over Λ+Υ with boundary N' (error = 1/3)",
@@ -255,10 +253,9 @@ def exp_cc_bounds(
     n_values: Sequence[int] = (64, 256, 1024),
     q_values: Sequence[int] = (5, 9, 17),
     seed: int = 3,
-    workers: Optional[int] = None,
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
-    workers, _ = resolve_exp_config(workers, config)
+    workers, _ = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-CC",
         title="DISJOINTNESSCP: measured two-party bits vs the Theorem-1 bound",

@@ -1,10 +1,16 @@
-"""Parameter sweeps with seeded replication."""
+"""Parameter sweeps with seeded replication.
+
+:func:`cartesian_sweep` evaluates one function over a parameter grid,
+one task per cell, through :func:`repro.cache.runcache.cached_map`: the
+same cached, optionally pooled map the experiment drivers use.
+"""
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
+from ..cache.runcache import cached_map
 from ..sim.config import RunConfig, check_config
 
 __all__ = ["cartesian_sweep"]
@@ -23,85 +29,6 @@ def _sweep_cell(fn: Callable[..., Mapping[str, Any]], cell: Dict[str, Any]) -> D
 
 def _cell_label(cell: Mapping[str, Any]) -> str:
     return ", ".join(f"{k}={v!r}" for k, v in cell.items())
-
-
-class _CellCache:
-    """The sweep's view of the result cache: serve/store whole rows.
-
-    Built once per sweep; ``None`` stands in when caching is off or the
-    cell function itself has no stable identity (lambda/closure) — the
-    sweep then runs exactly as before.  Per-cell failures degrade the
-    same way: an uncacheable cell computes, a torn entry recomputes and
-    rewrites, and neither ever raises out of the sweep.
-    """
-
-    def __init__(self, cfg: Any, fn: Callable[..., Mapping[str, Any]]) -> None:
-        from ..cache.runcache import cell_key, decode_strict, encode_strict
-        from ..cache.store import count_cache_event, open_cache
-
-        self._count = count_cache_event
-        self._encode = encode_strict
-        self._decode = decode_strict
-        self._key_of = cell_key
-        self.cfg = cfg
-        self.fn = fn
-        self.cache, self.mode = open_cache(cfg)  # caller checked mode != off
-
-    def key(self, cell: Mapping[str, Any]) -> Optional[str]:
-        from ..cache.key import UncacheableError
-
-        try:
-            return self._key_of(self.cfg, self.fn, cell)
-        except UncacheableError as exc:
-            self._count("uncacheable", reason=str(exc)[:120])
-            return None
-
-    def serve(self, key: str) -> Optional[Dict[str, Any]]:
-        payload = self.cache.get(key, kind="cell")
-        if payload is None:
-            return None
-        try:
-            return self._decode(payload["row"])
-        except (KeyError, TypeError, ValueError):
-            self._count("corrupt", key=key[:12], kind="cell")
-            return None
-
-    def store(self, key: str, cell: Mapping[str, Any], row: Dict[str, Any]) -> None:
-        from ..cache.key import UncacheableError, cache_token, semantic_config
-
-        if self.mode != "rw":
-            return
-        try:
-            payload = {"row": self._encode(row)}
-        except UncacheableError as exc:
-            self._count("uncacheable", reason=str(exc)[:120])
-            return
-        recipe: Optional[Dict[str, Any]] = None
-        try:
-            fn_token = cache_token(self.fn)
-            recipe = {
-                "kind": "cell",
-                "fn": [fn_token[1], fn_token[2]],
-                "cell": self._encode(dict(cell)),
-                "config": semantic_config(self.cfg),
-            }
-        except UncacheableError:
-            recipe = None
-        self.cache.put(key, payload, kind="cell", recipe=recipe)
-
-
-def _open_cell_cache(cfg: Any, fn: Callable[..., Mapping[str, Any]]) -> Optional[_CellCache]:
-    if cfg.resolved_cache() == "off":
-        return None
-    from ..cache.key import UncacheableError, cache_token
-    from ..cache.store import count_cache_event
-
-    try:
-        cache_token(fn)  # a lambda/closure sweep runs uncached, whole
-    except UncacheableError as exc:
-        count_cache_event("uncacheable", reason=str(exc)[:120])
-        return None
-    return _CellCache(cfg, fn)
 
 
 def cartesian_sweep(
@@ -124,12 +51,13 @@ def cartesian_sweep(
     sweep runs inline.
 
     With ``RunConfig(cache="rw"|"ro")`` (or ``$REPRO_CACHE``) every cell
-    is one content-addressed cache entry keyed on the semantic config
-    plus ``fn`` plus the cell parameters: hits are served in the parent
-    before any pool dispatch (so a fully warmed sweep spawns no
-    workers), misses compute as usual and are stored on ``"rw"``.
-    Served rows are bit-identical to computed ones — the store refuses
-    any value it cannot encode losslessly.
+    is one ``map`` task of the result cache, keyed on the semantic
+    config plus ``fn`` plus the cell parameters: hits are served in the
+    parent before any pool dispatch (so a fully warmed sweep spawns no
+    workers), misses compute as usual and, on ``"rw"``, are stored once
+    the map returns.  Served rows are bit-identical to computed ones —
+    the store refuses any value it cannot encode losslessly.  A lambda
+    or closure ``fn`` has no stable identity, so its cells run uncached.
 
     The backend choice stays with each cell's ``fn`` (pass it a config
     or let ``$REPRO_BACKEND`` apply inside the workers); the sweep only
@@ -144,8 +72,9 @@ def cartesian_sweep(
     (:mod:`repro.obs.progress`) counts cells done/total as they
     complete, cached or computed.
     """
-    from ..obs.progress import report_advance, report_begin, report_finish
+    from ..obs.progress import report_begin, report_finish
     from ..obs.spans import span
+    from ..sim.parallel import ParallelExecutor, ensure_picklable, resolve_workers
 
     cfg = check_config("cartesian_sweep", config)
 
@@ -154,8 +83,6 @@ def cartesian_sweep(
         dict(zip(names, values))
         for values in itertools.product(*(params[k] for k in names))
     ]
-
-    from ..sim.parallel import ParallelExecutor, ensure_picklable, resolve_workers
 
     n_workers = resolve_workers(cfg.workers)
     if n_workers > 0 and ensure_picklable(fn=fn) is not None:
@@ -167,7 +94,6 @@ def cartesian_sweep(
             stacklevel=2,
         )
         n_workers = 0
-    cell_cache = _open_cell_cache(cfg, fn)
     with span(
         "sweep", getattr(fn, "__name__", "sweep"),
         cells=len(cells), workers=n_workers,
@@ -175,38 +101,12 @@ def cartesian_sweep(
     ):
         report_begin(len(cells), unit="cells", label=getattr(fn, "__name__", "sweep"))
         try:
-            rows: List[Optional[Dict[str, Any]]] = [None] * len(cells)
-            keys: List[Optional[str]] = [None] * len(cells)
-            pending = list(range(len(cells)))
-            if cell_cache is not None:
-                pending = []
-                for i, cell in enumerate(cells):
-                    keys[i] = cell_cache.key(cell)
-                    served = (
-                        cell_cache.serve(keys[i]) if keys[i] is not None else None
-                    )
-                    if served is not None:
-                        rows[i] = served
-                        report_advance(label=_cell_label(cell))
-                    else:
-                        pending.append(i)
-            if pending and n_workers > 0:
-                tasks: List[Tuple] = [(fn, cells[i]) for i in pending]
-                computed = ParallelExecutor(n_workers).map(
-                    _sweep_cell, tasks,
-                    labels=[_cell_label(cells[i]) for i in pending],
-                )
-                for i, row in zip(pending, computed):
-                    rows[i] = row
-                    if cell_cache is not None and keys[i] is not None:
-                        cell_cache.store(keys[i], cells[i], row)
-            else:
-                for i in pending:
-                    row = _sweep_cell(fn, cells[i])
-                    rows[i] = row
-                    if cell_cache is not None and keys[i] is not None:
-                        cell_cache.store(keys[i], cells[i], row)
-                    report_advance(label=_cell_label(cells[i]))
-            return rows  # type: ignore[return-value]
+            return cached_map(
+                ParallelExecutor(n_workers),
+                _sweep_cell,
+                [(fn, cell) for cell in cells],
+                labels=[_cell_label(cell) for cell in cells],
+                config=cfg,
+            )
         finally:
             report_finish()

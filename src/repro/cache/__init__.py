@@ -1,8 +1,12 @@
-"""Content-addressed result cache for deterministic runs.
+"""Content-addressed result cache for deterministic experiment tasks.
 
-See :mod:`repro.cache.key` for key derivation, :mod:`repro.cache.store`
-for the on-disk layout, and :mod:`repro.cache.runcache` for the payload
-schemas and the ``run_protocol``/``replicate``/sweep/driver seams.
+The one cached unit is an experiment task: each call of a
+:func:`~repro.cache.runcache.cached_map`, the map every sweeping
+experiment driver and :func:`~repro.analysis.sweep.cartesian_sweep`
+runs its (cell, seed) tasks through.  See :mod:`repro.cache.key` for
+key derivation, :mod:`repro.cache.store` for the on-disk layout, and
+:mod:`repro.cache.runcache` for the payload codec, ``cached_map`` and
+entry verification.
 """
 
 from .key import (
@@ -13,19 +17,7 @@ from .key import (
     cache_token,
     semantic_config,
 )
-from .runcache import (
-    CachedTrace,
-    build_cached_run,
-    cached_map,
-    cell_key,
-    decode_strict,
-    encode_strict,
-    replicate_key,
-    run_fingerprint,
-    run_key,
-    run_payload,
-    verify_entry,
-)
+from .runcache import cached_map, decode_strict, encode_strict, verify_entry
 from .store import (
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIR,
@@ -45,16 +37,9 @@ __all__ = [
     "cache_key",
     "cache_token",
     "semantic_config",
-    "CachedTrace",
-    "build_cached_run",
     "cached_map",
-    "cell_key",
     "decode_strict",
     "encode_strict",
-    "replicate_key",
-    "run_fingerprint",
-    "run_key",
-    "run_payload",
     "verify_entry",
     "CACHE_DIR_ENV",
     "DEFAULT_CACHE_DIR",

@@ -161,9 +161,10 @@ def semantic_config(config: Optional[Any]) -> Dict[str, Any]:
 def cache_key(kind: str, config: Optional[Any], parts: Mapping[str, Any]) -> str:
     """sha256 over (key version, kind, semantic config, cell parts).
 
-    ``kind`` namespaces the entry ("run", "replicate", "cell", "map")
-    so payload schemas can never collide; ``parts`` carries the cell
-    identity — factories, seeds, parameters — tokenized structurally.
+    ``kind`` namespaces the entry so payload schemas can never
+    collide (the cache writes only ``"map"`` entries); ``parts``
+    carries the task identity — task function, seeds, parameters —
+    tokenized structurally.
     """
     payload = {
         "key_version": KEY_VERSION,

@@ -7,16 +7,17 @@ Layout (everything beneath one root, ``$REPRO_CACHE_DIR`` or
 
 Each entry is a single JSON object::
 
-    {"format_version": 1, "key": "<sha256>", "kind": "cell",
-     "created_unix": 1723...,  "recipe": {...} | null, "payload": {...}}
+    {"format_version": 1, "key": "<sha256>", "kind": "map",
+     "created_unix": 1723...,  "recipe": {...} | null,
+     "payload": {"result": <strict-encoded task result>}}
 
 Writes are atomic (a ``*.tmp`` sibling, then ``os.replace``): readers
 never observe a half-written entry, and a crash mid-store leaves at
 worst a stale ``*.tmp`` sibling that the next store of that key
 overwrites.
 
-Reads are forgiving: a truncated, corrupt, wrong-version, or
-wrong-key entry is counted (``corrupt``) and treated as a miss — the
+Reads are forgiving: a truncated, corrupt, non-UTF-8, wrong-version,
+or wrong-key entry is counted (``corrupt``) and treated as a miss — the
 caller recomputes and rewrites.  A cache must never convert disk rot
 into a traceback, and never serve an entry it cannot fully validate.
 
@@ -123,14 +124,15 @@ class ResultCache:
         """The entry's payload, or None (miss) — never a traceback.
 
         Anything short of a fully valid entry — absent file, torn JSON,
-        wrong ``format_version``, wrong ``key``, missing ``payload`` —
-        is a miss; invalid-but-present files additionally count as
-        ``corrupt`` so rot is visible in the stats.
+        bytes that are not UTF-8, wrong ``format_version``, wrong
+        ``key``, missing ``payload`` — is a miss; invalid-but-present
+        files additionally count as ``corrupt`` so rot is visible in
+        the stats.
         """
         path = self.entry_path(key)
         try:
-            raw = path.read_text()
-        except (FileNotFoundError, OSError):
+            raw = path.read_bytes()
+        except OSError:
             count_cache_event("miss", key=key[:12], **tags)
             return None
         entry = self._validate(raw, key)
@@ -142,11 +144,12 @@ class ResultCache:
         return entry["payload"]
 
     @staticmethod
-    def _validate(raw: str, key: Optional[str]) -> Optional[Dict[str, Any]]:
+    def _validate(raw: bytes, key: Optional[str]) -> Optional[Dict[str, Any]]:
         """Parse + fully validate one entry body; None means corrupt."""
         try:
-            entry = json.loads(raw)
-        except json.JSONDecodeError:
+            # UnicodeDecodeError and JSONDecodeError are both ValueErrors
+            entry = json.loads(raw.decode("utf-8"))
+        except ValueError:
             return None
         if not isinstance(entry, dict):
             return None
@@ -192,7 +195,7 @@ class ResultCache:
             return
         for path in sorted(objects.glob("*/*.json")):
             try:
-                raw = path.read_text()
+                raw = path.read_bytes()
             except OSError:  # pragma: no cover - racing deletion
                 continue
             yield path, self._validate(raw, None)

@@ -107,21 +107,23 @@ class RunConfig:
         Enforce per-round connectivity (the model constraint); the
         lower-bound subnetworks legitimately turn this off.
     workers:
-        Process-pool width for ``replicate``/``cartesian_sweep``
-        (``None`` defers to ``$REPRO_WORKERS``, 0 is sequential).
+        Process-pool width for ``replicate``/``cartesian_sweep`` and
+        the experiment drivers (``None`` defers to ``$REPRO_WORKERS``,
+        0 is sequential).
     backend:
         ``"reference"`` or ``"batch"`` (``None`` defers to
         ``$REPRO_BACKEND``, then ``reference``).  The batch backend is
         bit-identical on oblivious and adaptive adversaries alike.
     cache:
-        Result-cache mode for ``run_protocol``/``replicate``/
-        ``cartesian_sweep`` and the experiment drivers: ``"rw"`` reads
-        and writes the content-addressed cache (:mod:`repro.cache`),
-        ``"ro"`` only reads, ``"off"`` disables it (``None`` defers to
-        ``$REPRO_CACHE``, then off).  Cache keys hash only the
-        result-shaping fields (seed, max_rounds, bandwidth_factor,
-        check_connected) plus the cell identity — never workers or
-        backend.
+        Whether the experiment drivers' and ``cartesian_sweep``'s
+        tasks are served from the content-addressed result cache
+        (:mod:`repro.cache`): ``"rw"`` reads and writes it, ``"ro"``
+        only reads, ``"off"`` disables it (``None`` defers to
+        ``$REPRO_CACHE``, then off).  ``run_protocol`` and
+        ``replicate`` ignore it and always execute.  Cache keys hash
+        only the result-shaping fields (seed, max_rounds,
+        bandwidth_factor, check_connected) plus the task identity —
+        never workers or backend.
     cache_dir:
         Cache root directory (``None`` defers to ``$REPRO_CACHE_DIR``,
         then ``~/.cache/repro``).

@@ -18,11 +18,10 @@ bit-identical on oblivious *and* adaptive adversaries (the latter via an
 incremental schedule tape).  A ``config`` that is not a ``RunConfig``
 raises :class:`~repro.errors.ConfigurationError`.
 
-Both drivers consult the content-addressed result cache
-(:mod:`repro.cache`) when ``RunConfig(cache="rw"|"ro")`` or
-``$REPRO_CACHE`` enables it: a hit returns a served
-:class:`ProtocolRun` (``cached=True``, stored trace fingerprint,
-aggregate-only trace) without executing.
+Both drivers always execute: every returned :class:`ProtocolRun`
+carries the full trace its engine recorded.  The result cache
+(:mod:`repro.cache`) sits one level up, on the experiment drivers' and
+``cartesian_sweep``'s tasks.
 
 Observability is ambient: under a :func:`repro.obs.runtime.observe`
 session every executed run is handed to the session when it finishes,
@@ -71,14 +70,6 @@ class ProtocolRun:
     #: batch runs only: the adjacency representation the schedule tape
     #: settled on ("dense"/"bitset"/"csr"); None on reference runs
     representation: Optional[str] = None
-    #: True when this run was served from the result cache instead of
-    #: executed; its trace is a :class:`repro.cache.runcache.CachedTrace`
-    #: (exact aggregates/outputs, empty per-round record list)
-    cached: bool = False
-    #: the canonical trace fingerprint recorded at store time; on cached
-    #: runs this — not ``trace_fingerprint(run.trace)`` — is the run's
-    #: identity (see :func:`repro.cache.runcache.run_fingerprint`)
-    fingerprint: Optional[str] = None
 
     @property
     def total_bits(self) -> int:
@@ -94,25 +85,11 @@ def run_protocol(
 
     Configuration comes as ``RunConfig(seed=..., max_rounds=..., ...)``;
     ``seed`` and ``max_rounds`` are required.
-
-    With ``RunConfig(cache="rw"|"ro")`` (or ``$REPRO_CACHE``) the
-    result cache is consulted first: a hit returns a ``cached=True``
-    run carrying the stored fingerprint and aggregates; on ``"rw"`` a
-    computed run is stored for next time.  ``RunConfig(backend="batch")``
-    runs the vectorized backend.
+    ``RunConfig(backend="batch")`` runs the vectorized backend.
     """
     cfg = check_config("run_protocol", config)
     require(cfg.seed is not None, "run_protocol requires RunConfig(seed=...)")
     require(cfg.max_rounds is not None, "run_protocol requires RunConfig(max_rounds=...)")
-    cache_key = cache = cache_mode = None
-    if cfg.resolved_cache() != "off":
-        from ..cache.runcache import lookup_run
-
-        cache_key, cache, cache_mode, served = lookup_run(
-            cfg, make_nodes, make_adversary
-        )
-        if served is not None:
-            return served
     engine = build_engine(
         make_nodes(),
         make_adversary(),
@@ -124,7 +101,7 @@ def run_protocol(
     trace = engine.run(cfg.max_rounds)
     terminated = trace.termination_round is not None
     rounds = trace.termination_round if terminated else trace.rounds
-    run = ProtocolRun(
+    return ProtocolRun(
         trace=trace,
         terminated=terminated,
         rounds=rounds,
@@ -132,11 +109,6 @@ def run_protocol(
         backend=engine.backend,
         representation=getattr(engine, "representation", None),
     )
-    if cache_key is not None and cache_mode == "rw":
-        from ..cache.runcache import store_run
-
-        store_run(cache_key, cache, cfg, make_nodes, make_adversary, run)
-    return run
 
 
 @dataclass
@@ -194,9 +166,6 @@ def _replicate_task(
             # the parent already resolved the backend; never let a
             # worker re-resolve $REPRO_BACKEND differently
             backend="reference",
-            # replicate caches the whole replication as one entry; the
-            # per-seed runs must not also consult $REPRO_CACHE
-            cache="off",
         ),
     )
 
@@ -251,13 +220,6 @@ def replicate(
     (``max_rounds`` required; ``config.seed`` is ignored — the explicit
     ``seeds`` sequence governs).
 
-    With caching enabled (``RunConfig(cache=...)`` / ``$REPRO_CACHE``)
-    a whole replication is one cache entry keyed on the semantic config
-    (seed dropped) plus factories plus the seed sequence: a hit serves
-    every run without executing, all-or-nothing.  The per-seed
-    ``run_protocol`` calls inside run with the cache off — the
-    replication entry is the unit here.
-
     ``workers`` > 0 runs the seeds on a process pool (``None`` defers to
     the ``REPRO_WORKERS`` environment variable, 0 stays sequential); the
     returned summary is identical to the sequential one.  Factories that cannot be pickled
@@ -275,15 +237,6 @@ def replicate(
 
     cfg = check_config("replicate", config)
     require(cfg.max_rounds is not None, "replicate requires RunConfig(max_rounds=...)")
-    cache_key = cache = cache_mode = None
-    if cfg.resolved_cache() != "off":
-        from ..cache.runcache import lookup_replicate
-
-        cache_key, cache, cache_mode, served = lookup_replicate(
-            cfg, make_nodes, make_adversary, seeds
-        )
-        if served is not None:
-            return served
     backend = cfg.resolved_backend()
     n_workers = resolve_workers(cfg.workers)
     if n_workers > 0:
@@ -303,15 +256,8 @@ def replicate(
         "replicate", "replicate",
         seeds=len(seeds), backend=backend, workers=n_workers,
     ):
-        summary = _replicate_impl(make_nodes, make_adversary, seeds, cfg,
-                                  backend, n_workers)
-    if cache_key is not None and cache_mode == "rw":
-        from ..cache.runcache import store_replicate
-
-        store_replicate(
-            cache_key, cache, cfg, make_nodes, make_adversary, seeds, summary
-        )
-    return summary
+        return _replicate_impl(make_nodes, make_adversary, seeds, cfg,
+                               backend, n_workers)
 
 
 def _replicate_impl(
@@ -398,7 +344,6 @@ def _replicate_impl(
                         bandwidth_factor=cfg.bandwidth_factor,
                         check_connected=cfg.check_connected,
                         backend="reference",  # already resolved above
-                        cache="off",  # the replication entry is the cache unit
                     ),
                 )
             )

@@ -21,11 +21,14 @@ from repro.cache.store import (
     open_cache,
     resolve_cache_dir,
 )
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.sim.config import CACHE_ENV, RunConfig, resolve_cache
 
 KEY = "ab" + "0" * 62
 PAYLOAD = {"rows": [1, 2, 3]}
+#: a well-formed-looking entry whose bytes are not UTF-8
+NON_UTF8 = b'{"format_version": 1, "key": "\xff\xfe"}'
 
 
 @pytest.fixture
@@ -58,10 +61,13 @@ class TestRoundTrip:
 class TestCorruptionIsAMissNeverATraceback:
     """The injected-corruption regression matrix (satellite 3)."""
 
-    def _corrupt(self, cache, text):
+    def _corrupt(self, cache, damage):
         path = cache.entry_path(KEY)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        if isinstance(damage, bytes):
+            path.write_bytes(damage)
+        else:
+            path.write_text(damage)
 
     @pytest.mark.parametrize(
         "damage",
@@ -90,6 +96,7 @@ class TestCorruptionIsAMissNeverATraceback:
                 ),
                 id="missing-payload",
             ),
+            pytest.param(NON_UTF8, id="non-utf8"),
         ],
     )
     def test_damaged_entry_is_corrupt_miss_then_rewritable(self, cache, damage):
@@ -132,6 +139,17 @@ class TestStatsAndGc:
         report = cache.gc()
         assert report["removed"] == 1
         assert cache.stats()["corrupt"] == 0
+
+    def test_cli_gc_prunes_a_non_utf8_entry(self, cache, capsys):
+        bad = cache.entry_path(KEY)
+        bad.parent.mkdir(parents=True, exist_ok=True)
+        bad.write_bytes(NON_UTF8)
+        root = str(cache.root)
+        assert main(["cache", "stats", "--cache-dir", root]) == 0
+        assert "corrupt     1" in capsys.readouterr().out
+        assert main(["cache", "gc", "--cache-dir", root]) == 0
+        assert "removed 1 entry" in capsys.readouterr().out
+        assert not bad.exists()
 
     def test_gc_prunes_by_age(self, cache):
         cache.put(KEY, PAYLOAD, "cell")

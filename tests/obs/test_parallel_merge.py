@@ -22,6 +22,7 @@ from repro.obs.audit import audit_path
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.runtime import observe
 from repro.obs.stream import load_session
+from repro.sim.config import RunConfig
 
 
 class TestInstrumentMerge:
@@ -127,7 +128,9 @@ def _session_fingerprint(trace_dir):
 def _run_thm6(tmp_path, workers):
     out = tmp_path / f"w{workers}"
     with observe(trace_dir=out, label="thm6-merge-test"):
-        exp_thm6_reduction(q_values=(25,), n=3, seeds=(1, 2), workers=workers)
+        exp_thm6_reduction(
+            q_values=(25,), n=3, seeds=(1, 2), config=RunConfig(workers=workers)
+        )
     return out
 
 

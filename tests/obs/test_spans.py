@@ -186,9 +186,9 @@ class TestMergedParallelEqualsSequential:
         from repro.analysis.experiments.protocols import exp_known_d_upper_bounds
 
         with observe(trace_dir=tmp_path / "seq") as seq_session:
-            exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), workers=0)
+            exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), config=RunConfig(workers=0))
         with observe(trace_dir=tmp_path / "par") as par_session:
-            exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), workers=2)
+            exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), config=RunConfig(workers=2))
         seq = load_session(tmp_path / "seq").spans
         par = load_session(tmp_path / "par").spans
         assert _shape(seq) == _shape(par)
@@ -267,7 +267,7 @@ class TestProfile:
         from repro.analysis.experiments.protocols import exp_known_d_upper_bounds
 
         with observe(trace_dir=tmp_path):
-            exp_known_d_upper_bounds(sizes=(8, 16), seeds=(21,), workers=0)
+            exp_known_d_upper_bounds(sizes=(8, 16), seeds=(21,), config=RunConfig(workers=0))
         profile = build_report(tmp_path)
         assert profile.coverage is not None
         assert profile.coverage >= 0.95
@@ -317,7 +317,7 @@ class TestReport:
         with observe(trace_dir=tmp_path / "base"):
             run_gossip(rounds=4)
         with observe(trace_dir=tmp_path / "cur", stream=True, resource_interval=0.01):
-            exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), workers=0)
+            exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), config=RunConfig(workers=0))
             span_event("marker")
             time.sleep(0.2)  # let the sampler log heartbeats
         report = build_report(tmp_path / "cur", baseline=tmp_path / "base", top_k=2)

@@ -240,7 +240,7 @@ class TestStreamingSession:
 
         d = tmp_path / "cut"
         with observe(trace_dir=d, stream=False) as session:
-            exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), workers=0)
+            exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), config=RunConfig(workers=0))
         path = d / EVENTS_FILENAME
         lines = path.read_text().splitlines(keepends=True)
         events = [json.loads(line) for line in lines]

@@ -199,7 +199,7 @@ def test_observed_replicas_step_in_lockstep(tmp_path, monkeypatch):
             NodeSet(ids, BoundNode(TokenFloodNode, source=0)),
             Constant(StaticAdversary(ids, line_edges(ids))),
             seeds,
-            RunConfig(max_rounds=40, backend="batch", workers=0, cache="off"),
+            RunConfig(max_rounds=40, backend="batch", workers=0),
         )
     rounds = {seed: run.trace.rounds for seed, run in zip(seeds, summary.runs)}
     assert min(rounds.values()) > 1
