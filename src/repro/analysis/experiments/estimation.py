@@ -15,9 +15,8 @@ the answer-0 estimate drift up toward 2N.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from ...cache.runcache import cached_map
 from ...cc.disjointness import random_instance
 from ...core.composition import (
     CompositionNetwork,
@@ -29,9 +28,8 @@ from ...core.simulation import run_reference_execution
 from ...protocols.hearfrom import CountNodesNode
 from ...sim.config import RunConfig
 from ...sim.factories import BoundNode
-from ...sim.parallel import ParallelExecutor
 from ...obs.spans import span
-from .base import ExperimentResult, exp_scope, resolve_exp_config
+from .base import ExperimentResult, run_grid
 
 __all__ = ["exp_estimate_insensitivity"]
 
@@ -86,7 +84,6 @@ def exp_estimate_insensitivity(
     the reference-execution harness drives the (adaptive) reference
     adversary, which the batch backend always declines.
     """
-    workers, _ = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-EST",
         title="Estimating N under unknown D: the Λ+Υ indistinguishability window",
@@ -96,30 +93,20 @@ def exp_estimate_insensitivity(
             "est@late (Λ)", "est@late (Λ+Υ)",
         ],
     )
-    cells: List[Tuple] = []  # (q, n1, n0, horizon, seed) per row
-    tasks: List[Tuple] = []
-    for q in q_values:
-        n1, n0 = theorem7_sizes(n, q)
-        horizon = (q - 1) // 2
-        late = late_factor * q
-        for seed in seeds:
-            cells.append((q, n1, n0, horizon, seed))
-            tasks.append((q, n, seed, horizon, late))
-    executor = ParallelExecutor(workers)
-    with exp_scope("EXP-EST", len(tasks), workers=executor.workers):
-        outcomes = cached_map(
-            executor, _est_cell, tasks,
-            labels=[f"q={t[0]}, seed={t[2]}" for t in tasks],
-            config=config,  # no backend element in these tasks: keys default
-        )
-    if executor.workers:
-        result.timings["workers"] = executor.workers
-    for (q, n1, n0, horizon, seed), (b_h, b_l, f_h, f_l) in zip(cells, outcomes):
-        result.rows.append([
-            q, n1, n0, seed, horizon,
-            round(b_h, 3), round(f_h, 3), b_h == f_h,
-            round(b_l, 1), round(f_l, 1),
-        ])
+    cells = [(q, *theorem7_sizes(n, q), (q - 1) // 2) for q in q_values]
+    outcomes = run_grid(
+        "EXP-EST", _est_cell,
+        [[(q, n, seed, horizon, late_factor * q) for seed in seeds]
+         for q, _n1, _n0, horizon in cells],
+        config, result.timings,
+    )
+    for (q, n1, n0, horizon), chunk in zip(cells, outcomes):
+        for seed, (b_h, b_l, f_h, f_l) in zip(seeds, chunk):
+            result.rows.append([
+                q, n1, n0, seed, horizon,
+                round(b_h, 3), round(f_h, 3), b_h == f_h,
+                round(b_l, 1), round(f_l, 1),
+            ])
     result.summary["late_rounds_factor(q)"] = late_factor
     result.notes.append(
         "at the horizon the two estimates are bit-identical — Υ's "

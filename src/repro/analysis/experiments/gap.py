@@ -14,28 +14,24 @@ is 0, so the best oblivious estimate has error (2a - a)/(a + 2a) = 1/3.
 
 from __future__ import annotations
 
-import math
 from statistics import mean
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ...core.composition import theorem7_sizes
 from ...core.reduction import (
     cflood_lower_bound_flooding_rounds,
-    exponential_gap_factor,
     known_d_upper_bound_flooding_rounds,
 )
 from ...network.adversaries import OverlappingStarsAdversary
 from ...protocols.consensus import ConsensusKnownDNode
 from ...protocols.leader_election import LeaderElectNode
 from ...protocols.max_id import max_rounds_budget
-from ...cache.runcache import cached_map
 from ...sim.batch import build_engine
 from ...sim.coins import CoinSource
 from ...sim.config import RunConfig
-from ...sim.parallel import ParallelExecutor
 from ...obs.spans import span
 from ..fitting import crossover_x, loglog_slope
-from .base import ExperimentResult, exp_scope, resolve_exp_config
+from .base import ExperimentResult, run_grid
 
 __all__ = ["exp_exponential_gap", "exp_sensitivity"]
 
@@ -81,7 +77,6 @@ def exp_exponential_gap(
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
     """Known-D measured flooding rounds vs the unknown-D floor vs D=N."""
-    workers, backend = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-GAP",
         title="The exponential gap: known-D vs unknown-D (flooding rounds)",
@@ -92,20 +87,12 @@ def exp_exponential_gap(
     )
     # measured anchor: known-D consensus on the D=2 stars schedule
     d = 2
-    tasks: List[Tuple] = [(n, seed, backend) for n in measured_sizes for seed in seeds]
-    executor = ParallelExecutor(workers)
-    with exp_scope("EXP-GAP", len(tasks), backend=backend,
-                   workers=executor.workers):
-        outcomes = cached_map(
-            executor, _gap_cell, tasks,
-            labels=[f"N={n}, seed={s}" for n, s, _ in tasks],
-            keys=[t[:-1] for t in tasks],  # backend excluded: bit-identical
-            config=config,
-        )
-    if executor.workers:
-        result.timings["workers"] = executor.workers
-    for i, n in enumerate(measured_sizes):
-        rounds = outcomes[i * len(seeds) : (i + 1) * len(seeds)]
+    outcomes = run_grid(
+        "EXP-GAP", _gap_cell,
+        [[(n, seed) for seed in seeds] for n in measured_sizes],
+        config, result.timings,
+    )
+    for n, rounds in zip(measured_sizes, outcomes):
         measured_flood = mean(rounds) / d
         floor = cflood_lower_bound_flooding_rounds(n)
         result.rows.append([
@@ -144,33 +131,18 @@ def exp_sensitivity(
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
     """Leader election success as the N'-estimate error crosses 1/3."""
-    workers, backend = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-SENS",
         title=f"Sensitivity to the N' estimate (N = {n}, overlapping stars)",
         headers=["N' err", "N'", "runs", "unique leader", "stalled", "mean rounds"],
     )
     n_primes = [max(2.0, (1 + err) * n) for err in errors]
-    tasks: List[Tuple] = [
-        (n, n_prime, seed, max_rounds, backend)
-        for n_prime in n_primes
-        for seed in seeds
-    ]
-    executor = ParallelExecutor(workers)
-    with exp_scope("EXP-SENS", len(tasks), backend=backend,
-                   workers=executor.workers):
-        outcomes = cached_map(
-            executor,
-            _sens_cell,
-            tasks,
-            labels=[f"N'={np_:.1f}, seed={s}" for _, np_, s, _, _ in tasks],
-            keys=[t[:-1] for t in tasks],  # backend excluded: bit-identical
-            config=config,
-        )
-    if executor.workers:
-        result.timings["workers"] = executor.workers
-    for i, (err, n_prime) in enumerate(zip(errors, n_primes)):
-        chunk = outcomes[i * len(seeds) : (i + 1) * len(seeds)]
+    outcomes = run_grid(
+        "EXP-SENS", _sens_cell,
+        [[(n, n_prime, seed, max_rounds) for seed in seeds] for n_prime in n_primes],
+        config, result.timings,
+    )
+    for err, n_prime, chunk in zip(errors, n_primes, outcomes):
         ok = sum(o == "ok" for o, _ in chunk)
         stalled = sum(o == "stalled" for o, _ in chunk)
         rounds_list = [r for _, r in chunk]

@@ -10,7 +10,7 @@ is the expensive part, which is the operational content of Theorem 6.
 from __future__ import annotations
 
 from statistics import mean
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ...network.adversaries import (
     OverlappingStarsAdversary,
@@ -20,13 +20,11 @@ from ...network.adversaries import (
 from ...network.generators import line_edges, lollipop_edges
 from ...protocols.cflood import CFloodConservativeNode
 from ...protocols.doubling import CFloodDoublingNode
-from ...cache.runcache import cached_map
 from ...sim.batch import build_engine
 from ...sim.coins import CoinSource
 from ...sim.config import RunConfig
-from ...sim.parallel import ParallelExecutor
 from ...obs.spans import span
-from .base import ExperimentResult, exp_scope, resolve_exp_config
+from .base import ExperimentResult, run_grid
 
 __all__ = ["exp_doubling_heuristic"]
 
@@ -86,7 +84,6 @@ def exp_doubling_heuristic(
     max_rounds: int = 80_000,
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
-    workers, backend = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-HEUR",
         title=f"Doubling-guess CFLOOD heuristic (N = {n}, knows N, not D)",
@@ -97,36 +94,14 @@ def exp_doubling_heuristic(
     )
     _ids, suite = _suite(n)
     cells = [(name, thr) for name in suite for thr in thresholds]
-    tasks: List[Tuple] = [
-        (n, name, thr, seed, max_rounds, backend)
-        for name, thr in cells
-        for seed in seeds
-    ]
-    # the conservative baseline rides the same pool as the sweep cells
-    baseline_tasks: List[Tuple] = [(n, seed, max_rounds, backend) for seed in seeds]
-    executor = ParallelExecutor(workers)
-    with exp_scope("EXP-HEUR", len(tasks) + len(baseline_tasks),
-                   backend=backend, workers=executor.workers):
-        outcomes = cached_map(
-            executor,
-            _heur_cell,
-            tasks,
-            labels=[f"adversary={t[1]}, threshold={t[2]}, seed={t[3]}" for t in tasks],
-            keys=[t[:-1] for t in tasks],  # backend excluded: bit-identical
-            config=config,
-        )
-        baseline = cached_map(
-            executor,
-            _heur_baseline_cell,
-            baseline_tasks,
-            labels=[f"baseline, seed={t[1]}" for t in baseline_tasks],
-            keys=[t[:-1] for t in baseline_tasks],
-            config=config,
-        )
-    if executor.workers:
-        result.timings["workers"] = executor.workers
-    for i, (name, thr) in enumerate(cells):
-        chunk = outcomes[i * len(seeds) : (i + 1) * len(seeds)]
+    rows = [[(n, name, thr, seed, max_rounds) for seed in seeds] for name, thr in cells]
+    # the conservative baseline is one more row of the same grid
+    rows.append([(n, seed, max_rounds) for seed in seeds])
+    *outcomes, baseline = run_grid(
+        "EXP-HEUR", [_heur_cell] * len(cells) + [_heur_baseline_cell], rows,
+        config, result.timings,
+    )
+    for (name, thr), chunk in zip(cells, outcomes):
         confirmed = sum(c for c, _, _, _ in chunk)
         premature = sum(p for _, p, _, _ in chunk)
         rounds_list = [r for _, _, r, _ in chunk]

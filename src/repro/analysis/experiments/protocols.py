@@ -9,17 +9,16 @@ EXP-UB measures the trivial known-D upper bounds the paper contrasts
 against: CFLOOD (exactly D rounds), consensus / MAX / HEAR-FROM-N /
 estimate-N in O(D log N) rounds — all O(log N) flooding rounds.
 
-Both sweeps fan their per-seed engine runs out over a process pool
-via :class:`repro.sim.parallel.ParallelExecutor`; every cell function
-is module-level (picklable), and run order is the same nested loop
-order as the sequential path, so results and persisted observability
-are identical at any worker count.
+Both drivers run their per-seed engine runs through
+:func:`~repro.analysis.experiments.base.run_grid`, inline or on a
+process pool; every cell function is module-level (picklable), so
+results and persisted observability are identical at any worker count.
 
 Every driver takes ``config=RunConfig(...)``, which supplies
 ``workers`` (default: the ``REPRO_WORKERS`` environment variable) and
-the execution ``backend``: the parent resolves the backend once
-(explicit > ``$REPRO_BACKEND`` > reference) and threads the resolved
-name into each pool task, so workers never re-read the environment.
+the execution ``backend``: ``run_grid`` resolves the backend once in
+the parent (explicit > ``$REPRO_BACKEND`` > reference) and passes the
+resolved name to each task, so workers never re-read the environment.
 The batch backend is bit-identical, so measurements are unchanged —
 only faster.
 """
@@ -43,14 +42,12 @@ from ...protocols.consensus import ConsensusKnownDNode
 from ...protocols.hearfrom import CountNodesNode, HearFromAllNode, count_rounds_budget
 from ...protocols.leader_election import LeaderElectNode
 from ...protocols.max_id import MaxIdNode, max_rounds_budget
-from ...cache.runcache import cached_map
 from ...sim.batch import build_engine
 from ...sim.coins import CoinSource
 from ...sim.config import RunConfig
-from ...sim.parallel import ParallelExecutor
 from ...obs.spans import span
 from ..fitting import loglog_slope
-from .base import ExperimentResult, exp_scope, resolve_exp_config
+from .base import ExperimentResult, run_grid
 
 __all__ = ["exp_thm8_leader_election", "exp_known_d_upper_bounds", "measured_diameter"]
 
@@ -101,7 +98,6 @@ def exp_thm8_leader_election(
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
     """Leader election without D, given N' = (1 + err) N."""
-    workers, backend = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-T8",
         title=f"Theorem 8: leader election, unknown D, N' error {n_prime_error:+.2f}",
@@ -111,34 +107,21 @@ def exp_thm8_leader_election(
         ],
     )
     cells: List[Tuple[int, str, int]] = []  # (n, adversary, D) per row
-    tasks: List[Tuple] = []
     for n in sizes:
         suite = _adversary_suite(n, seed=5)
         names = list(adversaries)
         if n <= include_line_up_to and "static-line" not in names:
             names.append("static-line")
-        for name in names:
-            cells.append((n, name, measured_diameter(suite[name])))
-            tasks.extend(
-                (n, name, n_prime_error, seed, max_rounds, backend) for seed in seeds
-            )
-    executor = ParallelExecutor(workers)
-    with exp_scope("EXP-T8", len(tasks), backend=backend,
-                   workers=executor.workers):
-        outcomes = cached_map(
-            executor,
-            _thm8_cell,
-            tasks,
-            labels=[f"N={t[0]}, adversary={t[1]}, seed={t[3]}" for t in tasks],
-            keys=[t[:-1] for t in tasks],  # backend excluded: bit-identical
-            config=config,
-        )
-    if executor.workers:
-        result.timings["workers"] = executor.workers
+        cells.extend((n, name, measured_diameter(suite[name])) for name in names)
+    outcomes = run_grid(
+        "EXP-T8", _thm8_cell,
+        [[(n, name, n_prime_error, seed, max_rounds) for seed in seeds]
+         for n, name, _d in cells],
+        config, result.timings,
+    )
     star_floods = []
     star_ns = []
-    for i, (n, name, d) in enumerate(cells):
-        chunk = outcomes[i * len(seeds) : (i + 1) * len(seeds)]
+    for (n, name, d), chunk in zip(cells, outcomes):
         ok = sum(o for o, _ in chunk)
         rounds_list = [r for _, r in chunk]
         flood = mean(rounds_list) / max(1, d)
@@ -233,40 +216,28 @@ def exp_known_d_upper_bounds(
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
     """Known-D protocols on the D=2 overlapping-stars schedule."""
-    workers, backend = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-UB",
         title="Known-D trivial upper bounds (overlapping stars, D = 2)",
         headers=["problem", "N", "D", "rounds", "flood rounds", "correct"],
     )
-    tasks: List[Tuple] = [
-        (problem, n, seed, backend)
+    cells = [(problem, n) for n in sizes for problem in _UB_PROBLEMS]
+    outcomes = run_grid(
+        "EXP-UB", _ub_cell,
+        [[(problem, n, seed) for seed in seeds] for problem, n in cells],
+        config, result.timings,
+    )
+    diameters = {
+        n: measured_diameter(OverlappingStarsAdversary(list(range(1, n + 1))))
         for n in sizes
-        for problem in _UB_PROBLEMS
-        for seed in seeds
-    ]
-    executor = ParallelExecutor(workers)
-    with exp_scope("EXP-UB", len(tasks), backend=backend,
-                   workers=executor.workers):
-        outcomes = cached_map(
-            executor, _ub_cell, tasks,
-            labels=[f"problem={p}, N={n}, seed={s}" for p, n, s, _ in tasks],
-            keys=[t[:-1] for t in tasks],  # backend excluded: bit-identical
-            config=config,
+    }
+    for (problem, n), chunk in zip(cells, outcomes):
+        d = diameters[n]
+        rounds = mean(r for r, _ in chunk)
+        ok = all(c for _, c in chunk)
+        result.rows.append(
+            [problem, n, d, round(rounds, 1), round(rounds / d, 1), ok]
         )
-    if executor.workers:
-        result.timings["workers"] = executor.workers
-    i = 0
-    for n in sizes:
-        d = measured_diameter(OverlappingStarsAdversary(list(range(1, n + 1))))
-        for problem in _UB_PROBLEMS:
-            chunk = outcomes[i : i + len(seeds)]
-            i += len(seeds)
-            rounds = mean(r for r, _ in chunk)
-            ok = all(c for _, c in chunk)
-            result.rows.append(
-                [problem, n, d, round(rounds, 1), round(rounds / d, 1), ok]
-            )
     result.notes.append(
         "every problem sits at O(log N)-ish flooding rounds when D is "
         "known; contrast with the Omega((N/log N)^(1/4)) floor once D is "

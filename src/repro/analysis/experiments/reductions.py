@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ...cache.runcache import cached_map
 from ...cc.bounds import theorem1_lower_bound_bits
 from ...cc.disjointness import random_instance
 from ...cc.protocols import (
@@ -35,16 +34,15 @@ from ...cc.protocols import (
     ZeroBitmaskProtocol,
 )
 from ...cc.twoparty import run_two_party
-from ...core.composition import theorem6_network, theorem7_network, theorem7_sizes
+from ...core.composition import theorem6_network, theorem7_sizes
 from ...core.diameter_gap import measure_dichotomy
 from ...core.reduction import implied_time_lower_bound
 from ...core.simulation import TwoPartyReduction
 from ...protocols.cflood import cflood_factory
 from ...protocols.consensus import ConsensusFromLeaderNode
 from ...sim.config import RunConfig
-from ...sim.parallel import ParallelExecutor
 from ...obs.spans import span
-from .base import ExperimentResult, exp_scope, resolve_exp_config
+from .base import ExperimentResult, run_grid
 
 __all__ = ["exp_thm6_reduction", "exp_thm7_reduction", "exp_cc_bounds"]
 
@@ -131,37 +129,24 @@ def exp_thm6_reduction(
     seeds: Sequence[int] = (1, 2),
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
-    # config supplies workers; the two-party reductions drive the adaptive
-    # reference adversary, which the batch backend always declines
-    workers, _ = resolve_exp_config(config)
+    # the two-party reductions build no engine, so the cells take no backend
     result = ExperimentResult(
         exp_id="EXP-T6",
         title="Theorem 6: CFLOOD reduction over Γ+Λ (fast vs conservative oracle)",
         headers=[
             "q", "N", "truth", "oracle", "decision", "dec==truth",
             "bits A->B", "bits B->A", "bits/round", "horizon",
-            "floodT", "confirm ok",
+            "floodT", "confirm ok", "seed",
         ],
     )
-    tasks: List[Tuple] = [
-        (q, n, truth, seed)
-        for q in q_values
-        for truth in (0, 1)
-        for seed in seeds
-    ]
-    executor = ParallelExecutor(workers)
-    with exp_scope("EXP-T6", len(tasks), workers=executor.workers):
-        outcomes = cached_map(
-            executor,
-            _thm6_cell,
-            tasks,
-            labels=[f"q={q}, truth={t}, seed={s}" for q, _, t, s in tasks],
-            config=config,  # reference-only tasks: whole tuple is the key
-        )
-    if executor.workers:
-        result.timings["workers"] = executor.workers
-    for rows in outcomes:
-        result.rows.extend(rows)
+    outcomes = run_grid(
+        "EXP-T6", _thm6_cell,
+        [[(q, n, truth, seed) for seed in seeds] for q in q_values for truth in (0, 1)],
+        config, result.timings,
+    )
+    for chunk in outcomes:
+        for seed, rows in zip(seeds, chunk):
+            result.rows.extend(row + [seed] for row in rows)
     bound = implied_time_lower_bound(n=10**6, q=101)
     result.summary["implied_s_formula"] = "s = Omega((N/log N)^(1/4))"
     result.summary["example_bound_bits(n=1e6,q=101)"] = round(bound.cc_bound_bits, 1)
@@ -180,41 +165,34 @@ def exp_thm7_reduction(
     seeds: Sequence[int] = (1, 2),
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
-    workers, _ = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-T7",
         title="Theorem 7: CONSENSUS reduction over Λ+Υ with boundary N' (error = 1/3)",
         headers=[
             "q", "N1(ans=1)", "N0(ans=0)", "truth", "N'", "N' err", "decision",
-            "dec==truth", "bits A->B", "bits B->A", "horizon",
+            "dec==truth", "bits A->B", "bits B->A", "horizon", "seed",
         ],
     )
-    cells: List[Tuple] = []  # (q, n1, n0, n_prime, truth, seed) per row
+    cells: List[Tuple] = []  # (q, n1, n0, n_prime, truth) per grid row
     for q in q_values:
         n1, n0 = theorem7_sizes(n, q)
         n_prime = 4 * n1 / 3  # optimal: equal relative error in both scenarios
-        for truth in (0, 1):
-            cells.extend((q, n1, n0, n_prime, truth, seed) for seed in seeds)
-    executor = ParallelExecutor(workers)
-    with exp_scope("EXP-T7", len(cells), workers=executor.workers):
-        outcomes = cached_map(
-            executor,
-            _thm7_cell,
-            [(q, n, truth, seed, n1, n_prime) for q, n1, _n0, n_prime, truth, seed in cells],
-            labels=[f"q={c[0]}, truth={c[4]}, seed={c[5]}" for c in cells],
-            config=config,
-        )
-    if executor.workers:
-        result.timings["workers"] = executor.workers
-    for (q, n1, n0, n_prime, truth, _seed), out in zip(cells, outcomes):
-        decision, bits_ab, bits_ba, horizon = out
+        cells.extend((q, n1, n0, n_prime, truth) for truth in (0, 1))
+    outcomes = run_grid(
+        "EXP-T7", _thm7_cell,
+        [[(q, n, truth, seed, n1, n_prime) for seed in seeds]
+         for q, n1, _n0, n_prime, truth in cells],
+        config, result.timings,
+    )
+    for (q, n1, n0, n_prime, truth), chunk in zip(cells, outcomes):
         big_n = n0 if truth == 0 else n1
         err = abs(n_prime - big_n) / big_n
-        result.rows.append([
-            q, n1, n0, truth, round(n_prime, 1), round(err, 3),
-            decision, decision == truth,
-            bits_ab, bits_ba, horizon,
-        ])
+        for seed, (decision, bits_ab, bits_ba, horizon) in zip(seeds, chunk):
+            result.rows.append([
+                q, n1, n0, truth, round(n_prime, 1), round(err, 3),
+                decision, decision == truth,
+                bits_ab, bits_ba, horizon, seed,
+            ])
     result.notes.append(
         "N' = (4/3)|Λ| has relative error exactly 1/3 whether or not Υ "
         "exists — the best any estimate can do when the answer doubles N. "
@@ -255,24 +233,16 @@ def exp_cc_bounds(
     seed: int = 3,
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
-    workers, _ = resolve_exp_config(config)
     result = ExperimentResult(
         exp_id="EXP-CC",
         title="DISJOINTNESSCP: measured two-party bits vs the Theorem-1 bound",
         headers=["n", "q", "truth", "send-all", "bitmask", "min-list", "sampling", "Thm1 bound"],
     )
-    tasks: List[Tuple] = [(n, q, seed) for n in n_values for q in q_values]
-    executor = ParallelExecutor(workers)
-    with exp_scope("EXP-CC", len(tasks), workers=executor.workers):
-        result.rows.extend(
-            cached_map(
-                executor, _cc_cell, tasks,
-                labels=[f"n={n}, q={q}" for n, q, _ in tasks],
-                config=config,
-            )
-        )
-    if executor.workers:
-        result.timings["workers"] = executor.workers
+    (rows,) = run_grid(
+        "EXP-CC", _cc_cell, [[(n, q, seed) for n in n_values for q in q_values]],
+        config, result.timings,
+    )
+    result.rows.extend(rows)
     result.notes.append(
         "all reference protocols sit above the Omega(n/q^2) - O(log n) "
         "curve; the near-matching upper bound of Chen et al. [4] is "

@@ -1,8 +1,9 @@
 """Parameter sweeps with seeded replication.
 
 :func:`cartesian_sweep` evaluates one function over a parameter grid,
-one task per cell, through :func:`repro.cache.runcache.cached_map`: the
-same cached, optionally pooled map the experiment drivers use.
+one task per cell, through
+:func:`~repro.analysis.experiments.base.run_grid`: the same cached,
+optionally pooled grid runner the experiment drivers use.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from ..cache.runcache import cached_map
 from ..sim.config import RunConfig, check_config
+from .experiments.base import run_grid
 
 __all__ = ["cartesian_sweep"]
 
@@ -72,9 +73,7 @@ def cartesian_sweep(
     (:mod:`repro.obs.progress`) counts cells done/total as they
     complete, cached or computed.
     """
-    from ..obs.progress import report_begin, report_finish
-    from ..obs.spans import span
-    from ..sim.parallel import ParallelExecutor, ensure_picklable, resolve_workers
+    from ..sim.parallel import ensure_picklable, resolve_workers
 
     cfg = check_config("cartesian_sweep", config)
 
@@ -84,8 +83,7 @@ def cartesian_sweep(
         for values in itertools.product(*(params[k] for k in names))
     ]
 
-    n_workers = resolve_workers(cfg.workers)
-    if n_workers > 0 and ensure_picklable(fn=fn) is not None:
+    if resolve_workers(cfg.workers) > 0 and ensure_picklable(fn=fn) is not None:
         import warnings
 
         warnings.warn(
@@ -93,20 +91,10 @@ def cartesian_sweep(
             "execution (closure or lambda?); running cells inline.",
             stacklevel=2,
         )
-        n_workers = 0
-    with span(
-        "sweep", getattr(fn, "__name__", "sweep"),
-        cells=len(cells), workers=n_workers,
-        params={k: len(v) for k, v in params.items()},
-    ):
-        report_begin(len(cells), unit="cells", label=getattr(fn, "__name__", "sweep"))
-        try:
-            return cached_map(
-                ParallelExecutor(n_workers),
-                _sweep_cell,
-                [(fn, cell) for cell in cells],
-                labels=[_cell_label(cell) for cell in cells],
-                config=cfg,
-            )
-        finally:
-            report_finish()
+        cfg = cfg.evolve(workers=0)
+    (rows,) = run_grid(
+        getattr(fn, "__name__", "sweep"), _sweep_cell,
+        [[(fn, cell) for cell in cells]], cfg, {},
+        unit="cells", labels=[_cell_label(cell) for cell in cells],
+    )
+    return rows

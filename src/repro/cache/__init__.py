@@ -1,12 +1,13 @@
 """Content-addressed result cache for deterministic experiment tasks.
 
 The one cached unit is an experiment task: each call of a
-:func:`~repro.cache.runcache.cached_map`, the map every sweeping
-experiment driver and :func:`~repro.analysis.sweep.cartesian_sweep`
-runs its (cell, seed) tasks through.  See :mod:`repro.cache.key` for
-key derivation, :mod:`repro.cache.store` for the on-disk layout, and
-:mod:`repro.cache.runcache` for the payload codec, ``cached_map`` and
-entry verification.
+:func:`~repro.cache.runcache.cached_map`, the map through which
+:func:`~repro.analysis.experiments.base.run_grid` runs the (cell, seed)
+tasks of every sweeping experiment driver and of
+:func:`~repro.analysis.sweep.cartesian_sweep`.  See
+:mod:`repro.cache.key` for key derivation, :mod:`repro.cache.store` for
+the on-disk layout, and :mod:`repro.cache.runcache` for the payload
+codec, ``cached_map`` and entry verification.
 """
 
 from .key import (

@@ -1,8 +1,10 @@
 """Task payloads: what the result cache stores and serves.
 
 The cache's one unit is an experiment task: one call ``fn(*task)`` of a
-:func:`cached_map`, which the experiment drivers and
-:func:`~repro.analysis.sweep.cartesian_sweep` use in place of
+:func:`cached_map`, which
+:func:`~repro.analysis.experiments.base.run_grid` — the grid runner of
+every sweeping experiment driver and of
+:func:`~repro.analysis.sweep.cartesian_sweep` — uses in place of
 ``ParallelExecutor.map``.  Each task is a pure function of its inputs
 (typically one seed of one table cell), so its result is stored under
 a key of the semantic config, the task function and the task's
@@ -112,6 +114,13 @@ def decode_strict(value: Any) -> Any:
     raise ValueError(f"unknown strict-payload tag {tag!r}")
 
 
+def _decode_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A ``map`` entry's payload with its result decoded; a damaged
+    value raises, which :meth:`~repro.cache.store.ResultCache.get`
+    counts as one corrupt miss."""
+    return {"result": decode_strict(payload["result"])}
+
+
 # ----------------------------------------------------------------------
 # recipes
 def _pickle_b64(obj: Any) -> Optional[str]:
@@ -152,12 +161,14 @@ def cached_map(
 ) -> List[Any]:
     """``executor.map(fn, tasks, labels=...)`` behind the result cache.
 
-    ``keys[i]`` is the *semantic* identity of ``tasks[i]`` — typically
-    the task tuple minus the resolved backend name, which is excluded
-    because backends are proven bit-identical.  Hits are answered in
-    the parent without dispatching; only misses reach the executor
-    (preserving original order), and their results are stored under
-    strict encoding.  Any uncacheable task simply computes uncached.
+    ``keys[i]`` is the *semantic* identity of ``tasks[i]`` — the task
+    tuple minus the resolved backend name ``run_grid`` appends, which is
+    excluded because backends are proven bit-identical.  Hits are
+    answered in the parent without dispatching; an entry whose value no
+    longer decodes counts once, as a corrupt miss, and is recomputed.
+    Only misses reach the executor (preserving original order), and
+    their results are stored under strict encoding.  Any uncacheable
+    task simply computes uncached.
     """
     from ..obs.progress import report_advance
 
@@ -187,19 +198,12 @@ def cached_map(
             pending.append(i)
             continue
         task_keys[i] = key
-        payload = cache.get(key, kind="map")
-        if payload is not None:
-            try:
-                results[i] = decode_strict(payload["result"])
-            except (KeyError, TypeError, ValueError):
-                count_cache_event("corrupt", key=key[:12], kind="map")
-                pending.append(i)
-            else:
-                report_advance(
-                    label=(labels[i] if labels is not None else None)
-                )
+        payload = cache.get(key, decode=_decode_payload, kind="map")
+        if payload is None:
+            pending.append(i)
             continue
-        pending.append(i)
+        results[i] = payload["result"]
+        report_advance(label=(labels[i] if labels is not None else None))
     if pending:
         sub_tasks = [tasks[i] for i in pending]
         sub_labels = [labels[i] for i in pending] if labels is not None else None

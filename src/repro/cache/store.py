@@ -33,7 +33,7 @@ import json
 import os
 import pathlib
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..sim.config import resolve_cache
 
@@ -120,14 +120,22 @@ class ResultCache:
         return self.objects_dir / key[:2] / f"{key}.json"
 
     # -- read --------------------------------------------------------------
-    def get(self, key: str, **tags: Any) -> Optional[Dict[str, Any]]:
+    def get(
+        self,
+        key: str,
+        decode: Optional[Callable[[Any], Dict[str, Any]]] = None,
+        **tags: Any,
+    ) -> Optional[Dict[str, Any]]:
         """The entry's payload, or None (miss) — never a traceback.
 
-        Anything short of a fully valid entry — absent file, torn JSON,
-        bytes that are not UTF-8, wrong ``format_version``, wrong
-        ``key``, missing ``payload`` — is a miss; invalid-but-present
-        files additionally count as ``corrupt`` so rot is visible in
-        the stats.
+        ``decode`` maps the stored payload to the one served; a
+        ``KeyError``, ``TypeError`` or ``ValueError`` from it marks the
+        entry damaged.  Anything short of a fully valid entry — absent
+        file, torn JSON, bytes that are not UTF-8, wrong
+        ``format_version``, wrong ``key``, a missing or undecodable
+        ``payload`` — is a miss; invalid-but-present files additionally
+        count as ``corrupt`` so rot is visible in the stats.  Each read
+        counts once: as a hit, or as a miss.
         """
         path = self.entry_path(key)
         try:
@@ -136,12 +144,20 @@ class ResultCache:
             count_cache_event("miss", key=key[:12], **tags)
             return None
         entry = self._validate(raw, key)
-        if entry is None:
+        payload = None
+        if entry is not None:
+            payload = entry["payload"]
+            if decode is not None:
+                try:
+                    payload = decode(payload)
+                except (KeyError, TypeError, ValueError):
+                    payload = None  # a well-formed envelope, a damaged value
+        if payload is None:
             count_cache_event("corrupt", key=key[:12], **tags)
             count_cache_event("miss", key=key[:12], **tags)
             return None
         count_cache_event("hit", key=key[:12], **tags)
-        return entry["payload"]
+        return payload
 
     @staticmethod
     def _validate(raw: bytes, key: Optional[str]) -> Optional[Dict[str, Any]]:

@@ -13,13 +13,14 @@ engine judges both shapes:
 
 Measured results — table rows (only ``EXP-*.json`` files carry them;
 compared with the newest baseline record) and ``summary`` scalars — are
-seed-deterministic, so any change is ``drift``.  Timings — wall and
-per-phase seconds, and speedups (``timings.speedup`` and speedup-named
-summary scalars) — are ``regression`` when worse than the baseline by
-more than the metric's tolerance (``--tolerance NAME=FRAC``, optionally
-``EXP-ID:``-scoped, else ``threshold``), ``improved`` when better by as
-much.  Times under a :data:`MIN_SECONDS` baseline are jitter; a speedup
-is skipped with a note when the baseline records another ``cpu_count``.
+seed-deterministic, so any change is ``drift``.  Timings — wall, CPU
+and per-phase seconds, and speedups (``timings.speedup`` and
+speedup-named summary scalars) — are ``regression`` when worse than the
+baseline by more than the metric's tolerance (``--tolerance
+NAME=FRAC``, optionally ``EXP-ID:``-scoped, else ``threshold``),
+``improved`` when better by as much.  Times under a :data:`MIN_SECONDS`
+baseline are jitter; a speedup is skipped with a note when the
+baseline records another ``cpu_count``.
 An experiment with no baseline is ``only-new`` (failing only under
 ``--fail-on-regression``, the CI gate mode); one missing from
 ``NEW_DIR`` is ``only-old``; a history experiment with fewer than
@@ -127,6 +128,7 @@ _FIELDS = (
     ("provenance", lambda v: isinstance(v, dict), "an object"),
     ("timings", lambda v: isinstance(v, dict), "an object"),
     ("timings.wall_seconds", _number, "a number"),
+    ("timings.cpu_seconds", _number, "a number"),
     ("timings.speedup", _number, "a number"),
     ("timings.phase_seconds",
      lambda v: isinstance(v, dict) and all(_number(s) for s in v.values()),
@@ -281,7 +283,11 @@ class BenchDiff:
 def _timed(record: dict) -> Dict[str, Any]:
     """A record's tolerance-judged metrics by name (speedups included)."""
     timings = record.get("timings") or {}
-    out = {"wall": timings.get("wall_seconds"), "speedup": timings.get("speedup")}
+    out = {
+        "wall": timings.get("wall_seconds"),
+        "cpu": timings.get("cpu_seconds"),
+        "speedup": timings.get("speedup"),
+    }
     for phase, seconds in (timings.get("phase_seconds") or {}).items():
         out[f"phase[{phase}]"] = seconds
     for key, value in (record.get("summary") or {}).items():

@@ -1,14 +1,15 @@
 """Live progress for sweeps and replications: one event, one renderer.
 
 The execution layer (:func:`~repro.sim.runner.replicate`,
-:func:`~repro.analysis.sweep.cartesian_sweep`,
-:class:`~repro.sim.parallel.ParallelExecutor` and the experiment
-drivers' :func:`~repro.analysis.experiments.base.exp_scope`) reports
-through :func:`report_begin`, :func:`report_advance` and
-:func:`report_finish`.  Each call builds one progress event — a dict
-with ``phase`` (``begin``/``advance``/``finish``), ``label`` and
-``depth``, plus ``total``/``unit`` on begin and ``status`` on advance —
-and hands it to both consumers: the active session's log (a
+:class:`~repro.sim.parallel.ParallelExecutor` and
+:func:`~repro.analysis.experiments.base.run_grid`, the grid runner of
+the experiment drivers and of
+:func:`~repro.analysis.sweep.cartesian_sweep`) reports through
+:func:`report_begin`, :func:`report_advance` and :func:`report_finish`.
+Each call builds one progress event — a dict with ``phase``
+(``begin``/``advance``/``finish``), ``label`` and ``depth``, plus
+``total``/``unit`` on begin and ``status`` on advance — and hands it
+to both consumers: the active session's log (a
 ``progress`` line of ``events.jsonl``, which ``repro tail`` follows)
 and the installed ticker (:func:`progress_scope`).
 

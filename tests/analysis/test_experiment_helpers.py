@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from repro.analysis.experiments.base import ExperimentResult
-from repro.analysis.experiments.protocols import measured_diameter
+from repro.analysis.experiments.base import ExperimentResult, run_grid
+from repro.analysis.experiments.protocols import (
+    exp_known_d_upper_bounds,
+    measured_diameter,
+)
+from repro.errors import ConfigurationError
+from repro.obs.runtime import observe
+from repro.sim.config import RunConfig
+from repro.sim.engine import ROUND_STAGES
 from repro.network.adversaries import (
     OverlappingStarsAdversary,
     RotatingStarAdversary,
@@ -49,3 +58,64 @@ class TestExperimentResult:
         r = ExperimentResult(exp_id="EXP-Y", title="t", headers=["x"], rows=[[1]])
         out = r.render()
         assert "summary" not in out and "note" not in out
+
+
+def _echo(a):
+    return (a,)
+
+
+def _echo_backend(a, backend="reference"):
+    return (a, backend)
+
+
+def _fail_on_two(a):
+    if a == 2:
+        raise ConfigurationError("boom")
+    return a
+
+
+def _burn(seconds):
+    """Spin for ``seconds`` of this process's CPU time."""
+    start = time.process_time()
+    while time.process_time() - start < seconds:
+        pass
+    return seconds
+
+
+class TestRunGrid:
+    def test_outcomes_come_back_by_row(self):
+        timings = {}
+        rows = run_grid("EXP-X", _echo, [[(1,), (2,)], [], [(3,)]],
+                        RunConfig(workers=0), timings)
+        assert rows == [[(1,), (2,)], [], [(3,)]]
+        assert set(timings) == {"wall_seconds", "cpu_seconds", "tasks", "workers"}
+        assert timings["tasks"] == 3 and timings["workers"] == 0
+
+    def test_backend_reaches_only_cells_that_declare_it(self):
+        rows = run_grid("EXP-X", [_echo, _echo_backend], [[(1,)], [(2,)]],
+                        RunConfig(workers=0, backend="batch"), {})
+        assert rows == [[(1,)], [(2, "batch")]]
+
+    def test_pooled_failure_is_labelled_by_parameter_names(self):
+        with pytest.raises(ConfigurationError, match=r"boom \[parallel worker: a=2\]"):
+            run_grid("EXP-X", _fail_on_two, [[(1,), (2,)]], RunConfig(workers=2), {})
+
+    def test_pooled_cpu_seconds_count_the_workers(self):
+        timings = {}
+        before = time.process_time()
+        run_grid("EXP-X", _burn, [[(0.3,), (0.3,)]], RunConfig(workers=2), timings)
+        parent = time.process_time() - before
+        assert timings["workers"] == 2
+        # the two workers spent >= 0.6 s that the parent's clock never saw
+        assert timings["cpu_seconds"] >= parent + 0.5
+
+    def test_session_keeps_the_grid_wall_and_cpu(self):
+        config = RunConfig(workers=0, cache="off")
+        with observe() as session:
+            result = exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), config=config)
+        grid = dict(result.timings)
+        result.attach_session(session)
+        assert result.timings["wall_seconds"] == grid["wall_seconds"]
+        assert result.timings["cpu_seconds"] == grid["cpu_seconds"]
+        assert result.timings["engine_runs"] == 5
+        assert set(result.timings["phase_seconds"]) == set(ROUND_STAGES)

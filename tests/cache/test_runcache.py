@@ -105,9 +105,10 @@ class TestDriverCaching:
         warm = _ub(tmp_path)  # never raises
         delta = _delta(before, cache_counters())
         assert warm.rows == cold.rows
-        assert delta["corrupt"] == 1
-        assert delta["hit"] == 5  # the damaged entry parses; its value does not
-        assert delta["store"] == 1
+        # the damaged entry parses but its value does not: one corrupt
+        # miss, never also a hit
+        assert delta["hit"] == 4 and delta["miss"] == 1
+        assert delta["corrupt"] == 1 and delta["store"] == 1
         assert json.loads(path.read_text())["payload"] == stored["payload"]
 
 

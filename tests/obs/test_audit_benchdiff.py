@@ -11,7 +11,7 @@ from repro.obs.audit import audit_path, render_audit, resolve_run_files
 from repro.obs.benchdiff import DEFAULT_THRESHOLD, diff_dirs, render_diff
 
 
-def _exp_json(exp_id, rows, summary=None, wall=None, phases=None):
+def _exp_json(exp_id, rows, summary=None, wall=None, phases=None, cpu=None):
     timings = {}
     if wall is not None:
         timings = {
@@ -19,6 +19,8 @@ def _exp_json(exp_id, rows, summary=None, wall=None, phases=None):
             "engine_runs": 1,
             "phase_seconds": phases or {},
         }
+    if cpu is not None:
+        timings["cpu_seconds"] = cpu
     return {
         "exp_id": exp_id,
         "title": exp_id,
@@ -81,6 +83,22 @@ class TestBenchDiff:
         assert code == 0
         assert [d.status for d in diffs] == ["improved", "ok"]
         assert diffs[0].details == ["wall: 2.000s -> 1.000s (-50%)"]
+
+    def test_cpu_regression_flags(self, tmp_path):
+        _write_dir(tmp_path / "old", [_exp_json("EXP-X1", [[1]], wall=1.0, cpu=2.0)])
+        _write_dir(tmp_path / "new", [_exp_json("EXP-X1", [[1]], wall=1.0, cpu=3.5)])
+        diffs, code = diff_dirs(tmp_path / "old", tmp_path / "new",
+                                tolerances={"cpu": 0.60})
+        assert code == 1
+        assert diffs[0].status == "regression"
+        assert diffs[0].details == ["cpu: 2.000s -> 3.500s (+75%)"]
+
+    def test_cpu_under_the_floor_is_skipped(self, tmp_path):
+        _write_dir(tmp_path / "old", [_exp_json("EXP-X1", [[1]], wall=1.0, cpu=0.004)])
+        _write_dir(tmp_path / "new", [_exp_json("EXP-X1", [[1]], wall=1.0, cpu=0.040)])
+        diffs, code = diff_dirs(tmp_path / "old", tmp_path / "new")
+        assert code == 0
+        assert diffs[0].status == "ok" and diffs[0].details == []
 
     def test_threshold_is_respected(self, tmp_path):
         _write_dir(tmp_path / "old", [_exp_json("EXP-X1", [[1]], wall=1.0)])
@@ -221,10 +239,12 @@ class TestCliIntegration:
          ("headers", [1], "headers"), ("summary", [1], "summary"),
          ("timings", 3, "timings"),
          ("timings", {"wall_seconds": "2.0"}, "timings.wall_seconds"),
+         ("timings", {"cpu_seconds": [2.0]}, "timings.cpu_seconds"),
          ("timings", {"phase_seconds": ["actions"]}, "timings.phase_seconds"),
          ("timings", {"speedup": "3x"}, "timings.speedup")],
         ids=["rows-int", "rows-flat", "headers-str", "headers-ints",
-             "summary-list", "timings-int", "wall-str", "phases-list", "speedup-str"],
+             "summary-list", "timings-int", "wall-str", "cpu-list", "phases-list",
+             "speedup-str"],
     )
     def test_bench_diff_malformed_field_exits_2(self, tmp_path, capsys, field, value,
                                                 named):

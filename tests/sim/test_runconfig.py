@@ -1,10 +1,11 @@
 """RunConfig facade: round-trips, backend resolution, the config slot.
 
 The facade's contract is twofold: (a) a ``RunConfig`` threads identically
-through ``run_protocol``/``replicate``/``cartesian_sweep``, and (b) those
-drivers take nothing else: a ``config`` of another type is a
-:class:`~repro.errors.ConfigurationError` naming that type, and stray
-arguments are Python's own ``TypeError``.  Both halves are pinned here.
+through ``run_protocol``/``replicate``/``cartesian_sweep`` and the
+experiment drivers, and (b) those drivers take nothing else: a
+``config`` of another type is a :class:`~repro.errors.ConfigurationError`
+naming that type, and stray arguments are Python's own ``TypeError``.
+Both halves are pinned here.
 """
 
 from __future__ import annotations
@@ -25,7 +26,19 @@ from repro.sim import (
     resolve_backend,
     run_protocol,
 )
+from repro.analysis.experiments import (
+    exp_cc_bounds,
+    exp_doubling_heuristic,
+    exp_estimate_insensitivity,
+    exp_exponential_gap,
+    exp_known_d_upper_bounds,
+    exp_sensitivity,
+    exp_thm6_reduction,
+    exp_thm7_reduction,
+    exp_thm8_leader_election,
+)
 from repro.analysis.sweep import cartesian_sweep
+from repro.sim.parallel import ParallelExecutor
 
 IDS = tuple(range(6))
 
@@ -132,6 +145,34 @@ class TestConfigSlot:
             call(config, 30)
         with pytest.raises(TypeError, match="unexpected keyword argument 'max_rounds'"):
             call(config, max_rounds=30)
+
+
+#: the nine sweeping experiment drivers, by the EXP id of their grid
+EXP_DRIVERS = {
+    "EXP-T6": exp_thm6_reduction,
+    "EXP-T7": exp_thm7_reduction,
+    "EXP-CC": exp_cc_bounds,
+    "EXP-T8": exp_thm8_leader_election,
+    "EXP-UB": exp_known_d_upper_bounds,
+    "EXP-GAP": exp_exponential_gap,
+    "EXP-SENS": exp_sensitivity,
+    "EXP-HEUR": exp_doubling_heuristic,
+    "EXP-EST": exp_estimate_insensitivity,
+}
+
+
+class TestExperimentConfigSlot:
+    @pytest.mark.parametrize("exp_id", list(EXP_DRIVERS))
+    def test_non_config_raises_before_any_task(self, exp_id, monkeypatch):
+        def no_task(*_args, **_kw):
+            raise AssertionError(f"{exp_id} ran a task before checking its config")
+
+        monkeypatch.setattr(ParallelExecutor, "map", no_task)
+        driver = EXP_DRIVERS[exp_id]
+        with pytest.raises(ConfigurationError, match=f"^{exp_id}: .* got int$"):
+            driver(config=3)
+        with pytest.raises(ConfigurationError, match=f"^{exp_id}: .* got dict$"):
+            driver(config={"workers": 0})
 
 
 class TestLegacyShim:
