@@ -25,6 +25,7 @@ import time
 from repro.analysis.experiments.base import ExperimentResult
 from repro.network.adaptive import AdaptiveBlockingAdversary
 from repro.network.adversaries import (
+    OverlappingStarsAdversary,
     RandomConnectedAdversary,
     RotatingStarAdversary,
     ShiftingLineAdversary,
@@ -33,7 +34,9 @@ from repro.network.adversaries import (
 )
 from repro.network.causality import dynamic_diameter
 from repro.network.generators import line_edges
+from repro.protocols.consensus import ConsensusKnownDNode
 from repro.protocols.flooding import GossipMaxNode, TokenFloodNode
+from repro.protocols.hearfrom import CountNodesNode
 from repro.sim.batch import run_batch_replicas
 from repro.sim.coins import CoinSource
 from repro.sim.config import RunConfig
@@ -125,13 +128,24 @@ def _sub_cells():
     re-runs an RNG-backed edge generator every round, the tape once per
     epoch), and the adaptive-blocking cells exercise the incremental
     tape (the adversary's decision is interposed between vectorized
-    stages, so coins/delivery/bit accounting still batch).
+    stages, so coins/delivery/bit accounting still batch).  The gossip,
+    COUNT-N and consensus cells on replay tapes run the batch engine's
+    coin-drawing array programs.
     """
     def flood(ids):
         return NodeSet(ids, BoundNode(TokenFloodNode, source=ids[0]))
 
     def gossip(ids):
         return NodeSet(ids, BoundNode(GossipMaxNode))
+
+    def count_n(ids, rounds):
+        return NodeSet(ids, BoundNode(CountNodesNode, total_rounds=rounds))
+
+    def consensus(ids, rounds):
+        # EXP-UB's inputs: each node's value is its id's parity
+        one = BoundNode(ConsensusKnownDNode, value=1, total_rounds=rounds)
+        return NodeSet(ids, BoundNode(ConsensusKnownDNode, value=0, total_rounds=rounds),
+                       {u: one for u in ids if u % 2})
 
     n64 = tuple(range(64))
     n128 = tuple(range(128))
@@ -146,6 +160,10 @@ def _sub_cells():
         ("flood/t-interval N=256 T=32 R=200", flood(n256),
          Constant(TIntervalAdversary(n256, seed=9, interval=32)), 200),
         ("gossip/t-interval N=128 T=16 R=150", gossip(n128),
+         Constant(TIntervalAdversary(n128, seed=9, interval=16)), 150),
+        ("count-n/overlap-stars N=64 R=300", count_n(n64, 300),
+         Constant(OverlappingStarsAdversary(n64)), 300),
+        ("consensus/t-interval N=128 R=150", consensus(n128, 150),
          Constant(TIntervalAdversary(n128, seed=9, interval=16)), 150),
         ("gossip/adaptive-blocking N=256 R=150", gossip(n256),
          FreshBlocking(n256, _best_is_255), 150),

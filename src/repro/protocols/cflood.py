@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Tuple
 
+import numpy as np
+
 from .._util import require
 from ..sim.actions import Action, Receive, Send
 from ..sim.arrays import TokenPushProgram, node_methods
@@ -96,8 +98,7 @@ class CFloodArrays(TokenPushProgram):
     round 1 when the source is outside the node set).
     """
 
-    node_classes = (CFloodKnownDNode, CFloodConservativeNode)
-    methods = node_methods(CFloodKnownDNode)
+    methods = node_methods(CFloodKnownDNode, CFloodConservativeNode)
 
     def __init__(self, nodes: List[ProtocolNode]):
         super().__init__(nodes)
@@ -105,9 +106,10 @@ class CFloodArrays(TokenPushProgram):
             (node.d_param for node in nodes if node.uid == node.source), default=0
         )
 
-    def act(self, round_: int) -> None:
+    def act(self, round_: int, states: Optional[np.ndarray]) -> np.ndarray:
         for node in self.nodes:
             node.rounds_seen = round_
+        return self.informed
 
     def complete(self, round_: int) -> bool:
         return round_ >= self.confirm_round

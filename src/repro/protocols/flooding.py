@@ -59,7 +59,6 @@ class TokenFloodNode(ProtocolNode):
 class TokenFloodArrays(TokenPushProgram):
     """:class:`TokenFloodNode` as arrays: done once every node is informed."""
 
-    node_classes = (TokenFloodNode,)
     methods = node_methods(TokenFloodNode)
 
     def complete(self, round_: int) -> bool:

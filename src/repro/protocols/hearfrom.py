@@ -12,15 +12,23 @@
   N' with |N'-N|/N <= 1/3 - c takes O(log N) flooding rounds when D is
   known" — and, combined with Theorem 8, the unknown-diameter cost of
   these problems concentrates entirely in this estimation step.
+
+:class:`CountNodesArrays` is :class:`CountNodesNode`'s array form, which
+the batch engine runs instead of the node callbacks when the
+transcription is exact (:mod:`repro.sim.arrays`).  HearFromAll keeps
+the per-node path: its ``heard_ids`` sets have no scalar reduction.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .._util import require
 from ..sim.actions import Action, Receive, Send
-from ..sim.coins import Coins
+from ..sim.arrays import ArrayProgram, is_int64, node_methods, merge_heard
+from ..sim.coins import Coins, bit_threshold, bits_below, nth_draws
 from ..sim.node import ProtocolNode
 from .counting import (
     default_components,
@@ -29,7 +37,7 @@ from .counting import (
     merge_min,
 )
 
-__all__ = ["HearFromAllNode", "CountNodesNode"]
+__all__ = ["HearFromAllNode", "CountNodesNode", "CountNodesArrays"]
 
 
 class HearFromAllNode(ProtocolNode):
@@ -96,6 +104,91 @@ class CountNodesNode(ProtocolNode):
         if self.rounds_seen >= self.total_rounds:
             return ("count", self.estimate)
         return None
+
+
+class CountNodesArrays(ArrayProgram):
+    """:class:`CountNodesNode` as arrays.
+
+    ``mins`` is the (N, R) int64 array of every node's quantized minima.
+    A node's first action draws its R exponentials through its own
+    :class:`~repro.sim.coins.Coins` (:func:`draw_exponentials`, once per
+    node per run), so that round's send coin is draw R; every later
+    round's is draw 0.  Round r sends ``("cntN", c, mins[i, c])`` for
+    ``c = (r - 1) mod R`` only, so a receiver's merge is
+    ``np.minimum`` over its senders in that one column.  The run
+    completes at the largest ``total_rounds``.
+    """
+
+    methods = node_methods(CountNodesNode)
+    draws_coins = True
+    ranks = True
+
+    @classmethod
+    def accepts(cls, nodes: Sequence[ProtocolNode]) -> bool:
+        """The nodes share one R, and either none has drawn its ``mins``
+        or every node holds one int64 int per component ``0..R-1``."""
+        components = nodes[0].R
+        if type(components) is not int or any(node.R != components for node in nodes):
+            return False
+        if all(node.mins is None for node in nodes):
+            return True
+        keys = set(range(components))
+        return all(
+            type(node.mins) is dict
+            and node.mins.keys() == keys
+            and all(is_int64(j) for j in node.mins.values())
+            for node in nodes
+        )
+
+    def __init__(self, nodes: List[ProtocolNode]):
+        super().__init__(nodes)
+        self.R = nodes[0].R
+        #: the (N, R) minima, or None until the first action draws them
+        self.mins: Optional[np.ndarray] = None
+        if nodes[0].mins is not None:
+            self.mins = self._read_mins()
+        self.total_rounds = max(node.total_rounds for node in nodes)
+        self.threshold = bit_threshold(0.5)
+        self.component = 0
+        #: per component: quantized min -> (payload, bits)
+        self._memo: List[Dict[int, Tuple[Any, int]]] = [{} for _ in range(self.R)]
+
+    def _read_mins(self) -> np.ndarray:
+        components = range(self.R)
+        return np.array(
+            [[node.mins[c] for c in components] for node in self.nodes], dtype=np.int64
+        )
+
+    def act(self, round_: int, states: Optional[np.ndarray]) -> np.ndarray:
+        draw = 0
+        if self.mins is None:
+            for node, state in zip(self.nodes, states.tolist()):
+                coins = Coins(node.uid, round_, state)
+                node.mins = dict(draw_exponentials(coins, self.R))
+            self.mins = self._read_mins()
+            draw = self.R
+        for node in self.nodes:
+            node.rounds_seen = round_
+        self.component = (round_ - 1) % self.R
+        return bits_below(nth_draws(states, draw), self.threshold)
+
+    def charge(self, send_idx: np.ndarray):
+        comp = self.component
+        return self._charged(
+            self._memo[comp],
+            self.mins[send_idx, comp].tolist(),
+            lambda j: ("cntN", comp, j),
+        )
+
+    def hear(self, round_, recv_idx, send_idx, counts, cols) -> None:
+        comp, nodes = self.component, self.nodes
+        # mins[:, comp] is a view: the merge writes the array in place
+        for i, j in zip(*merge_heard(np.minimum, self.mins[:, comp], recv_idx, send_idx,
+                                     counts, cols)):
+            nodes[i].mins[comp] = j
+
+    def complete(self, round_: int) -> bool:
+        return round_ >= self.total_rounds
 
 
 def count_rounds_budget(d_param: int, num_nodes: int, components: int = 64, factor: float = 3.0) -> int:

@@ -41,11 +41,12 @@ This module removes the redundancy without touching semantics:
   adversary's decision is a per-round scalar stage *between* those
   vectorized stages — it sees the identical
   :class:`~repro.sim.engine.AdversaryView` the reference engine would
-  build.  On a replay tape, a TokenFlood or CFLOOD node set whose
-  transcription is exact runs as an *array program*
-  (:mod:`repro.sim.arrays`): no node callbacks at all, the send mask is
-  the ``informed`` array, and delivery counts come from the same
-  kernel (:func:`_incidence`).
+  build.  On a replay tape, a node set whose transcription is exact
+  runs as an *array program* (:mod:`repro.sim.arrays`: token push,
+  MAX, CONSENSUS, COUNT-N): no node callbacks at all, the send mask is
+  an array (coins drawn by :func:`~repro.sim.coins.nth_draws` over the
+  same fold), and delivery reduces over the same kernel
+  (:func:`_incidence`).
 * :func:`run_batch_replicas` runs K same-cell replicas in lockstep,
   observed or not.
   Oblivious replicas share one tape (and one adversary instance), so
@@ -91,9 +92,9 @@ from ..network.topology import (
     representation_for,
 )
 from .actions import Receive, Send
-from .arrays import TokenPushProgram, select_program
+from .arrays import ArrayProgram, select_program
 from .coins import Coins, CoinSource
-from .encoding import EncodingMemo, interned_encoding
+from .encoding import EncodingMemo
 from .engine import AdversaryView, RoundDriver, _RoundState
 from .messages import DEFAULT_BANDWIDTH_FACTOR
 from .node import ProtocolNode
@@ -432,8 +433,9 @@ class BatchEngine(RoundDriver):
 
     On a replay tape, :func:`~repro.sim.arrays.select_program` may hand
     the engine an :attr:`array_program`; its ``_array_*`` stages then
-    replace actions, delivery and termination.  Nothing else selects
-    the path: no parameter, option or size threshold.
+    replace actions, delivery and termination, for every program alike.
+    Nothing else selects the path: no parameter, option or size
+    threshold.
 
     Selection is via ``RunConfig(backend="batch")`` on the runner layer.
     """
@@ -475,8 +477,8 @@ class BatchEngine(RoundDriver):
         #: None for the per-node path (repro.sim.arrays decides; replay
         #: tapes only, since an adaptive adversary reads the committed
         #: actions an array program never builds)
-        self.array_program: Optional[TokenPushProgram] = (
-            None if self._incremental else select_program(self._node_list)
+        self.array_program: Optional[ArrayProgram] = (
+            None if self._incremental else select_program(self._uids, self._node_list)
         )
         if self.array_program is not None:
             # the array stages replace actions, delivery and termination;
@@ -510,16 +512,19 @@ class BatchEngine(RoundDriver):
         """The dense-adjacency cutoff this engine's tape runs under."""
         return self.tape.dense_node_limit
 
-    def _coin_states(self, round_: int) -> List[int]:
-        """splitmix64 seeds for every node this round, in uid order."""
+    def _coin_states(self, round_: int) -> np.ndarray:
+        """splitmix64 seeds for every node this round, in uid order,
+        as an (N,) uint64 array."""
         if self._h_seed_uid is not None and 1 <= round_ < 2 ** 64:
-            states = (self._h_seed_uid ^ np.uint64(round_)) * np.uint64(_FNV_PRIME)
-            return states.tolist()
+            return (self._h_seed_uid ^ np.uint64(round_)) * np.uint64(_FNV_PRIME)
         source = self.coin_source  # pragma: no cover - exotic uid ranges
-        return [
-            _fnv_fold(_fnv_fold(_fnv_fold(_FNV_OFFSET, source.seed), uid), round_)
-            for uid in self._uids
-        ]
+        return np.array(
+            [
+                _fnv_fold(_fnv_fold(_fnv_fold(_FNV_OFFSET, source.seed), uid), round_)
+                for uid in self._uids
+            ],
+            dtype=np.uint64,
+        )
 
     # -- the staged round protocol (vectorized within stages) ----------
 
@@ -532,7 +537,7 @@ class BatchEngine(RoundDriver):
         builds it alongside: the adversary stage needs the exact view.
         """
         r = state.round
-        states = self._coin_states(r)
+        states = self._coin_states(r).tolist()
         send_uids: List[int] = []
         send_payloads: List[Any] = []
         receiver_list: List[int] = []
@@ -635,11 +640,7 @@ class BatchEngine(RoundDriver):
             enc, nbits = lookup(uid, payload)
             append_enc(enc)
             append_bits(nbits)
-        budget = self.budget
-        if bits_list and max(bits_list) > budget:
-            for uid, nbits in zip(send_uids, bits_list):  # first, in uid order
-                if nbits > budget:
-                    raise BandwidthExceeded(nbits, budget, uid, r)
+        self._check_budget(send_uids, bits_list, r)
         sends: Dict[int, Any] = dict(zip(send_uids, send_payloads))
         bits: Dict[int, int] = dict(zip(send_uids, bits_list))
 
@@ -686,6 +687,14 @@ class BatchEngine(RoundDriver):
         self.trace.append(record)
         state.record = record
 
+    def _check_budget(self, send_uids: List[int], bits_list, r: int) -> None:
+        """Raise for the first sender, in uid order, over the CONGEST budget."""
+        budget = self.budget
+        if bits_list and max(bits_list) > budget:
+            for uid, nbits in zip(send_uids, bits_list):
+                if nbits > budget:
+                    raise BandwidthExceeded(nbits, budget, uid, r)
+
     # -- the array-program path (repro.sim.arrays) ---------------------
 
     def _uids_at(self, positions: List[int]) -> List[int]:
@@ -695,36 +704,36 @@ class BatchEngine(RoundDriver):
         return list(map(self._uids.__getitem__, positions))
 
     def _array_actions(self, state: _RoundState) -> None:
-        """(1)+(2): the send mask is ``informed``; no coins are drawn."""
+        """(1)+(2): the program's send mask, from the round's coin
+        states when it draws coins (none are folded otherwise)."""
         program = self.array_program
-        program.act(state.round)
-        informed = program.informed
-        state.send_idx = np.flatnonzero(informed)
-        state.recv_idx = np.flatnonzero(~informed)
+        r = state.round
+        send = program.act(r, self._coin_states(r) if program.draws_coins else None)
+        state.send_idx = send.nonzero()[0]
+        state.recv_idx = (~send).nonzero()[0]
 
     def _array_delivery(self, state: _RoundState) -> None:
-        """(4): one encoding lookup for the shared token, counts-only
-        delivery, and write-back of the newly informed nodes."""
+        """(4): the senders' payloads and bits from the program, the
+        incidence (counts only, unless the program reduces over its
+        senders), and the program's reduction with node write-back."""
         r = state.round
         program = self.array_program
         send_idx, recv_idx = state.send_idx, state.recv_idx
-        send_pos = send_idx.tolist()
-        send_uids = self._uids_at(send_pos)
+        send_uids = self._uids_at(send_idx.tolist())
         receiver_list = self._uids_at(recv_idx.tolist())
         sends: Dict[int, Any] = {}
         bits: Dict[int, int] = {}
         if send_uids:
-            nbits = interned_encoding(program.token)[1]
-            if nbits > self.budget:  # every sender charges the same bits
-                raise BandwidthExceeded(nbits, self.budget, send_uids[0], r)
-            sends = dict(zip(send_uids, map(program.tokens.__getitem__, send_pos)))
-            bits = dict.fromkeys(send_uids, nbits)
+            payloads, bits_list = program.charge(send_idx)
+            self._check_budget(send_uids, bits_list, r)
+            sends = dict(zip(send_uids, payloads))
+            bits = dict(zip(send_uids, bits_list))
         if sends and receiver_list:
-            counts, _ = _incidence(
-                state.topo, recv_idx, send_idx, len(self._uids), ranks=False
+            counts, cols = _incidence(
+                state.topo, recv_idx, send_idx, len(self._uids), ranks=program.ranks
             )
             delivered = dict(zip(receiver_list, counts.tolist()))
-            program.hear(r, recv_idx[counts > 0])
+            program.hear(r, recv_idx, send_idx, counts, cols)
         else:
             delivered = dict.fromkeys(receiver_list, 0)
         record = RoundRecord(

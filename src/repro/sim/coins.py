@@ -14,19 +14,29 @@ and the engine constructs one ``Coins`` per (node, round): constructing a
 ``numpy`` Generator here (~20 µs) dominated whole-simulation profiles,
 while splitmix64 stepping is a few hundred nanoseconds of pure Python —
 the classic "optimize the measured bottleneck" trade.
+
+The batch engine's array programs draw every node's coin of a round at
+once: :func:`nth_draws` is the array twin of :meth:`Coins._next` over
+the (N,) uint64 stream states the engine folds, and :func:`bits_below`
+with :func:`bit_threshold` is :meth:`Coins.bit` on those draws, exact
+to the float rounding of the scalar comparison.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .._util import stable_hash64
 
-__all__ = ["Coins", "CoinSource"]
+__all__ = ["Coins", "CoinSource", "nth_draws", "bit_threshold", "bits_below"]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 _INV_2_64 = 1.0 / 2.0 ** 64
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 class Coins:
@@ -68,6 +78,49 @@ class Coins:
     def randint(self, n: int) -> int:
         """A uniform integer in [0, n) (modulo bias < 2^-50 for sane n)."""
         return self._next() % n
+
+
+def nth_draws(states: np.ndarray, k: int) -> np.ndarray:
+    """The ``k``-th (0-based) :meth:`Coins._next` output of every stream.
+
+    ``states`` holds each stream's starting state as uint64; the result
+    is the (N,) uint64 array of the outputs a fresh :class:`Coins` per
+    state returns on its ``k + 1``-th call.  uint64 arithmetic wraps
+    modulo 2^64, exactly like the scalar masks.
+    """
+    z = states + np.uint64((k + 1) * _GAMMA & _MASK)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def bit_threshold(p: float) -> int:
+    """The count T of 64-bit draws ``z`` that :meth:`Coins.bit` reads as True.
+
+    ``z * 2**-64 < p`` rounds ``z`` to a double first, so it is not
+    ``z < p * 2**64``: at ``p = 0.5`` every ``z >= 2**63 - 512`` rounds
+    up to ``2**63`` and reads False.  The comparison is monotone in
+    ``z``, so its True draws are exactly ``[0, T)``; bisecting on the
+    scalar comparison itself finds T for any ``p``.
+    """
+    lo, hi = 0, 1 << 64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid * _INV_2_64 < p:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def bits_below(draws: np.ndarray, threshold: int) -> np.ndarray:
+    """:meth:`Coins.bit` of each draw, given ``threshold = bit_threshold(p)``."""
+    if threshold == 0:
+        return np.zeros(len(draws), dtype=bool)
+    return draws <= np.uint64(threshold - 1)
 
 
 class CoinSource:
